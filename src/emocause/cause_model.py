@@ -2,11 +2,11 @@
 
 Each word contributes eight copies of its embedding, one per emotion, each
 scaled by that emotion's probability from the review-level classifier; the
-copies are concatenated into the timestep input (8*d). The rest mirrors the
-emotion model with a wider Bi-LSTM (1024 per direction by default) and a
-scalar sigmoid head: Bi-LSTM -> last output -> dropout 0.5 -> linear to 80
--> ELU -> linear to 1 -> sigmoid. Trained with BCE, batch size 1, 50 epochs.
-The review's cause clause is the one with the highest score.
+copies are concatenated into the timestep input (8*d). These rows go
+through the shared Bi-LSTM + MLP network (bilstm_mlp.py, 1024 hidden units
+per direction by default) with a scalar sigmoid head. Trained with BCE,
+batch size 1, 50 epochs. The review's cause clause is the one with the
+highest score.
 """
 
 from __future__ import annotations
@@ -16,51 +16,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import bilstm_mlp
+from .bilstm_mlp import DEFAULT_MID, DROPOUT_P  # noqa: F401 (re-exported)
 from .embeddings import EMOTIONS, EmbeddingTable
-from .errors import DataError, OovError
+from .errors import OovError
 from .nn import core
-from .nn.serialize import (KIND_CAUSE, load_container, save_container,
-                           split_payload)
+from .nn.serialize import KIND_CAUSE
 
 log = logging.getLogger(__name__)
 
 DEFAULT_HIDDEN = 1024
-DEFAULT_MID = 80
 N_EMOTIONS = len(EMOTIONS)
-DROPOUT_P = 0.5
 DEFAULT_EPOCHS = 50
 PROB_SUM_TOL = 1e-6
 
 
-@dataclass
-class CauseScorer:
-    bilstm: core.BiLstm  # input 8*d
-    fc1: core.LinearParams  # 2H -> mid
-    fc2: core.LinearParams  # mid -> 1
-    table: EmbeddingTable
-
-    def __post_init__(self):
-        if self.bilstm.input_dim != N_EMOTIONS * self.table.dim:
-            raise ValueError("Bi-LSTM input must be 8 * embedding dim")
-        if self.fc1.in_dim != 2 * self.bilstm.hidden_dim:
-            raise ValueError("fc1 input must be twice the Bi-LSTM hidden size")
-        if self.fc2.in_dim != self.fc1.out_dim:
-            raise ValueError("fc2 input must match fc1 output")
-        if self.fc2.out_dim != 1:
-            raise ValueError("cause scorer output must be scalar")
-
-    @classmethod
-    def init(cls, table: EmbeddingTable, rng: core.Rng,
-             hidden: int = DEFAULT_HIDDEN, mid: int = DEFAULT_MID) -> "CauseScorer":
-        return cls(
-            bilstm=core.BiLstm.init(N_EMOTIONS * table.dim, hidden, rng),
-            fc1=core.LinearParams.init(2 * hidden, mid, rng),
-            fc2=core.LinearParams.init(mid, 1, rng),
-            table=table,
-        )
-
-    def parameters(self) -> list[np.ndarray]:
-        return self.bilstm.tensors() + self.fc1.tensors() + self.fc2.tensors()
+class CauseScorer(bilstm_mlp.BiLstmMlp):
+    kind = KIND_CAUSE
+    what = "a cause model"
+    input_blocks = N_EMOTIONS
+    out_width = 1
 
 
 def _check_probs(probs) -> np.ndarray:
@@ -102,145 +77,58 @@ def emotion_scaled_inputs(tokens, probs, table: EmbeddingTable) -> np.ndarray:
     return np.array(xs)
 
 
-class _ForwardCache:
-    __slots__ = ("bilstm", "h_last", "mask", "h_drop", "z1", "a1", "prob")
-
-
-def _forward(m: CauseScorer, xs: np.ndarray, train: bool,
-             rng: core.Rng | None) -> _ForwardCache:
-    cache = _ForwardCache()
-    cache.bilstm = core.bilstm_run(m.bilstm, xs)
-    cache.h_last = core.bilstm_last_output(cache.bilstm)
-    if train:
-        if rng is None:
-            raise ValueError("training forward pass needs an rng")
-        cache.mask = core.dropout_mask(DROPOUT_P, cache.h_last.shape, rng)
-        cache.h_drop = cache.h_last * cache.mask
-    else:
-        cache.mask = None
-        cache.h_drop = cache.h_last
-    cache.z1 = core.linear(m.fc1, cache.h_drop)
-    cache.a1 = core.elu(cache.z1)
-    cache.prob = core.sigmoid(float(core.linear(m.fc2, cache.a1)[0]))
-    return cache
-
-
 def score_clause(m: CauseScorer, tokens, probs, train: bool = False,
                  rng: core.Rng | None = None) -> float:
     """Probability in (0, 1) that the clause is a cause clause."""
     xs = emotion_scaled_inputs(tokens, probs, m.table)
-    return _forward(m, xs, train, rng).prob
-
-
-def _backward(m: CauseScorer, cache: _ForwardCache, label: int) -> list[np.ndarray]:
-    """Gradients of the BCE loss in parameters() order. d(loss)/d(logit)
-    of sigmoid + BCE collapses to (p - y)."""
-    dz2 = np.array([cache.prob - label])
-    d_w2 = np.outer(dz2, cache.a1)
-    d_b2 = dz2
-    da1 = m.fc2.weight.T @ dz2
-    dz1 = da1 * core.elu_grad(cache.z1)
-    d_w1 = np.outer(dz1, cache.h_drop)
-    d_b1 = dz1
-    dh = m.fc1.weight.T @ dz1
-    if cache.mask is not None:
-        dh = dh * cache.mask
-    lstm_grads = core.bilstm_backward_last(m.bilstm, cache.bilstm, dh)
-    return lstm_grads + [d_w1, d_b1, d_w2, d_b2]
+    return core.sigmoid(float(bilstm_mlp.forward(m, xs, train, rng).logits[0]))
 
 
 def loss_and_grads(m: CauseScorer, xs: np.ndarray, label: int,
                    train: bool, rng: core.Rng | None):
-    cache = _forward(m, xs, train, rng)
-    return core.bce_loss(cache.prob, label), _backward(m, cache, label)
+    """BCE loss and its gradients in parameters() order. d(loss)/d(logit)
+    of sigmoid + BCE collapses to (p - y)."""
+    cache = bilstm_mlp.forward(m, xs, train, rng)
+    prob = core.sigmoid(float(cache.logits[0]))
+    loss = core.bce_loss(prob, label)
+    return loss, bilstm_mlp.backward(m, cache, np.array([prob - label]))
 
 
-def select_cause_clause(m: CauseScorer, clauses, probs) -> tuple[int, float]:
-    """Index and score of the highest-scoring clause; ties go to the lowest
-    index. Clauses whose tokens are all out of vocabulary are not scored."""
-    if not clauses:
-        raise ValueError("no clauses to score")
-    best: tuple[int, float] | None = None
-    for i, clause in enumerate(clauses):
+def select_cause_clause(m: CauseScorer, clauses, probs) -> tuple[int, list]:
+    """Index of the highest-scoring clause (ties go to the lowest index) and
+    every clause's score, None for a clause whose tokens are all out of
+    vocabulary; such clauses are not scored. OovError when no clause (or an
+    empty list) can be scored."""
+    scores = []
+    for clause in clauses:
         try:
-            score = score_clause(m, clause.words, probs)
+            scores.append(score_clause(m, clause.words, probs))
         except OovError:
-            continue
-        if best is None or score > best[1]:
-            best = (i, score)
-    if best is None:
+            scores.append(None)
+    scored = [i for i, s in enumerate(scores) if s is not None]
+    if not scored:
         raise OovError("no clause has an in-vocabulary token")
-    return best
+    return max(scored, key=scores.__getitem__), scores
 
 
 def train_cause(examples, table: EmbeddingTable, rng: core.Rng,
                 epochs: int = DEFAULT_EPOCHS, cfg: core.SgdConfig | None = None,
                 hidden: int = DEFAULT_HIDDEN, mid: int = DEFAULT_MID,
                 log_epochs: bool = False):
-    """Batch-size-1 SGD over seeded shuffles; returns (model, per-epoch
-    mean-loss trace). A single-label dataset trains anyway, with a warning."""
-    if not examples:
-        raise ValueError("no training examples")
-    if cfg is None:
-        cfg = core.SgdConfig()
+    """Returns (model, per-epoch mean-loss trace); see bilstm_mlp.train.
+    A single-label dataset trains anyway, with a warning."""
     labels = {ex.label for ex in examples}
-    if len(labels) < 2:
+    if len(labels) == 1:
         log.warning("training data contains only label %s", labels.pop())
-    usable = []
-    skipped = 0
-    for ex in examples:
-        try:
-            xs = emotion_scaled_inputs(ex.tokens, ex.probs, table)
-        except OovError:
-            skipped += 1
-            continue
-        usable.append((xs, ex.label))
-    if skipped:
-        log.warning("skipped %d of %d examples with no in-vocabulary tokens",
-                    skipped, len(examples))
-    if not usable:
-        raise DataError("every training example is out of vocabulary")
-    model = CauseScorer.init(table, rng, hidden=hidden, mid=mid)
-    params = model.parameters()
-    trace = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(usable))
-        total = 0.0
-        for idx in order:
-            xs, label = usable[idx]
-            loss, grads = loss_and_grads(model, xs, label, train=True, rng=rng)
-            core.sgd_step(cfg, params, grads)
-            total += loss
-        trace.append(total / len(usable))
-        if log_epochs:
-            print(f"epoch {epoch + 1} loss {trace[-1]}")
-    return model, trace
+    return bilstm_mlp.train(
+        CauseScorer, table, examples,
+        lambda ex: (emotion_scaled_inputs(ex.tokens, ex.probs, table), ex.label),
+        loss_and_grads, rng, epochs, cfg, hidden, mid, log_epochs)
 
 
 def save_cause_model(m: CauseScorer, path) -> None:
-    save_container(path,
-                   [KIND_CAUSE, m.table.dim, m.bilstm.hidden_dim,
-                    m.fc1.out_dim, m.fc2.out_dim],
-                   m.parameters())
+    bilstm_mlp.save(m, path)
 
 
 def load_cause_model(path, table: EmbeddingTable) -> CauseScorer:
-    descriptor, payload = load_container(path)
-    if len(descriptor) != 5 or descriptor[0] != KIND_CAUSE:
-        raise DataError(f"{path}: not a cause model file")
-    _, dim, hidden, mid, out = descriptor
-    if out != 1:
-        raise DataError(f"{path}: cause model must have a scalar output")
-    if dim != table.dim:
-        raise DataError(f"{path}: model expects dim {dim}, table has {table.dim}")
-    d_in = N_EMOTIONS * dim
-    shapes = [(4 * hidden, d_in), (4 * hidden, hidden), (4 * hidden,),
-              (4 * hidden, d_in), (4 * hidden, hidden), (4 * hidden,),
-              (mid, 2 * hidden), (mid,), (out, mid), (out,)]
-    t = split_payload(payload, shapes, path)
-    return CauseScorer(
-        bilstm=core.BiLstm(core.LstmParams(*t[0:3]), core.LstmParams(*t[3:6])),
-        fc1=core.LinearParams(*t[6:8]),
-        fc2=core.LinearParams(*t[8:10]),
-        table=table,
-    )
+    return bilstm_mlp.load(CauseScorer, path, table)

@@ -47,9 +47,8 @@ def _resolve_seed(value: int | None) -> int:
     return 0
 
 
-def _add_seed(parser):
-    parser.add_argument("--seed", type=int, default=None,
-                        help="rng seed (default: ECPE_SEED env var, else 0)")
+def _add_seed(parser, help_text="rng seed (default: ECPE_SEED env var, else 0)"):
+    parser.add_argument("--seed", type=int, default=None, help=help_text)
 
 
 def _write_or_print(text: str, path: str | None):
@@ -86,42 +85,31 @@ def cmd_extract_clauses(args) -> int:
     return 0
 
 
-def _load_training_inputs(args):
+def _train(args, build_examples, train, save, what: str, gold: str) -> int:
     aware = load_word_embeddings(args.embeddings)
     records = load_corpus(args.corpus)
     with open(args.parses, encoding="utf-8") as fh:
         sentences = pipeline.index_sentences(fh.read())
-    return aware, records, sentences
+    examples = build_examples(records, sentences)
+    if not examples:
+        raise DataError(f"no training examples with gold {gold}")
+    rng = np.random.default_rng(_resolve_seed(args.seed))
+    cfg = core.SgdConfig(learning_rate=args.lr, momentum=args.momentum)
+    model, _trace = train(examples, aware, rng, epochs=args.epochs, cfg=cfg,
+                          hidden=args.hidden, log_epochs=True)
+    save(model, args.output)
+    print(f"saved {what} model to {args.output}")
+    return 0
 
 
 def cmd_train_emotion(args) -> int:
-    aware, records, sentences = _load_training_inputs(args)
-    examples = pipeline.build_emotion_examples(records, sentences)
-    if not examples:
-        raise DataError("no training examples with gold emotion labels")
-    rng = np.random.default_rng(_resolve_seed(args.seed))
-    cfg = core.SgdConfig(learning_rate=args.lr, momentum=args.momentum)
-    model, _trace = emotion_model.train_emotion(
-        examples, aware, rng, epochs=args.epochs, cfg=cfg,
-        hidden=args.hidden, log_epochs=True)
-    emotion_model.save_emotion_model(model, args.output)
-    print(f"saved emotion model to {args.output}")
-    return 0
+    return _train(args, pipeline.build_emotion_examples, emotion_model.train_emotion,
+                  emotion_model.save_emotion_model, "emotion", "emotion labels")
 
 
 def cmd_train_cause(args) -> int:
-    aware, records, sentences = _load_training_inputs(args)
-    examples = pipeline.build_cause_examples(records, sentences)
-    if not examples:
-        raise DataError("no training examples with gold cause spans")
-    rng = np.random.default_rng(_resolve_seed(args.seed))
-    cfg = core.SgdConfig(learning_rate=args.lr, momentum=args.momentum)
-    model, _trace = cause_model.train_cause(
-        examples, aware, rng, epochs=args.epochs, cfg=cfg,
-        hidden=args.hidden, log_epochs=True)
-    cause_model.save_cause_model(model, args.output)
-    print(f"saved cause model to {args.output}")
-    return 0
+    return _train(args, pipeline.build_cause_examples, cause_model.train_cause,
+                  cause_model.save_cause_model, "cause", "cause spans")
 
 
 def cmd_score_clauses(args) -> int:
@@ -132,28 +120,25 @@ def cmd_score_clauses(args) -> int:
     with open(args.parses, encoding="utf-8") as fh:
         sentences = pipeline.index_sentences(fh.read())
     lines = []
+    skipped = dict.fromkeys(pipeline.SKIP_REASONS, 0)
     for record in records:
         try:
-            parsed = [sentences[pid] for pid in record.parse_ids]
-            clauses = [c for s in parsed for c in extract_clauses(s)]
-            tokens = [t for s in parsed for t in s.texts()]
-            probs = emotion_model.emotion_probs(
-                emotion_model.forward_emotion(emo, tokens))
-            selected, _ = cause_model.select_cause_clause(scorer, clauses, probs)
-        except (KeyError, ValueError):
+            result = pipeline.infer_review(record, sentences, emo, scorer)
+        except pipeline.ReviewSkipped as skip:
+            skipped[skip.reason] += 1
             continue
-        for i, clause in enumerate(clauses):
-            try:
-                score = cause_model.score_clause(scorer, clause.words, probs)
-            except ValueError:
+        for i, score in enumerate(result.scores):
+            if score is None:
                 continue
             lines.append(json.dumps({
                 "review_id": record.review_id,
                 "clause_index": i,
                 "score": score,
-                "selected": i == selected,
+                "selected": i == result.chosen,
             }, sort_keys=True))
     _write_or_print("\n".join(lines) + ("\n" if lines else ""), args.output)
+    print(f"skipped {sum(skipped.values())} review(s): {pipeline.format_skips(skipped)}",
+          file=sys.stderr)
     return 0
 
 
@@ -166,7 +151,6 @@ def cmd_summarize(args) -> int:
         emotion_model_path=args.emotion_model,
         cause_model_path=args.cause_model,
         threshold=args.threshold,
-        seed=_resolve_seed(args.seed),
     )
     report = pipeline.run_pipeline(cfg)
     _write_or_print(report.to_json(), args.output)
@@ -228,29 +212,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="output path (default: stdout)")
     p.set_defaults(func=cmd_extract_clauses)
 
-    p = sub.add_parser("train-emotion", help="train the emotion classifier")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--parses", required=True)
-    p.add_argument("--embeddings", required=True, help="emotion-aware table")
-    p.add_argument("--output", required=True, help="model file to write")
-    p.add_argument("--epochs", type=int, default=emotion_model.DEFAULT_EPOCHS)
-    p.add_argument("--lr", type=float, default=0.003)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--hidden", type=int, default=emotion_model.DEFAULT_HIDDEN)
-    _add_seed(p)
-    p.set_defaults(func=cmd_train_emotion)
-
-    p = sub.add_parser("train-cause", help="train the cause-clause scorer")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--parses", required=True)
-    p.add_argument("--embeddings", required=True, help="emotion-aware table")
-    p.add_argument("--output", required=True, help="model file to write")
-    p.add_argument("--epochs", type=int, default=cause_model.DEFAULT_EPOCHS)
-    p.add_argument("--lr", type=float, default=0.003)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--hidden", type=int, default=cause_model.DEFAULT_HIDDEN)
-    _add_seed(p)
-    p.set_defaults(func=cmd_train_cause)
+    for name, model, what, func in (
+            ("train-emotion", emotion_model, "emotion classifier", cmd_train_emotion),
+            ("train-cause", cause_model, "cause-clause scorer", cmd_train_cause)):
+        p = sub.add_parser(name, help=f"train the {what}")
+        p.add_argument("--corpus", required=True)
+        p.add_argument("--parses", required=True)
+        p.add_argument("--embeddings", required=True, help="emotion-aware table")
+        p.add_argument("--output", required=True, help="model file to write")
+        p.add_argument("--epochs", type=int, default=model.DEFAULT_EPOCHS)
+        p.add_argument("--lr", type=float, default=0.003)
+        p.add_argument("--momentum", type=float, default=0.9)
+        p.add_argument("--hidden", type=int, default=model.DEFAULT_HIDDEN)
+        _add_seed(p)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("score-clauses",
                        help="score every clause of every review")
@@ -275,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="complete-linkage merge threshold")
     p.add_argument("--dump-2d", help="write 2-D projections of member "
                                      "vectors to this path")
-    _add_seed(p)
+    _add_seed(p, help_text="accepted and ignored: inference uses no randomness")
     p.set_defaults(func=cmd_summarize)
 
     p = sub.add_parser("gen-synthetic", help="generate a synthetic corpus")

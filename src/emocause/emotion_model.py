@@ -1,67 +1,37 @@
 """Review-level 8-way emotion classifier.
 
-Architecture: emotion-aware embeddings -> Bi-LSTM (256 per direction by
-default) -> last-timestep output -> dropout 0.5 -> linear to 80 -> ELU ->
-linear to 8 -> log-softmax. Trained with NLL loss, batch size 1, SGD with
-momentum, for 100 epochs.
-
-"Last-timestep output" concatenates each direction's final hidden state,
-i.e. the forward state at the last token and the backward state at the
-first, so both summarize the whole review.
+The shared Bi-LSTM + MLP network (bilstm_mlp.py, 256 hidden units per
+direction by default) over the review's word embeddings, with a
+log-softmax head. Trained with NLL loss, batch size 1, SGD with momentum,
+for 100 epochs.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import bilstm_mlp
+from .bilstm_mlp import DEFAULT_MID, DROPOUT_P  # noqa: F401 (re-exported)
 from .embeddings import EMOTIONS, EmbeddingTable
-from .errors import DataError, OovError
+from .errors import OovError
 from .nn import core
-from .nn.serialize import (KIND_EMOTION, load_container, save_container,
-                           split_payload)
-
-log = logging.getLogger(__name__)
+from .nn.serialize import KIND_EMOTION
 
 DEFAULT_HIDDEN = 256
-DEFAULT_MID = 80
 N_EMOTIONS = len(EMOTIONS)
-DROPOUT_P = 0.5
 DEFAULT_EPOCHS = 100
 
 
 @dataclass
-class EmotionClassifier:
-    bilstm: core.BiLstm
-    fc1: core.LinearParams  # 2H -> mid
-    fc2: core.LinearParams  # mid -> 8
-    table: EmbeddingTable
+class EmotionClassifier(bilstm_mlp.BiLstmMlp):
     labels: tuple = EMOTIONS
 
-    def __post_init__(self):
-        if self.fc1.in_dim != 2 * self.bilstm.hidden_dim:
-            raise ValueError("fc1 input must be twice the Bi-LSTM hidden size")
-        if self.fc2.in_dim != self.fc1.out_dim:
-            raise ValueError("fc2 input must match fc1 output")
-        if self.fc2.out_dim != N_EMOTIONS:
-            raise ValueError(f"output width must be {N_EMOTIONS}")
-        if self.bilstm.input_dim != self.table.dim:
-            raise ValueError("Bi-LSTM input dim must match the embedding table")
-
-    @classmethod
-    def init(cls, table: EmbeddingTable, rng: core.Rng,
-             hidden: int = DEFAULT_HIDDEN, mid: int = DEFAULT_MID) -> "EmotionClassifier":
-        return cls(
-            bilstm=core.BiLstm.init(table.dim, hidden, rng),
-            fc1=core.LinearParams.init(2 * hidden, mid, rng),
-            fc2=core.LinearParams.init(mid, N_EMOTIONS, rng),
-            table=table,
-        )
-
-    def parameters(self) -> list[np.ndarray]:
-        return self.bilstm.tensors() + self.fc1.tensors() + self.fc2.tensors()
+    kind = KIND_EMOTION
+    what = "an emotion model"
+    input_blocks = 1
+    out_width = N_EMOTIONS
 
 
 @dataclass(frozen=True)
@@ -85,105 +55,39 @@ def embed_review(tokens, table: EmbeddingTable) -> np.ndarray:
     return np.array(rows)
 
 
-class _ForwardCache:
-    __slots__ = ("bilstm", "h_last", "mask", "h_drop", "z1", "a1", "log_probs")
-
-
-def _forward(m: EmotionClassifier, xs: np.ndarray, train: bool,
-             rng: core.Rng | None) -> _ForwardCache:
-    cache = _ForwardCache()
-    cache.bilstm = core.bilstm_run(m.bilstm, xs)
-    cache.h_last = core.bilstm_last_output(cache.bilstm)
-    if train:
-        if rng is None:
-            raise ValueError("training forward pass needs an rng")
-        cache.mask = core.dropout_mask(DROPOUT_P, cache.h_last.shape, rng)
-        cache.h_drop = cache.h_last * cache.mask
-    else:
-        cache.mask = None
-        cache.h_drop = cache.h_last
-    cache.z1 = core.linear(m.fc1, cache.h_drop)
-    cache.a1 = core.elu(cache.z1)
-    cache.log_probs = core.log_softmax(core.linear(m.fc2, cache.a1))
-    return cache
-
-
 def forward_emotion(m: EmotionClassifier, tokens, train: bool = False,
                     rng: core.Rng | None = None) -> np.ndarray:
     """Log-probabilities over the 8 emotions for a tokenized review."""
     xs = embed_review(tokens, m.table)
-    return _forward(m, xs, train, rng).log_probs
+    return core.log_softmax(bilstm_mlp.forward(m, xs, train, rng).logits)
 
 
 def emotion_probs(log_probs: np.ndarray) -> np.ndarray:
     return np.exp(np.asarray(log_probs, dtype=np.float64))
 
 
-def _backward(m: EmotionClassifier, cache: _ForwardCache, target: int) -> list[np.ndarray]:
-    """Gradients of the NLL loss in parameters() order."""
-    dz2 = np.exp(cache.log_probs)
-    dz2[target] -= 1.0
-    d_w2 = np.outer(dz2, cache.a1)
-    d_b2 = dz2
-    da1 = m.fc2.weight.T @ dz2
-    dz1 = da1 * core.elu_grad(cache.z1)
-    d_w1 = np.outer(dz1, cache.h_drop)
-    d_b1 = dz1
-    dh = m.fc1.weight.T @ dz1
-    if cache.mask is not None:
-        dh = dh * cache.mask
-    lstm_grads = core.bilstm_backward_last(m.bilstm, cache.bilstm, dh)
-    return lstm_grads + [d_w1, d_b1, d_w2, d_b2]
-
-
 def loss_and_grads(m: EmotionClassifier, xs: np.ndarray, target: int,
                    train: bool, rng: core.Rng | None):
-    cache = _forward(m, xs, train, rng)
-    return core.nll_loss(cache.log_probs, target), _backward(m, cache, target)
+    """NLL loss and its gradients in parameters() order. d(loss)/d(logits)
+    of log-softmax + NLL is softmax minus the one-hot target."""
+    cache = bilstm_mlp.forward(m, xs, train, rng)
+    log_probs = core.log_softmax(cache.logits)
+    loss = core.nll_loss(log_probs, target)
+    d_logits = np.exp(log_probs)
+    d_logits[target] -= 1.0
+    return loss, bilstm_mlp.backward(m, cache, d_logits)
 
 
 def train_emotion(examples, table: EmbeddingTable, rng: core.Rng,
                   epochs: int = DEFAULT_EPOCHS, cfg: core.SgdConfig | None = None,
                   hidden: int = DEFAULT_HIDDEN, mid: int = DEFAULT_MID,
                   log_epochs: bool = False):
-    """Batch-size-1 SGD over seeded shuffles of the examples.
-
-    Returns (model, per-epoch mean-loss trace). Examples whose tokens are all
-    out of vocabulary are skipped with one warning up front.
-    """
-    if not examples:
-        raise ValueError("no training examples")
-    if cfg is None:
-        cfg = core.SgdConfig()
-    usable = []
-    skipped = 0
-    for ex in examples:
-        try:
-            xs = embed_review(ex.tokens, table)
-        except OovError:
-            skipped += 1
-            continue
-        usable.append((xs, EMOTIONS.index(ex.label)))
-    if skipped:
-        log.warning("skipped %d of %d examples with no in-vocabulary tokens",
-                    skipped, len(examples))
-    if not usable:
-        raise DataError("every training example is out of vocabulary")
-    model = EmotionClassifier.init(table, rng, hidden=hidden, mid=mid)
-    params = model.parameters()
-    trace = []
-    for epoch in range(epochs):
-        order = rng.permutation(len(usable))
-        total = 0.0
-        for idx in order:
-            xs, target = usable[idx]
-            loss, grads = loss_and_grads(model, xs, target, train=True, rng=rng)
-            core.sgd_step(cfg, params, grads)
-            total += loss
-        trace.append(total / len(usable))
-        if log_epochs:
-            print(f"epoch {epoch + 1} loss {trace[-1]}")
-    return model, trace
+    """Returns (model, per-epoch mean-loss trace); see bilstm_mlp.train.
+    Examples whose tokens are all out of vocabulary are skipped."""
+    return bilstm_mlp.train(
+        EmotionClassifier, table, examples,
+        lambda ex: (embed_review(ex.tokens, table), EMOTIONS.index(ex.label)),
+        loss_and_grads, rng, epochs, cfg, hidden, mid, log_epochs)
 
 
 def predict_label(m: EmotionClassifier, tokens) -> str:
@@ -192,28 +96,8 @@ def predict_label(m: EmotionClassifier, tokens) -> str:
 
 
 def save_emotion_model(m: EmotionClassifier, path) -> None:
-    save_container(path,
-                   [KIND_EMOTION, m.bilstm.input_dim, m.bilstm.hidden_dim,
-                    m.fc1.out_dim, m.fc2.out_dim],
-                   m.parameters())
+    bilstm_mlp.save(m, path)
 
 
 def load_emotion_model(path, table: EmbeddingTable) -> EmotionClassifier:
-    descriptor, payload = load_container(path)
-    if len(descriptor) != 5 or descriptor[0] != KIND_EMOTION:
-        raise DataError(f"{path}: not an emotion model file")
-    _, dim, hidden, mid, out = descriptor
-    if out != N_EMOTIONS:
-        raise DataError(f"{path}: emotion model must have {N_EMOTIONS} outputs")
-    if dim != table.dim:
-        raise DataError(f"{path}: model expects dim {dim}, table has {table.dim}")
-    shapes = [(4 * hidden, dim), (4 * hidden, hidden), (4 * hidden,),
-              (4 * hidden, dim), (4 * hidden, hidden), (4 * hidden,),
-              (mid, 2 * hidden), (mid,), (out, mid), (out,)]
-    t = split_payload(payload, shapes, path)
-    return EmotionClassifier(
-        bilstm=core.BiLstm(core.LstmParams(*t[0:3]), core.LstmParams(*t[3:6])),
-        fc1=core.LinearParams(*t[6:8]),
-        fc2=core.LinearParams(*t[8:10]),
-        table=table,
-    )
+    return bilstm_mlp.load(EmotionClassifier, path, table)

@@ -57,28 +57,6 @@ class LstmParams:
     def input_dim(self) -> int:
         return self.w_x.shape[1]
 
-    def _gate(self, row: int):
-        h = self.hidden_dim
-        sl = slice(row * h, (row + 1) * h)
-        return self.w_x[sl], self.w_h[sl], self.bias[sl]
-
-    # per-gate views (input, forget, cell, output), each (H, D) / (H, H) / (H,)
-    @property
-    def input_gate(self):
-        return self._gate(0)
-
-    @property
-    def forget_gate(self):
-        return self._gate(1)
-
-    @property
-    def cell_gate(self):
-        return self._gate(2)
-
-    @property
-    def output_gate(self):
-        return self._gate(3)
-
     @classmethod
     def init(cls, input_dim: int, hidden_dim: int, rng: Rng) -> "LstmParams":
         return cls(

@@ -9,10 +9,14 @@ Layout (all integers little-endian u32, all floats little-endian f64):
 
 The descriptor alone determines every tensor shape, so the payload carries
 no per-tensor headers. Kind codes: 1 = emotion classifier, 2 = cause scorer.
+
+A file is written to a temporary file in the target's directory and then
+renamed over the target, so a failed write leaves any earlier file intact.
 """
 
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -26,13 +30,20 @@ KIND_CAUSE = 2
 
 
 def save_container(path, descriptor: list[int], tensors: list[np.ndarray]) -> None:
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<I", len(descriptor)))
-        for value in descriptor:
-            fh.write(struct.pack("<I", value))
-        for tensor in tensors:
-            fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<I", len(descriptor)))
+            for value in descriptor:
+                fh.write(struct.pack("<I", value))
+            for tensor in tensors:
+                fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def load_container(path) -> tuple[tuple[int, ...], np.ndarray]:

@@ -122,10 +122,8 @@ def run_cli_chain(workdir, seed=0, products=2, reviews=24, dim=12,
     return PipelineConfig(
         embeddings_path=paths["embeddings.txt"],
         aware_path=paths["aware.txt"],
-        lexicon_path=paths["lexicon.tsv"],
         corpus_path=paths["corpus.jsonl"],
         parses_path=paths["parses.conllu"],
         emotion_model_path=paths["emotion.bin"],
         cause_model_path=paths["cause.bin"],
-        seed=seed,
     )

@@ -111,9 +111,9 @@ class TestSelectCauseClause:
 
     def test_single_clause(self):
         m = marker_sensitive_scorer(self.single_marker_table())
-        idx, score = cause_model.select_cause_clause(
+        idx, scores = cause_model.select_cause_clause(
             m, [clause_like(("plain",))], self.probs_first())
-        assert idx == 0 and 0.0 < score < 1.0
+        assert idx == 0 and len(scores) == 1 and 0.0 < scores[0] < 1.0
 
     def test_constructed_scores_pick_marker_clause(self):
         m = marker_sensitive_scorer(self.single_marker_table())
@@ -121,8 +121,8 @@ class TestSelectCauseClause:
         hi = cause_model.score_clause(m, clauses[0].words, self.probs_first())
         lo = cause_model.score_clause(m, clauses[1].words, self.probs_first())
         assert hi > 0.8 and lo < 0.25
-        idx, score = cause_model.select_cause_clause(m, clauses, self.probs_first())
-        assert idx == 0 and score == hi
+        idx, scores = cause_model.select_cause_clause(m, clauses, self.probs_first())
+        assert idx == 0 and scores == [hi, lo]
 
     def test_marker_clause_second(self):
         m = marker_sensitive_scorer(self.single_marker_table())
@@ -139,8 +139,8 @@ class TestSelectCauseClause:
     def test_oov_clauses_excluded(self):
         m = marker_sensitive_scorer(self.single_marker_table())
         clauses = [clause_like(("zz",)), clause_like(("marker",))]
-        idx, _ = cause_model.select_cause_clause(m, clauses, self.probs_first())
-        assert idx == 1
+        idx, scores = cause_model.select_cause_clause(m, clauses, self.probs_first())
+        assert idx == 1 and scores[0] is None
 
     def test_all_oov_raises(self):
         m = marker_sensitive_scorer(self.single_marker_table())
@@ -150,7 +150,7 @@ class TestSelectCauseClause:
 
     def test_empty_clause_list(self):
         m = marker_sensitive_scorer(self.single_marker_table())
-        with pytest.raises(ValueError):
+        with pytest.raises(OovError):
             cause_model.select_cause_clause(m, [], self.probs_first())
 
 

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+from emocause import emotion_model
 from emocause.cli import main
+from emocause.corpus import load_corpus, save_corpus
 from emocause.embeddings import load_word_embeddings
 
 from helpers import run_cli_chain
@@ -136,6 +138,22 @@ class TestTrainingCli:
         for n in (1, 2, 3):
             assert f"epoch {n} loss " in out
 
+    def test_non_finite_loss_exits_two(self, chain, tmp_path, monkeypatch, capsys):
+        _workdir, cfg = chain
+        real = emotion_model.loss_and_grads
+
+        def nan_loss(*args, **kwargs):
+            return float("nan"), real(*args, **kwargs)[1]
+
+        monkeypatch.setattr(emotion_model, "loss_and_grads", nan_loss)
+        code = main(["train-emotion", "--corpus", cfg.corpus_path,
+                     "--parses", cfg.parses_path, "--embeddings", cfg.aware_path,
+                     "--output", str(tmp_path / "m.bin"),
+                     "--epochs", "2", "--hidden", "4", "--seed", "0"])
+        assert code == 2
+        assert "epoch 1" in capsys.readouterr().err
+        assert not (tmp_path / "m.bin").exists()
+
 
 class TestScoreClauses:
     def test_one_line_per_clause_with_selection(self, chain, tmp_path):
@@ -158,6 +176,26 @@ class TestScoreClauses:
             assert sum(r["selected"] for r in review_rows) == 1
             best = max(review_rows, key=lambda r: r["score"])
             assert best["selected"]
+
+    def test_reports_missing_parse_reviews(self, chain, tmp_path, capsys):
+        _workdir, cfg = chain
+        records = load_corpus(cfg.corpus_path)
+        ghosts = [type(r)(**{**r.__dict__, "parse_ids": ("ghost.0",)})
+                  for r in records[:3]]
+        corpus = tmp_path / "partial.jsonl"
+        save_corpus(ghosts + records[3:], corpus)
+        out = tmp_path / "scores.jsonl"
+        capsys.readouterr()
+        assert main(["score-clauses", "--corpus", str(corpus),
+                     "--parses", cfg.parses_path,
+                     "--embeddings", cfg.aware_path,
+                     "--emotion-model", cfg.emotion_model_path,
+                     "--cause-model", cfg.cause_model_path,
+                     "--output", str(out)]) == 0
+        err = capsys.readouterr().err
+        assert "skipped 3 review(s): missing_parse 3, all_oov 0, no_clause 0" in err
+        scored = {json.loads(line)["review_id"] for line in out.read_text().splitlines()}
+        assert scored == {r.review_id for r in records[3:]}
 
 
 class TestSummarize:

@@ -5,6 +5,7 @@ from emocause import emotion_model
 from emocause.embeddings import EMOTIONS, EmbeddingTable
 from emocause.errors import OovError
 from emocause.nn import core
+from emocause.nn.serialize import KIND_EMOTION, save_container
 
 from conftest import random_table
 from helpers import emotion_accuracy, separable_emotion_setup
@@ -109,6 +110,22 @@ class TestTrainEmotion:
         with pytest.raises(ValueError):
             emotion_model.train_emotion([], table, np.random.default_rng(0))
 
+    def test_non_finite_loss_names_the_epoch(self, monkeypatch):
+        table, examples = separable_emotion_setup()
+        real = emotion_model.loss_and_grads
+        steps = []
+
+        def nan_in_epoch_two(*args, **kwargs):
+            loss, grads = real(*args, **kwargs)
+            steps.append(loss)
+            return (float("nan") if len(steps) > len(examples) else loss), grads
+
+        monkeypatch.setattr(emotion_model, "loss_and_grads", nan_in_epoch_two)
+        with pytest.raises(ValueError, match="epoch 2"):
+            emotion_model.train_emotion(examples, table, np.random.default_rng(0),
+                                        epochs=3, hidden=4)
+        assert len(steps) == 2 * len(examples)
+
 
 class TestLossDecreaseProperty:
     def test_five_steps_decrease_for_95_percent_of_seeds(self):
@@ -147,6 +164,16 @@ class TestSerialization:
         path.write_bytes(b"NOPE!" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
             emotion_model.load_emotion_model(path, toy_model.table)
+
+    def test_failed_write_keeps_earlier_file(self, toy_model, tmp_path):
+        path = tmp_path / "emotion.bin"
+        emotion_model.save_emotion_model(toy_model, path)
+        before = path.read_bytes()
+        with pytest.raises(ValueError):
+            # the second tensor cannot be converted, so the write fails midway
+            save_container(path, [KIND_EMOTION], [np.zeros(3), np.array(["oops"])])
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["emotion.bin"]
 
     def test_truncated_payload_rejected(self, toy_model, tmp_path):
         path = tmp_path / "emotion.bin"

@@ -256,12 +256,6 @@ class TestInitialization:
         assert np.all(np.abs(p.w_x) <= 1.0 / 4.0)
         assert np.all(np.abs(p.w_h) <= 1.0 / math.sqrt(8))
 
-    def test_per_gate_views(self):
-        p = core.LstmParams.init(6, 4, np.random.default_rng(1))
-        w, u, b = p.forget_gate
-        assert w.shape == (4, 6) and u.shape == (4, 4) and b.shape == (4,)
-        assert np.shares_memory(w, p.w_x)
-
 
 class TestGradientChecks:
     """Quick single-seed versions; the acceptance suite sweeps 5 seeds."""

@@ -2,11 +2,12 @@ import json
 
 import pytest
 
-from emocause import synthetic
+from emocause import cause_model, emotion_model, pipeline, synthetic
 from emocause.clustering import cosine_distance
 from emocause.corpus import load_corpus, save_corpus
-from emocause.pipeline import (PipelineConfig, build_cause_examples,
-                               build_emotion_examples, index_sentences,
+from emocause.pipeline import (PipelineConfig, ReviewSkipped,
+                               build_cause_examples, build_emotion_examples,
+                               index_sentences, infer_review, load_tables,
                                run_pipeline)
 
 from helpers import run_cli_chain
@@ -89,13 +90,65 @@ class TestRunPipeline:
         cfg2 = PipelineConfig(**{**cfg.__dict__, "corpus_path": str(partial)})
         report = run_pipeline(cfg2)
         assert report.skipped == 2 and report.processed == 2
+        assert report.skipped_by_reason == {"missing_parse": 2, "all_oov": 0,
+                                            "no_clause": 0}
+
+    def test_programming_error_propagates(self, trained, monkeypatch):
+        cfg, _ = trained
+
+        def broken(*args, **kwargs):
+            raise ValueError("scorer bug")
+
+        monkeypatch.setattr(cause_model, "score_clause", broken)
+        with pytest.raises(ValueError, match="scorer bug"):
+            run_pipeline(cfg)
+
+
+OOV_PARSE = "# sent_id = zz.0\n1\tqqq\tqqq\tVERB\t_\t_\t0\troot\t_\t_\n\n"
+
+
+class TestInferReview:
+    @pytest.fixture
+    def setup(self, trained):
+        cfg, _ = trained
+        _, aware = load_tables(cfg)
+        emo = emotion_model.load_emotion_model(cfg.emotion_model_path, aware)
+        causes = cause_model.load_cause_model(cfg.cause_model_path, aware)
+        with open(cfg.parses_path, encoding="utf-8") as fh:
+            sentences = index_sentences(fh.read() + OOV_PARSE)
+        return load_corpus(cfg.corpus_path)[0], sentences, emo, causes
+
+    def test_scores_every_clause_and_picks_argmax(self, setup):
+        record, sentences, emo, causes = setup
+        result = infer_review(record, sentences, emo, causes)
+        assert len(result.scores) == len(result.clauses) >= 2
+        assert result.chosen == result.scores.index(max(result.scores))
+        assert result.emotion == emo.labels[int(result.probs.argmax())]
+
+    @pytest.mark.parametrize("parse_ids,reason", [(("ghost.0",), "missing_parse"),
+                                                  (("zz.0",), "all_oov")])
+    def test_skip_reasons(self, setup, parse_ids, reason):
+        record, sentences, emo, causes = setup
+        record = type(record)(**{**record.__dict__, "parse_ids": parse_ids})
+        with pytest.raises(ReviewSkipped) as info:
+            infer_review(record, sentences, emo, causes)
+        assert info.value.reason == reason
+
+    def test_no_clause_skip(self, setup, monkeypatch):
+        record, sentences, emo, causes = setup
+        monkeypatch.setattr(pipeline, "extract_clauses", lambda sentence: [])
+        with pytest.raises(ReviewSkipped) as info:
+            infer_review(record, sentences, emo, causes)
+        assert info.value.reason == "no_clause"
 
 
 class TestReportRendering:
     def test_json_is_sorted_and_parseable(self, trained):
         _, report = trained
         obj = json.loads(report.to_json())
-        assert set(obj) == {"groups", "processed", "skipped"}
+        assert set(obj) == {"groups", "processed", "skipped", "skipped_by_reason"}
+        assert obj["skipped_by_reason"] == {"missing_parse": 0, "all_oov": 0,
+                                            "no_clause": 0}
         for group in obj["groups"]:
             assert set(group) == {"product", "emotion", "clusters", "pruned"}
 
