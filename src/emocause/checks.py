@@ -2,14 +2,17 @@
 
 Every check builds a small random instance, computes analytic gradients,
 and compares them against central finite differences. Dropout is exercised
-with a mask held fixed across the finite-difference evaluations.
+with a mask held fixed across the finite-difference evaluations. The
+finite-difference losses run forward passes only: the architecture checks
+compose the head's loss from the logits rather than calling the models'
+loss_and_grads, whose gradients they check.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import cause_model, emotion_model
+from . import bilstm_mlp, cause_model, emotion_model
 from .embeddings import EmbeddingTable
 from .nn import core, kernels
 from .nn.gradcheck import DEFAULT_EPS, gradient_check
@@ -133,7 +136,8 @@ def check_emotion_architecture(seed: int, eps: float = DEFAULT_EPS,
 
     def loss():
         mask_rng = np.random.default_rng(mask_seed) if train else None
-        return emotion_model.loss_and_grads(model, xs, target, train, mask_rng)[0]
+        logits = bilstm_mlp.forward(model, xs, train, mask_rng).logits
+        return core.nll_loss(core.log_softmax(logits), target)
 
     mask_rng = np.random.default_rng(mask_seed) if train else None
     _, grads = emotion_model.loss_and_grads(model, xs, target, train, mask_rng)
@@ -156,7 +160,8 @@ def check_cause_architecture(seed: int, eps: float = DEFAULT_EPS,
 
     def loss():
         mask_rng = np.random.default_rng(mask_seed) if train else None
-        return cause_model.loss_and_grads(model, xs, label, train, mask_rng)[0]
+        logit = bilstm_mlp.forward(model, xs, train, mask_rng).logits[0]
+        return core.bce_loss(core.sigmoid(float(logit)), label)
 
     mask_rng = np.random.default_rng(mask_seed) if train else None
     _, grads = cause_model.loss_and_grads(model, xs, label, train, mask_rng)

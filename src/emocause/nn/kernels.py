@@ -1,42 +1,25 @@
 """LSTM sequence kernels — the hot inner loops of training and inference.
 
-Both kernels run over a whole sequence so the per-timestep loop lives in
-compiled code. They are JIT-compiled with numba unless the environment
-variable ECPE_JIT is set to 0/false/off (or numba is not installed), in
-which case the same functions run as plain numpy. `benchmarks/bench_kernels.py`
-compares the two paths.
+Both kernels run over a whole sequence, and every product that does not
+depend on the recurrence runs once per sequence as one matrix product
+(input-projection batching, Appleyard et al. 2016, arXiv:1604.01946):
+
+- forward: the input projection xs @ w_x.T + bias for all T steps; only
+  the recurrent product w_h @ h runs per timestep;
+- backward: the gate gradients of all steps are kept as one (T, 4H)
+  array dZ, and d_wx = dZ.T @ xs, d_wh = dZ.T @ hs[:-1], d_bias =
+  dZ.sum(0); only the recurrent product dZ[t] @ w_h runs per timestep.
+
+No array the size of a weight matrix is created inside a time loop.
 
 Gate layout: the four gates are stacked row-wise in one matrix, in the
 order input | forget | cell | output, so w_x is (4H, D), w_h is (4H, H)
 and bias is (4H,). All arrays are C-contiguous float64.
 """
 
-import os
-
 import numpy as np
 
 
-def _jit_wanted() -> bool:
-    return os.environ.get("ECPE_JIT", "1").strip().lower() not in ("0", "false", "off")
-
-
-JIT_ENABLED = False
-if _jit_wanted():
-    try:
-        from numba import njit
-    except ImportError:
-        njit = None
-    if njit is not None:
-        JIT_ENABLED = True
-
-
-def _maybe_jit(fn):
-    if JIT_ENABLED:
-        return njit(cache=True)(fn)
-    return fn
-
-
-@_maybe_jit
 def lstm_forward_seq(w_x, w_h, bias, xs):
     """Run an LSTM left to right over xs (T, D) from zero state.
 
@@ -48,27 +31,23 @@ def lstm_forward_seq(w_x, w_h, bias, xs):
     H = w_h.shape[1]
     hs = np.zeros((T + 1, H))
     cs = np.zeros((T + 1, H))
-    gates = np.empty((T, 4 * H))
     tanh_c = np.empty((T, H))
+    # pre-activations from the inputs, turned into the activations in place
+    gates = xs @ w_x.T + bias
     for t in range(T):
-        z = np.dot(w_x, xs[t]) + np.dot(w_h, hs[t]) + bias
-        i = 1.0 / (1.0 + np.exp(-z[:H]))
-        f = 1.0 / (1.0 + np.exp(-z[H:2 * H]))
-        g = np.tanh(z[2 * H:3 * H])
-        o = 1.0 / (1.0 + np.exp(-z[3 * H:]))
-        c = f * cs[t] + i * g
-        tc = np.tanh(c)
-        gates[t, :H] = i
-        gates[t, H:2 * H] = f
-        gates[t, 2 * H:3 * H] = g
-        gates[t, 3 * H:] = o
-        cs[t + 1] = c
-        tanh_c[t] = tc
-        hs[t + 1] = o * tc
+        z = gates[t]
+        z += w_h @ hs[t]
+        i, f, g, o = act = z.reshape(4, H)
+        tanh_g = np.tanh(g)
+        act[:] = 1.0 / (1.0 + np.exp(-act))
+        g[:] = tanh_g
+        np.multiply(f, cs[t], out=cs[t + 1])
+        cs[t + 1] += i * g
+        np.tanh(cs[t + 1], out=tanh_c[t])
+        np.multiply(o, tanh_c[t], out=hs[t + 1])
     return hs, cs, gates, tanh_c
 
 
-@_maybe_jit
 def lstm_backward_seq(w_x, w_h, xs, hs, cs, gates, tanh_c, d_h_out):
     """Backpropagate through time given d_h_out (T, H), the gradient of the
     loss w.r.t. each timestep's hidden output.
@@ -78,39 +57,21 @@ def lstm_backward_seq(w_x, w_h, xs, hs, cs, gates, tanh_c, d_h_out):
     """
     T = xs.shape[0]
     H = w_h.shape[1]
-    d_wx = np.zeros_like(w_x)
-    d_wh = np.zeros_like(w_h)
-    d_bias = np.zeros(4 * H)
-    w_h_t = np.ascontiguousarray(w_h.T)
+    i, f, g, o = gates.reshape(T, 4, H).transpose(1, 0, 2)
+    # the local derivatives, which do not depend on the recurrence: d(c) by
+    # the i, f and g pre-activations, d(h) by the o pre-activation, d(h)/d(c)
+    dc_dz_ifg = np.stack([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - g * g)], axis=1)
+    dh_dz_o = tanh_c * o * (1.0 - o)
+    dh_dc = o * (1.0 - tanh_c * tanh_c)
+    dz = np.empty((T, 4, H))
     dh = np.zeros(H)
     dc = np.zeros(H)
-    dz = np.empty(4 * H)
     for t in range(T - 1, -1, -1):
         dht = d_h_out[t] + dh
-        i = gates[t, :H]
-        f = gates[t, H:2 * H]
-        g = gates[t, 2 * H:3 * H]
-        o = gates[t, 3 * H:]
-        tc = tanh_c[t]
-        do = dht * tc
-        dct = dht * o * (1.0 - tc * tc) + dc
-        dz[:H] = (dct * g) * i * (1.0 - i)
-        dz[H:2 * H] = (dct * cs[t]) * f * (1.0 - f)
-        dz[2 * H:3 * H] = (dct * i) * (1.0 - g * g)
-        dz[3 * H:] = (dht * tc) * o * (1.0 - o)
-        dc = dct * f
-        d_wx += np.outer(dz, xs[t])
-        d_wh += np.outer(dz, hs[t])
-        d_bias += dz
-        dh = np.dot(w_h_t, dz)
-    return d_wx, d_wh, d_bias
-
-
-def warmup():
-    """Trigger JIT compilation on tiny inputs (no-op on the numpy path)."""
-    xs = np.zeros((2, 3))
-    w_x = np.zeros((8, 3))
-    w_h = np.zeros((8, 2))
-    b = np.zeros(8)
-    hs, cs, gates, tanh_c = lstm_forward_seq(w_x, w_h, b, xs)
-    lstm_backward_seq(w_x, w_h, xs, hs, cs, gates, tanh_c, np.zeros((2, 2)))
+        dct = dht * dh_dc[t] + dc
+        np.multiply(dc_dz_ifg[t], dct, out=dz[t, :3])
+        np.multiply(dh_dz_o[t], dht, out=dz[t, 3])
+        dc = dct * f[t]
+        dh = dz[t].reshape(4 * H) @ w_h
+    dz = dz.reshape(T, 4 * H)
+    return dz.T @ xs, dz.T @ hs[:-1], dz.sum(0)

@@ -47,33 +47,34 @@ def save_container(path, descriptor: list[int], tensors: list[np.ndarray]) -> No
 
 
 def load_container(path) -> tuple[tuple[int, ...], np.ndarray]:
-    """Returns (descriptor, flat float64 payload)."""
+    """Returns (descriptor, flat float64 payload). The payload is read
+    straight into one array, so the file's bytes are held once."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:len(MAGIC)] != MAGIC:
-        raise DataError(f"{path}: not a model file (bad magic)")
-    offset = len(MAGIC)
-    if len(blob) < offset + 4:
-        raise DataError(f"{path}: truncated descriptor")
-    (n,) = struct.unpack_from("<I", blob, offset)
-    offset += 4
-    if len(blob) < offset + 4 * n:
-        raise DataError(f"{path}: truncated descriptor")
-    descriptor = struct.unpack_from(f"<{n}I", blob, offset)
-    offset += 4 * n
-    payload = blob[offset:]
-    if len(payload) % 8 != 0:
-        raise DataError(f"{path}: payload is not a whole number of f64 values")
-    return descriptor, np.frombuffer(payload, dtype="<f8")
+        if fh.read(len(MAGIC)) != MAGIC:
+            raise DataError(f"{path}: not a model file (bad magic)")
+        head = fh.read(4)
+        if len(head) < 4:
+            raise DataError(f"{path}: truncated descriptor")
+        (n,) = struct.unpack("<I", head)
+        head = fh.read(4 * n)
+        if len(head) < 4 * n:
+            raise DataError(f"{path}: truncated descriptor")
+        descriptor = struct.unpack(f"<{n}I", head)
+        # np.fromfile drops a trailing partial value, so check the size first
+        if (os.fstat(fh.fileno()).st_size - fh.tell()) % 8 != 0:
+            raise DataError(f"{path}: payload is not a whole number of f64 values")
+        payload = np.fromfile(fh, dtype="<f8")
+    return descriptor, payload
 
 
 def split_payload(payload: np.ndarray, shapes: list[tuple[int, ...]], path) -> list[np.ndarray]:
+    """Views of the payload, one per shape."""
     sizes = [int(np.prod(s)) for s in shapes]
     if payload.size != sum(sizes):
         raise DataError(f"{path}: payload holds {payload.size} values, expected {sum(sizes)}")
     out = []
     start = 0
     for shape, size in zip(shapes, sizes):
-        out.append(payload[start:start + size].reshape(shape).copy())
+        out.append(payload[start:start + size].reshape(shape))
         start += size
     return out

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from emocause.embeddings import EmbeddingTable
-from emocause.nn import kernels
 
 # pass/fail lines recorded by the acceptance tests, echoed after the run
 # (prints inside tests are swallowed by capture unless -s is given)
@@ -14,12 +13,6 @@ def pytest_terminal_summary(terminalreporter):
         terminalreporter.section("acceptance criteria")
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile the jitted kernels once so per-test timing stays honest
-    kernels.warmup()
 
 
 @pytest.fixture

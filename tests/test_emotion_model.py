@@ -5,7 +5,7 @@ from emocause import emotion_model
 from emocause.embeddings import EMOTIONS, EmbeddingTable
 from emocause.errors import OovError
 from emocause.nn import core
-from emocause.nn.serialize import KIND_EMOTION, save_container
+from emocause.nn.serialize import KIND_EMOTION, MAGIC, save_container
 
 from conftest import random_table
 from helpers import emotion_accuracy, separable_emotion_setup
@@ -175,12 +175,18 @@ class TestSerialization:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["emotion.bin"]
 
-    def test_truncated_payload_rejected(self, toy_model, tmp_path):
+    @pytest.mark.parametrize("damage,message", [
+        (lambda blob: blob[:len(blob) // 2], "payload"),
+        (lambda blob: blob[:-8], "payload holds"),
+        (lambda blob: blob + b"\x00", "not a whole number of f64 values"),
+        # magic, the u32 count, then one and a half of the five descriptor values
+        (lambda blob: blob[:len(MAGIC) + 4 + 6], "truncated descriptor"),
+    ], ids=["half-length", "one-value-short", "trailing-byte", "cut-in-descriptor"])
+    def test_damaged_file_rejected(self, toy_model, tmp_path, damage, message):
         path = tmp_path / "emotion.bin"
         emotion_model.save_emotion_model(toy_model, path)
-        blob = path.read_bytes()
-        path.write_bytes(blob[:len(blob) // 2])
-        with pytest.raises(ValueError, match="payload"):
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(ValueError, match=message):
             emotion_model.load_emotion_model(path, toy_model.table)
 
 

@@ -1,74 +1,22 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
-from emocause.nn import kernels
+from emocause.nn import core, kernels
 
 
-def make_instance(rng, steps=5, dim=4, hidden=3):
-    return (rng.normal(size=(4 * hidden, dim)),
-            rng.normal(size=(4 * hidden, hidden)),
-            rng.normal(size=4 * hidden),
-            rng.normal(size=(steps, dim)),
-            rng.normal(size=(steps, hidden)))
-
-
-class TestPathEquivalence:
-    @pytest.mark.skipif(not kernels.JIT_ENABLED, reason="numba path inactive")
-    def test_jit_and_python_paths_agree(self, rng):
-        w_x, w_h, b, xs, d_out = make_instance(rng)
-        jit_cache = kernels.lstm_forward_seq(w_x, w_h, b, xs)
-        py_cache = kernels.lstm_forward_seq.py_func(w_x, w_h, b, xs)
-        for a, b_ in zip(jit_cache, py_cache):
-            assert np.allclose(a, b_, atol=1e-12)
-        jit_grads = kernels.lstm_backward_seq(w_x, w_h, xs, *jit_cache, d_out)
-        py_grads = kernels.lstm_backward_seq.py_func(w_x, w_h, xs, *py_cache, d_out)
-        for a, b_ in zip(jit_grads, py_grads):
-            assert np.allclose(a, b_, atol=1e-10)
-
-    def test_forward_matches_cell_loop(self, rng):
+class TestSequenceKernels:
+    # T=1 gives a one-row input projection; D > 4H a w_x wider than tall
+    @pytest.mark.parametrize("steps,dim,hidden", [(6, 4, 3), (1, 4, 3), (5, 20, 2), (3, 7, 5)],
+                             ids=["T6-D4-H3", "T1", "D-over-4H", "T3-D7-H5"])
+    def test_forward_matches_cell_loop(self, rng, steps, dim, hidden):
         # sequence kernel vs repeated single-cell application
-        from emocause.nn import core
-        p = core.LstmParams.init(4, 3, rng)
-        xs = rng.normal(size=(6, 4))
+        p = core.LstmParams.init(dim, hidden, rng)
+        xs = rng.normal(size=(steps, dim))
         hs, cs, _, _ = kernels.lstm_forward_seq(p.w_x, p.w_h, p.bias, xs)
-        h = np.zeros(3)
-        c = np.zeros(3)
-        for t in range(6):
+        assert hs.shape == cs.shape == (steps + 1, hidden)
+        h = np.zeros(hidden)
+        c = np.zeros(hidden)
+        for t in range(steps):
             h, c = core.lstm_cell(p, xs[t], h, c)
             assert np.allclose(hs[t + 1], h, atol=1e-12)
             assert np.allclose(cs[t + 1], c, atol=1e-12)
-
-
-class TestEnvFlag:
-    def _probe(self, env_value):
-        env = dict(os.environ)
-        if env_value is None:
-            env.pop("ECPE_JIT", None)
-        else:
-            env["ECPE_JIT"] = env_value
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from emocause.nn import kernels; print(kernels.JIT_ENABLED)"],
-            capture_output=True, text=True, env=env, check=True)
-        return out.stdout.strip()
-
-    def test_disabled_values(self):
-        for value in ("0", "false", "off"):
-            assert self._probe(value) == "False"
-
-    def test_default_enabled_when_numba_present(self):
-        try:
-            import numba  # noqa: F401
-        except ImportError:
-            pytest.skip("numba not installed")
-        assert self._probe(None) == "True"
-        assert self._probe("1") == "True"
-
-
-class TestWarmup:
-    def test_runs_clean(self):
-        kernels.warmup()

@@ -270,6 +270,12 @@ class TestGradientChecks:
     def test_architecture(self, name, check):
         assert check(0) < 1e-4
 
+    # shape edges of the batched products: T=1 (one-row projection and dZ,
+    # no recurrence) and D > 4H (TOY_DIM inputs into one hidden unit)
+    @pytest.mark.parametrize("steps,hidden", [(1, 3), (4, 1)], ids=["T1", "D-over-4H"])
+    def test_lstm_shape_edges(self, steps, hidden):
+        assert checks.check_lstm(0, hidden=hidden, steps=steps) < 1e-4
+
     def test_numerical_gradient_on_quadratic(self):
         # sanity for the checker itself: f = sum(x^2), grad = 2x
         x = np.array([1.0, -2.0, 0.5])
