@@ -143,6 +143,7 @@ def train(cls, table: EmbeddingTable, examples, to_row, step, rng: core.Rng,
             xs, target = rows[idx]
             loss, grads = step(model, xs, target, train=True, rng=rng)
             core.sgd_step(cfg, params, grads)
+            del grads  # let the next step's gradients reuse this memory
             total += loss
         mean = total / len(rows)
         if not np.isfinite(mean):

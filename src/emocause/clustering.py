@@ -27,8 +27,6 @@ class ClauseVector:
     values: np.ndarray  # (2d,)
     review_id: str
     clause_text: str
-    sent_index: int = 0
-    span: tuple = (0, 0)
 
     def __post_init__(self):
         values = np.ascontiguousarray(self.values, dtype=np.float64)
@@ -52,9 +50,7 @@ def vectorize_clause(clause, raw: EmbeddingTable, aware: EmbeddingTable) -> Clau
     pooled = np.max(np.stack(rows), axis=0)
     return ClauseVector(values=pooled,
                         review_id=clause.sentence.review_id,
-                        clause_text=clause.text,
-                        sent_index=clause.sentence.sent_index,
-                        span=(clause.span.start, clause.span.end))
+                        clause_text=clause.text)
 
 
 def cosine_distance(a: ClauseVector, b: ClauseVector) -> float:
@@ -62,43 +58,44 @@ def cosine_distance(a: ClauseVector, b: ClauseVector) -> float:
     return min(max(1.0 - cosine_similarity(a.values, b.values), 0.0), 2.0)
 
 
-def _pairwise_distances(vectors) -> np.ndarray:
-    n = len(vectors)
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = cosine_distance(vectors[i], vectors[j])
-    return d
+def distance_matrix(vectors) -> np.ndarray:
+    """(n, n) cosine distances in [0, 2] from one product of the distinct
+    unit vectors. Equal vectors share one row of the product, so they are
+    exactly 0 apart and their rows are identical."""
+    data = np.stack([v.values for v in vectors])
+    distinct, inverse = np.unique(data, axis=0, return_inverse=True)
+    inverse = inverse.reshape(-1)  # its shape varies across numpy versions
+    unit = distinct / np.linalg.norm(distinct, axis=1, keepdims=True)
+    dist = np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
+    np.fill_diagonal(dist, 0.0)
+    return dist[np.ix_(inverse, inverse)]
 
 
 def agglomerative_complete_link(vectors, threshold: float = DEFAULT_THRESHOLD) -> list[list[int]]:
     """Member-index partition. Starts from singletons and repeatedly merges
     the pair of clusters with the smallest complete-linkage distance while
     it is strictly below the threshold; distance ties break on the smallest
-    (i, j) position pair. Cluster distances are maintained with the
-    Lance-Williams complete-link update D(k, i+j) = max(D(k,i), D(k,j)).
+    (i, j) position pair. A cluster lives in the row of its smallest member,
+    so the first minimum of the symmetric matrix in row-major order is that
+    pair. Cluster distances are maintained with the Lance-Williams
+    complete-link update D(k, i+j) = max(D(k,i), D(k,j)); dead rows hold inf.
     """
     if not vectors:
         raise ValueError("nothing to cluster")
-    clusters = [[i] for i in range(len(vectors))]
-    dist = _pairwise_distances(vectors)
-    while len(clusters) > 1:
-        best_i = best_j = -1
-        best = np.inf
-        for i in range(len(clusters)):
-            for j in range(i + 1, len(clusters)):
-                if dist[i, j] < best:
-                    best, best_i, best_j = dist[i, j], i, j
-        if best >= threshold:
+    n = len(vectors)
+    clusters = [[i] for i in range(n)]
+    dist = distance_matrix(vectors)
+    np.fill_diagonal(dist, np.inf)
+    for _ in range(n - 1):
+        i, j = divmod(int(np.argmin(dist)), n)
+        if dist[i, j] >= threshold:
             break
-        merged_row = np.maximum(dist[best_i], dist[best_j])
-        dist[best_i, :] = merged_row
-        dist[:, best_i] = merged_row
-        dist[best_i, best_i] = 0.0
-        dist = np.delete(np.delete(dist, best_j, axis=0), best_j, axis=1)
-        clusters[best_i] = sorted(clusters[best_i] + clusters[best_j])
-        del clusters[best_j]
-    return sorted(clusters, key=lambda members: members[0])
+        dist[i] = dist[:, i] = np.maximum(dist[i], dist[j])
+        dist[i, i] = np.inf
+        dist[j] = dist[:, j] = np.inf
+        clusters[i] = sorted(clusters[i] + clusters[j])
+        clusters[j] = []
+    return [members for members in clusters if members]
 
 
 def prune_small(clusters, min_size: int = MIN_CLUSTER_SIZE):
@@ -113,15 +110,11 @@ def head_clause(members, vectors) -> int:
     ties go to the smallest index, a singleton to itself."""
     if not members:
         raise ValueError("empty cluster")
+    members = sorted(members)
     if len(members) == 1:
         return members[0]
-    best = None
-    best_worst = np.inf
-    for m in sorted(members):
-        worst = max(cosine_distance(vectors[m], vectors[o]) for o in members if o != m)
-        if worst < best_worst:
-            best, best_worst = m, worst
-    return best
+    radius = distance_matrix([vectors[m] for m in members]).max(axis=1)
+    return members[int(np.argmin(radius))]
 
 
 @dataclass(frozen=True)
@@ -140,7 +133,6 @@ class ClusterSet:
     emotion: str
     clusters: list[Cluster]
     pruned: list[int]
-    threshold: float
     vectors: list = field(default_factory=list)  # group's ClauseVectors, index-aligned
 
     def to_json_obj(self) -> dict:
@@ -178,7 +170,7 @@ def cluster_causes(entries, threshold: float = DEFAULT_THRESHOLD) -> list[Cluste
         clusters = [Cluster(members=tuple(members), head=head_clause(members, vectors))
                     for members in kept]
         out.append(ClusterSet(product=product, emotion=emotion, clusters=clusters,
-                              pruned=pruned, threshold=threshold, vectors=vectors))
+                              pruned=pruned, vectors=vectors))
     return out
 
 

@@ -296,7 +296,8 @@ class SgdConfig:
 
 
 def sgd_step(cfg: SgdConfig, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
-    """Update params in place; returns them for convenience."""
+    """Update params in place; returns them for convenience. The grads are
+    spent: each one is overwritten with its step."""
     if len(params) != len(grads):
         raise ValueError("params and grads differ in length")
     if cfg.velocities is None:
@@ -306,5 +307,5 @@ def sgd_step(cfg: SgdConfig, params: list[np.ndarray], grads: list[np.ndarray]) 
     for theta, g, v in zip(params, grads, cfg.velocities):
         v *= cfg.momentum
         v += g
-        theta -= cfg.learning_rate * v
+        theta -= np.multiply(v, cfg.learning_rate, out=g)
     return params

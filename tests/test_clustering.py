@@ -114,6 +114,33 @@ class TestAgglomerative:
             assert as_partition(got) == as_partition(want), f"trial {trial}"
             assert got == want  # same ordering convention too
 
+    def test_matches_reference_with_duplicates(self, rng):
+        # equal vectors must be exactly 0 apart and tie exactly, as they do
+        # in the per-pair oracle
+        for trial in range(100):
+            n = int(rng.integers(2, 11))
+            pool = rng.normal(size=(int(rng.integers(1, 4)), 3))
+            pool = np.concatenate([pool, pool + rng.normal(scale=0.08, size=pool.shape)])
+            vecs = [vec(pool[int(rng.integers(len(pool)))], review_id=f"r{i}")
+                    for i in range(n)]
+            assert agglomerative_complete_link(vecs, 0.13) == \
+                reference_complete_link(vecs, 0.13), f"trial {trial}"
+
+    @pytest.mark.parametrize("points, threshold, want", [
+        # two exact zero-distance pairs: (0, 2) merges first, then (1, 3)
+        ([[1, 0], [0, 1], [1, 0], [0, 1]], 0.13, [[0, 2], [1, 3]]),
+        # d(0, 1) == d(1, 2) exactly: the smaller pair (0, 1) wins
+        ([[1, 0], [1, 1], [0, 1]], 0.5, [[0, 1], [2]]),
+        ([[1, 1], [1, 0], [0, 1]], 0.5, [[0, 1], [2]]),
+        # after (0, 3) and (1, 4) merge at 0, clusters {0, 3} and {1, 4}
+        # tie with {1, 4} and {2} at 1 - cos 45 deg; the smaller pair wins
+        ([[1, 0], [1, 1], [0, 1], [1, 0], [1, 1]], 0.5, [[0, 1, 3, 4], [2]]),
+    ])
+    def test_exact_ties_take_smallest_pair(self, points, threshold, want):
+        vecs = [vec(p) for p in points]
+        assert agglomerative_complete_link(vecs, threshold) == want
+        assert reference_complete_link(vecs, threshold) == want
+
     def test_complete_linkage_guarantee(self, rng):
         for _ in range(30):
             vecs = random_vectors(rng, 8, dim=3)
@@ -177,6 +204,22 @@ class TestHeadClause:
                 if worst < best_worst:
                     best, best_worst = m, worst
             assert got == best
+
+    def test_duplicates_match_exhaustive_scan(self, rng):
+        # 20 members drawn from 3 nearby vectors: duplicates tie exactly,
+        # so the head is the smallest index of the best vector
+        for trial in range(30):
+            pool = rng.normal(size=16) + rng.normal(scale=0.05, size=(3, 16))
+            vecs = [vec(pool[int(rng.integers(3))], review_id=f"r{i}")
+                    for i in range(20)]
+            members = rng.permutation(20).tolist()
+            best, best_worst = None, np.inf
+            for m in range(20):
+                worst = max(cosine_distance(vecs[m], vecs[o])
+                            for o in range(20) if o != m)
+                if worst < best_worst:
+                    best, best_worst = m, worst
+            assert head_clause(members, vecs) == best, f"trial {trial}"
 
     def test_tie_goes_to_smallest_index(self):
         v = vec([1.0, 1.0])

@@ -237,6 +237,21 @@ class TestSgd:
         core.sgd_step(cfg, [theta], [g.copy()])
         assert np.allclose(theta, theta0 - lr * g * (1.0 + 1.9), atol=1e-12)
 
+    def test_two_steps_bit_exact(self):
+        # the step is written into the spent gradient buffer; theta must
+        # still follow the plain recursion bit for bit
+        lr = 0.003
+        cfg = core.SgdConfig(learning_rate=lr, momentum=0.9)
+        theta0 = np.array([1.0, -4.0, 0.3])
+        g = np.array([0.5, 2.0, -7.1])
+        theta = theta0.copy()
+        core.sgd_step(cfg, [theta], [g.copy()])
+        theta1 = theta0 - lr * g
+        assert np.array_equal(theta, theta1)
+        core.sgd_step(cfg, [theta], [g.copy()])
+        theta2 = theta1 - lr * (0.9 * g + g)
+        assert np.array_equal(theta, theta2)
+
     def test_invalid_config(self):
         with pytest.raises(ValueError):
             core.SgdConfig(learning_rate=0.0)
