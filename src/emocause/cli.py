@@ -47,6 +47,13 @@ def _resolve_seed(value: int | None) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    value = int(text)  # argparse reports a ValueError as an invalid value
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_seed(parser, help_text="rng seed (default: ECPE_SEED env var, else 0)"):
     parser.add_argument("--seed", type=int, default=None, help=help_text)
 
@@ -203,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--embeddings", required=True, help="raw embedding file")
     p.add_argument("--lexicon", required=True, help="emotion intensity TSV")
     p.add_argument("--output", required=True, help="emotion-aware output file")
-    p.add_argument("--top-k", type=int, default=2,
+    p.add_argument("--top-k", type=positive_int, default=2,
                    help="emotion words blended per vocabulary word")
     p.set_defaults(func=cmd_build_embeddings)
 
@@ -220,10 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--parses", required=True)
         p.add_argument("--embeddings", required=True, help="emotion-aware table")
         p.add_argument("--output", required=True, help="model file to write")
-        p.add_argument("--epochs", type=int, default=model.DEFAULT_EPOCHS)
+        p.add_argument("--epochs", type=positive_int, default=model.DEFAULT_EPOCHS)
         p.add_argument("--lr", type=float, default=0.003)
         p.add_argument("--momentum", type=float, default=0.9)
-        p.add_argument("--hidden", type=int, default=model.DEFAULT_HIDDEN)
+        p.add_argument("--hidden", type=positive_int, default=model.DEFAULT_HIDDEN)
         _add_seed(p)
         p.set_defaults(func=func)
 

@@ -1,11 +1,11 @@
 """Emotion-aware word embeddings.
 
 Raw vectors come from a word2vec-style text file. An intensity lexicon names
-emotion words; every vocabulary word is compared against those by cosine
-similarity, its two most similar emotion words are blended (weights =
-similarity * intensity, negatives clamped to zero, normalized), and the
-blend is averaged with the original vector. Words with no positive
-emotional similarity keep their raw vector.
+emotion words. One matrix product gives every vocabulary word's cosine
+similarity to every emotion word; each word's k (default two) most similar
+emotion words are blended in one batched product (weights = similarity *
+intensity, negatives clamped to zero, normalized) and averaged with the
+original vector. Words whose weights are all zero keep their raw vector.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, NoEmotionalContextError
+from .errors import DataError
 
 EMOTIONS = ("anger", "anticipation", "disgust", "fear", "joy",
             "sadness", "surprise", "trust")
@@ -124,7 +124,8 @@ def load_word_embeddings(path) -> EmbeddingTable:
         rows = []
         seen = set()
         for lineno, line in enumerate(fh, start=2):
-            parts = line.rstrip("\n").split(" ")
+            # the word2vec C tool ends every row with a space
+            parts = line.rstrip().split(" ")
             if parts == [""]:
                 continue
             word = parts[0]
@@ -138,6 +139,8 @@ def load_word_embeddings(path) -> EmbeddingTable:
                 vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric value for {word!r}") from None
+            if not np.all(np.isfinite(vec)):
+                raise DataError(f"{path}:{lineno}: non-finite value for {word!r}")
             if not np.any(vec):
                 raise DataError(f"{path}:{lineno}: all-zero vector for {word!r}")
             words.append(word)
@@ -202,54 +205,43 @@ def build_similarity_matrix(table: EmbeddingTable, lexicon: EmotionLexicon) -> S
     return SimilarityMatrix(table.words, emotion_words, unit @ cols.T)
 
 
+def _top_k(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Columns and values of each row's min(k, columns) largest entries,
+    descending; argmax takes the first maximum, so ties go to the smaller
+    column. Overwrites the chosen entries of `values` with -inf."""
+    if k <= 0:
+        raise ValueError("k must be positive")
+    rows = np.arange(values.shape[0])
+    cols = np.empty((values.shape[0], min(k, values.shape[1])), dtype=np.intp)
+    sims = np.empty(cols.shape)
+    for j in range(cols.shape[1]):
+        cols[:, j] = values.argmax(axis=1)
+        sims[:, j] = values[rows, cols[:, j]]
+        values[rows, cols[:, j]] = -np.inf
+    return cols, sims
+
+
 def top_k_emotion_words(matrix: SimilarityMatrix, word: str,
                         k: int = DEFAULT_TOP_K) -> list[tuple[str, float]]:
     """The k most similar emotion words, descending; equal similarities are
-    ordered lexicographically by emotion word."""
-    if k <= 0:
-        raise ValueError("k must be positive")
-    row = matrix.row(word)
-    # columns are sorted lexicographically, so a stable sort on -sim
-    # resolves ties in lexicographic order
-    order = np.argsort(-row, kind="stable")[:k]
-    return [(matrix.emotion_words[j], float(row[j])) for j in order]
-
-
-def blend_emotion_embedding(word: str, top: list[tuple[str, float]],
-                            table: EmbeddingTable, lexicon: EmotionLexicon) -> np.ndarray:
-    """Weighted average of the top emotion words' vectors, weight =
-    max(similarity, 0) * intensity, normalized to sum to 1. A word listed
-    under several emotions contributes its maximum intensity."""
-    if not top:
-        raise ValueError("top emotion word list is empty")
-    weights = np.array([max(sim, 0.0) * lexicon.max_intensity(ew) for ew, sim in top])
-    total = weights.sum()
-    if total == 0.0:
-        raise NoEmotionalContextError(f"{word!r} has no positively similar emotion word")
-    weights /= total
-    vecs = np.stack([table[ew] for ew, _ in top])
-    return weights @ vecs
-
-
-def overlay(original, emotional) -> np.ndarray:
-    original = np.asarray(original, dtype=np.float64)
-    emotional = np.asarray(emotional, dtype=np.float64)
-    if original.shape != emotional.shape:
-        raise ValueError(f"length mismatch: {original.shape} vs {emotional.shape}")
-    return (original + emotional) / 2.0
+    ordered lexicographically by emotion word (the columns are sorted)."""
+    cols, sims = _top_k(matrix.row(word)[None, :].copy(), k)
+    return [(matrix.emotion_words[j], float(s)) for j, s in zip(cols[0], sims[0])]
 
 
 def build_emotion_aware_table(table: EmbeddingTable, lexicon: EmotionLexicon,
                               k: int = DEFAULT_TOP_K) -> EmbeddingTable:
     """Blend and overlay every vocabulary word; same words, same dimension.
-    Words without positive emotional similarity keep their raw vector."""
+    Blend weights are max(similarity, 0) * max intensity over the k most
+    similar emotion words, normalized; all-zero weights keep the raw vector."""
     matrix = build_similarity_matrix(table, lexicon)
+    cols, sims = _top_k(matrix.values, k)
+    intensity = np.array([lexicon.max_intensity(w) for w in matrix.emotion_words])
+    weights = np.maximum(sims, 0.0) * intensity[cols]
+    total = weights.sum(axis=1)
+    blended = total != 0.0
+    weights = weights[blended] / total[blended, None]
+    vecs = np.stack([table[w] for w in matrix.emotion_words])[cols[blended]]
     out = np.array(table.vectors)
-    for i, word in enumerate(table.words):
-        top = top_k_emotion_words(matrix, word, k)
-        try:
-            emotional = blend_emotion_embedding(word, top, table, lexicon)
-        except NoEmotionalContextError:
-            continue
-        out[i] = overlay(table.vectors[i], emotional)
+    out[blended] = (out[blended] + (weights[:, None, :] @ vecs)[:, 0]) / 2.0
     return EmbeddingTable(table.words, out)

@@ -6,10 +6,5 @@ class DataError(ValueError):
     """Malformed or inconsistent input (files, schemas, parses)."""
 
 
-class NoEmotionalContextError(ValueError):
-    """Every candidate emotion word has nonpositive similarity (or zero
-    intensity), so a blended emotion embedding would have all-zero weights."""
-
-
 class OovError(ValueError):
     """Every token of the unit being embedded is out of vocabulary."""

@@ -5,12 +5,9 @@ from .core import (
     Rng,
     SgdConfig,
     bce_loss,
-    bilstm_forward,
-    dropout,
     elu,
     linear,
     log_softmax,
-    lstm_cell,
     nll_loss,
     sgd_step,
     sigmoid,
@@ -24,13 +21,10 @@ __all__ = [
     "Rng",
     "SgdConfig",
     "bce_loss",
-    "bilstm_forward",
-    "dropout",
     "elu",
     "gradient_check",
     "linear",
     "log_softmax",
-    "lstm_cell",
     "max_relative_error",
     "nll_loss",
     "sgd_step",

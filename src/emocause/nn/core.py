@@ -69,24 +69,6 @@ class LstmParams:
         return [self.w_x, self.w_h, self.bias]
 
 
-def lstm_cell(p: LstmParams, x: np.ndarray, h: np.ndarray, c: np.ndarray):
-    """One LSTM step: returns (h', c'). Standard gates, no peepholes."""
-    x = np.asarray(x, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    c = np.asarray(c, dtype=np.float64)
-    if x.shape != (p.input_dim,) or h.shape != (p.hidden_dim,) or c.shape != (p.hidden_dim,):
-        raise ValueError("lstm_cell: state/input shapes do not match parameters")
-    hidden = p.hidden_dim
-    z = p.w_x @ x + p.w_h @ h + p.bias
-    i = sigmoid_vec(z[:hidden])
-    f = sigmoid_vec(z[hidden:2 * hidden])
-    g = np.tanh(z[2 * hidden:3 * hidden])
-    o = sigmoid_vec(z[3 * hidden:])
-    c_new = f * c + i * g
-    h_new = o * np.tanh(c_new)
-    return h_new, c_new
-
-
 @dataclass
 class BiLstm:
     forward: LstmParams
@@ -139,25 +121,10 @@ def bilstm_run(m: BiLstm, xs: np.ndarray) -> BiLstmCache:
     return BiLstmCache(xs, xs_rev, fwd, bwd)
 
 
-def bilstm_outputs(m: BiLstm, cache: BiLstmCache) -> np.ndarray:
-    """Per-timestep outputs (T, 2H): concat of both directions' states at
-    each original position."""
-    hs_f = cache.fwd[0][1:]
-    hs_b = cache.bwd[0][1:][::-1]
-    return np.concatenate([hs_f, hs_b], axis=1)
-
-
 def bilstm_last_output(cache: BiLstmCache) -> np.ndarray:
     """concat(h_fwd at the final position, h_bwd at position 0) — each
     direction's state after it has consumed the whole sequence."""
     return np.concatenate([cache.fwd[0][-1], cache.bwd[0][-1]])
-
-
-def bilstm_forward(m: BiLstm, seq) -> list[np.ndarray]:
-    """Sequence of per-timestep output vectors, each of length 2*hidden."""
-    xs = np.asarray(seq, dtype=np.float64)
-    cache = bilstm_run(m, xs)
-    return list(bilstm_outputs(m, cache))
 
 
 def bilstm_backward_last(m: BiLstm, cache: BiLstmCache, d_last: np.ndarray):
@@ -229,33 +196,10 @@ def sigmoid(x: float) -> float:
     return e / (1.0 + e)
 
 
-def sigmoid_vec(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    e = np.exp(x[~pos])
-    out[~pos] = e / (1.0 + e)
-    return out
-
-
 def log_softmax(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     shifted = x - np.max(x)
     return shifted - np.log(np.sum(np.exp(shifted)))
-
-
-def dropout(x: np.ndarray, p: float, train: bool, rng: Rng | None = None) -> np.ndarray:
-    """Inverted dropout: zero each element with probability p and scale
-    survivors by 1/(1-p) in train mode; identity in eval mode."""
-    x = np.asarray(x, dtype=np.float64)
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if not train or p == 0.0:
-        return x.copy()
-    if rng is None:
-        raise ValueError("dropout in train mode needs an rng")
-    return x * dropout_mask(p, x.shape, rng)
 
 
 def dropout_mask(p: float, shape, rng: Rng) -> np.ndarray:

@@ -5,7 +5,8 @@ import numpy as np
 
 from emocause import cause_model, emotion_model
 from emocause.clustering import cosine_distance
-from emocause.embeddings import EMOTIONS, EmbeddingTable
+from emocause.embeddings import EMOTIONS, EmbeddingTable, build_similarity_matrix
+from emocause.nn import core
 
 
 def reference_complete_link(vectors, threshold):
@@ -32,6 +33,81 @@ def reference_complete_link(vectors, threshold):
 
 def as_partition(clusters):
     return {frozenset(c) for c in clusters}
+
+
+def reference_emotion_aware_table(table, lexicon, k):
+    """Per-word oracle for build_emotion_aware_table: sort each row of the
+    similarity matrix by (-similarity, emotion word), weight the first k by
+    max(similarity, 0) * max intensity, and average the normalized blend
+    with the raw vector; all-zero weights keep the raw vector."""
+    matrix = build_similarity_matrix(table, lexicon)
+    out = np.array(table.vectors)
+    for i, word in enumerate(table.words):
+        top = sorted(zip(matrix.emotion_words, matrix.row(word)),
+                     key=lambda pair: (-pair[1], pair[0]))[:k]
+        weights = [max(float(sim), 0.0) * lexicon.max_intensity(ew) for ew, sim in top]
+        total = sum(weights)
+        if total == 0.0:
+            continue
+        blend = sum(w / total * table[ew] for (ew, _), w in zip(top, weights))
+        out[i] = (table.vectors[i] + blend) / 2.0
+    return out
+
+
+def sigmoid_vec(x):
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    e = np.exp(x[~pos])
+    out[~pos] = e / (1.0 + e)
+    return out
+
+
+def lstm_cell(p, x, h, c):
+    """One LSTM step: returns (h', c'). Standard gates, no peepholes; the
+    per-step oracle for the sequence kernels."""
+    x = np.asarray(x, dtype=np.float64)
+    h = np.asarray(h, dtype=np.float64)
+    c = np.asarray(c, dtype=np.float64)
+    if x.shape != (p.input_dim,) or h.shape != (p.hidden_dim,) or c.shape != (p.hidden_dim,):
+        raise ValueError("lstm_cell: state/input shapes do not match parameters")
+    hidden = p.hidden_dim
+    z = p.w_x @ x + p.w_h @ h + p.bias
+    i = sigmoid_vec(z[:hidden])
+    f = sigmoid_vec(z[hidden:2 * hidden])
+    g = np.tanh(z[2 * hidden:3 * hidden])
+    o = sigmoid_vec(z[3 * hidden:])
+    c_new = f * c + i * g
+    h_new = o * np.tanh(c_new)
+    return h_new, c_new
+
+
+def bilstm_outputs(cache):
+    """Per-timestep outputs (T, 2H): concat of both directions' states at
+    each original position."""
+    hs_f = cache.fwd[0][1:]
+    hs_b = cache.bwd[0][1:][::-1]
+    return np.concatenate([hs_f, hs_b], axis=1)
+
+
+def bilstm_forward(m, seq):
+    """Sequence of per-timestep output vectors, each of length 2*hidden."""
+    return list(bilstm_outputs(core.bilstm_run(m, np.asarray(seq, dtype=np.float64))))
+
+
+def dropout(x, p, train, rng=None):
+    """Inverted dropout: zero each element with probability p and scale
+    survivors by 1/(1-p) in train mode; identity in eval mode."""
+    x = np.asarray(x, dtype=np.float64)
+    if not 0.0 <= p < 1.0:
+        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
+    if not train or p == 0.0:
+        return x.copy()
+    if rng is None:
+        raise ValueError("dropout in train mode needs an rng")
+    return x * core.dropout_mask(p, x.shape, rng)
+
 
 # 10 distinct emotion words covering all 8 classes (two classes twice)
 SEPARABLE_CLASSES = (0, 1, 2, 3, 4, 5, 6, 7, 0, 1)

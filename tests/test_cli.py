@@ -46,6 +46,19 @@ class TestExitCodes:
                      "gen-synthetic", "gradient-check"):
             assert name in out
 
+    @pytest.mark.parametrize("argv", [
+        ["build-embeddings", "--embeddings", "e", "--lexicon", "l", "--output", "o",
+         "--top-k", "0"],
+        ["train-cause", "--corpus", "c", "--parses", "p", "--embeddings", "e",
+         "--output", "o", "--epochs", "-3"],
+        ["train-emotion", "--corpus", "c", "--parses", "p", "--embeddings", "e",
+         "--output", "o", "--hidden", "0"],
+    ], ids=["top-k", "epochs", "hidden"])
+    def test_non_positive_int_flag_is_usage_error(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"{argv[-2]}: must be a positive integer" in err
+
     def test_data_error_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
         bad.write_text("{not json\n", encoding="utf-8")

@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 
 from emocause.embeddings import (DEFAULT_TOP_K, EMOTIONS, EmbeddingTable,
-                                 EmotionLexicon, blend_emotion_embedding,
-                                 build_emotion_aware_table,
+                                 EmotionLexicon, build_emotion_aware_table,
                                  build_similarity_matrix, cosine_similarity,
                                  load_emotion_lexicon, load_word_embeddings,
-                                 overlay, save_word_embeddings,
-                                 top_k_emotion_words)
-from emocause.errors import DataError, NoEmotionalContextError
+                                 save_word_embeddings, top_k_emotion_words)
+from emocause.errors import DataError
 
 from conftest import random_table
+from helpers import reference_emotion_aware_table
 
 
 def write(path, text):
@@ -50,6 +49,19 @@ class TestLoadWordEmbeddings:
     def test_count_mismatch(self, tmp_path):
         p = write(tmp_path / "v.txt", "2 2\na 1 0\n")
         with pytest.raises(DataError, match="promises 2"):
+            load_word_embeddings(p)
+
+    def test_word2vec_trailing_space(self, tmp_path):
+        # the word2vec C tool ends every row with a space
+        p = write(tmp_path / "v.txt", "2 3\nhello 0.1 0.2 0.3 \nworld 1 0 0 \n")
+        table = load_word_embeddings(p)
+        assert table.words == ("hello", "world")
+        assert np.array_equal(table["hello"], [0.1, 0.2, 0.3])
+
+    @pytest.mark.parametrize("row", ["a nan 1.0", "b inf 2.0", "c 1.0 -inf"])
+    def test_non_finite_value_rejected(self, tmp_path, row):
+        p = write(tmp_path / "v.txt", f"2 2\nok 1.0 2.0\n{row}\n")
+        with pytest.raises(DataError, match=r"v\.txt:3: non-finite"):
             load_word_embeddings(p)
 
     def test_round_trip_bit_exact(self, tmp_path, rng):
@@ -185,71 +197,89 @@ class TestTopK:
                 assert s_got == pytest.approx(s_exp, abs=1e-12)
 
 
+def aware_row(table, lexicon, word, k=DEFAULT_TOP_K):
+    return build_emotion_aware_table(table, lexicon, k)[word]
+
+
 class TestBlend:
+    # the blend step of build_emotion_aware_table, read back from the aware
+    # row as blend = 2 * aware - raw
+
     def test_single_word_yields_its_vector(self, rng):
-        table = random_table(rng, 2, 3)
+        e, noise = rng.normal(size=(2, 3))
+        table = EmbeddingTable(["w0", "w1"], [e, e + 0.1 * noise])
         lex = lexicon_for(["w0"], intensity=0.4)
-        out = blend_emotion_embedding("w1", [("w0", 0.3)], table, lex)
-        assert np.allclose(out, table["w0"], atol=1e-12)
+        blend = 2.0 * aware_row(table, lex, "w1") - table["w1"]
+        assert np.allclose(blend, table["w0"], atol=1e-12)
 
     def test_hand_weights(self):
-        # sims (0.8, 0.4) with intensities (0.5, 1.0): 0.8*0.5 == 0.4*1.0,
-        # so both weights are exactly 0.5 and the blend is the mean
-        table = EmbeddingTable(["e1", "e2"], [[2.0, 0.0], [0.0, 4.0]])
+        # w sits at 45 degrees to both emotion words; intensities (0.5, 1.0)
+        # give weights 1/3, 2/3, so the blend is [2/3, 8/3]
+        table = EmbeddingTable(["e1", "e2", "w"], [[2.0, 0.0], [0.0, 4.0], [1.0, 1.0]])
         lex = EmotionLexicon({"e1": (("joy", 0.5),), "e2": (("fear", 1.0),)})
-        out = blend_emotion_embedding("w", [("e1", 0.8), ("e2", 0.4)], table, lex)
-        assert np.allclose(out, [1.0, 2.0], atol=1e-12)
+        assert np.allclose(aware_row(table, lex, "w"), [5.0 / 6.0, 11.0 / 6.0],
+                           atol=1e-12)
 
-    def test_all_nonpositive_sims(self, rng):
-        table = random_table(rng, 2, 3)
-        lex = lexicon_for(["w0", "w1"])
-        with pytest.raises(NoEmotionalContextError):
-            blend_emotion_embedding("x", [("w0", -0.2), ("w1", 0.0)], table, lex)
+    def test_all_nonpositive_sims(self):
+        # similarity 0 to e1, negative to e2, positive only to e3 whose
+        # intensity is 0: every weight is zero, so w keeps its raw vector
+        table = EmbeddingTable(["e1", "e2", "e3", "w"],
+                               [[0.0, 1.0], [-1.0, 0.5], [1.0, 0.2], [1.0, 0.0]])
+        lex = EmotionLexicon({"e1": (("joy", 0.9),), "e2": (("anger", 0.9),),
+                              "e3": (("fear", 0.0),)})
+        aware = build_emotion_aware_table(table, lex, k=3)
+        assert np.array_equal(aware["w"], table["w"])
 
     def test_max_intensity_for_multi_emotion_word(self):
-        table = EmbeddingTable(["e1", "e2"], [[1.0, 0.0], [0.0, 1.0]])
+        table = EmbeddingTable(["e1", "e2", "w"], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
         lex = EmotionLexicon({"e1": (("fear", 0.2), ("surprise", 0.8)),
                               "e2": (("joy", 0.4),)})
-        out = blend_emotion_embedding("w", [("e1", 0.5), ("e2", 0.5)], table, lex)
-        # weights 0.5*0.8 and 0.5*0.4 -> 2/3, 1/3
-        assert np.allclose(out, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
+        # equal similarities; weights 0.8 and 0.4 -> blend [2/3, 1/3]
+        assert np.allclose(aware_row(table, lex, "w"), [5.0 / 6.0, 2.0 / 3.0],
+                           atol=1e-12)
 
     def test_weights_nonnegative_and_normalized(self, rng):
-        # reconstruct the weights from the blend of basis vectors
+        # emotion words on scaled basis vectors: the blend is 2 * weights
         for _ in range(50):
             k = int(rng.integers(1, 4))
-            table = EmbeddingTable([f"e{i}" for i in range(3)], np.eye(3) * 2.0)
+            w = rng.normal(size=3)
+            table = EmbeddingTable(["e0", "e1", "e2", "w"], np.vstack([np.eye(3) * 2.0, w]))
             lex = EmotionLexicon({f"e{i}": (("joy", float(rng.uniform(0.1, 1.0))),)
                                   for i in range(3)})
-            top = [(f"e{i}", float(rng.uniform(-1.0, 1.0))) for i in range(k)]
-            try:
-                out = blend_emotion_embedding("w", top, table, lex)
-            except NoEmotionalContextError:
-                assert all(s <= 0 for _, s in top)
+            aware = aware_row(table, lex, "w", k)
+            if np.all(w <= 0):
+                assert np.array_equal(aware, w)
                 continue
-            weights = out / 2.0
-            assert np.all(weights >= 0)
+            weights = (2.0 * aware - w) / 2.0
+            assert np.all(weights >= -1e-12)
+            assert np.count_nonzero(np.abs(weights) > 1e-12) <= k
             assert weights.sum() == pytest.approx(1.0, abs=1e-9)
 
 
 class TestOverlay:
+    # the overlay step: the aware vector is the midpoint of raw and blend
+
     def test_idempotent_on_equal(self, rng):
+        # the only emotion word shares w's vector, so blend == raw
         v = rng.normal(size=4)
-        assert np.array_equal(overlay(v, v), v)
+        table = EmbeddingTable(["e", "w"], [v, v])
+        assert np.array_equal(aware_row(table, lexicon_for(["e"]), "w"), v)
 
     def test_midpoint(self):
-        assert np.array_equal(overlay([2.0, 0.0], [0.0, 2.0]), [1.0, 1.0])
+        table = EmbeddingTable(["e", "w"], [[2.0, 2.0], [2.0, 0.0]])
+        assert np.array_equal(aware_row(table, lexicon_for(["e"]), "w"), [2.0, 1.0])
 
     def test_contraction_property(self, rng):
+        # the blend is a convex combination of emotion vectors, so each word
+        # moves at most half way to its farthest emotion word
         for _ in range(100):
-            a = rng.normal(size=6)
-            b = rng.normal(size=6)
-            assert (np.linalg.norm(overlay(a, b) - a)
-                    <= np.linalg.norm(b - a) + 1e-12)
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            overlay([1.0], [1.0, 2.0])
+            table = random_table(rng, 6, 6)
+            emotion_words = ["w0", "w1", "w2"]
+            aware = build_emotion_aware_table(table, lexicon_for(emotion_words), k=3)
+            for word in table.words:
+                reach = max(np.linalg.norm(table[e] - table[word]) for e in emotion_words)
+                assert (np.linalg.norm(aware[word] - table[word])
+                        <= reach / 2.0 + 1e-12)
 
 
 class TestBuildEmotionAwareTable:
@@ -301,6 +331,39 @@ class TestBuildEmotionAwareTable:
         aware_scaled = build_emotion_aware_table(scaled, lex)
         # powers of two scale without rounding, so this is exact
         assert np.array_equal(aware_scaled.vectors, aware.vectors * 4.0)
+
+    def test_matches_per_word_oracle_with_ties(self, rng):
+        # duplicated and axis-aligned vectors make exact similarity ties;
+        # duplicates carry distinct intensities, so the tie order shows in
+        # the output
+        for trial in range(300):
+            n = int(rng.integers(2, 12))
+            dim = int(rng.integers(1, 5))
+            n_base = int(rng.integers(1, n + 1))
+            if trial % 2:
+                base = np.eye(dim)[rng.integers(0, dim, size=n_base)]
+                base *= rng.choice([-2.0, -1.0, 1.0, 2.0], size=(n_base, 1))
+            else:
+                base = rng.integers(-2, 3, size=(n_base, dim)).astype(float)
+                base[~base.any(axis=1), 0] = 1.0
+            table = EmbeddingTable([f"w{i}" for i in range(n)],
+                                   base[rng.integers(0, n_base, size=n)])
+            emotion_words = rng.choice(table.words, size=int(rng.integers(1, n + 1)),
+                                       replace=False)
+            lex = EmotionLexicon({
+                str(w): tuple((EMOTIONS[int(rng.integers(8))],
+                               float(rng.choice([0.0, 0.25, 0.5, 1.0])))
+                              for _ in range(int(rng.integers(1, 3))))
+                for w in emotion_words})
+            k = int(rng.integers(1, 5))
+            got = build_emotion_aware_table(table, lex, k)
+            expected = reference_emotion_aware_table(table, lex, k)
+            assert np.allclose(got.vectors, expected, rtol=0.0, atol=1e-12), (trial, k)
+
+    def test_k_must_be_positive(self, rng):
+        table = random_table(rng, 3, 2)
+        with pytest.raises(ValueError, match="positive"):
+            build_emotion_aware_table(table, lexicon_for(["w0"]), k=0)
 
     def test_deterministic(self, rng):
         table = random_table(rng, 10, 4)

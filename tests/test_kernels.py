@@ -3,6 +3,8 @@ import pytest
 
 from emocause.nn import core, kernels
 
+from helpers import lstm_cell
+
 
 class TestSequenceKernels:
     # T=1 gives a one-row input projection; D > 4H a w_x wider than tall
@@ -17,6 +19,6 @@ class TestSequenceKernels:
         h = np.zeros(hidden)
         c = np.zeros(hidden)
         for t in range(steps):
-            h, c = core.lstm_cell(p, xs[t], h, c)
+            h, c = lstm_cell(p, xs[t], h, c)
             assert np.allclose(hs[t + 1], h, atol=1e-12)
             assert np.allclose(cs[t + 1], c, atol=1e-12)

@@ -7,6 +7,8 @@ from emocause import checks
 from emocause.nn import core
 from emocause.nn.gradcheck import max_relative_error, numerical_gradient
 
+from helpers import bilstm_forward, bilstm_outputs, dropout, lstm_cell
+
 
 def scalar_lstm_params():
     # one hidden unit; rows are gates i|f|g|o
@@ -20,7 +22,7 @@ def scalar_lstm_params():
 class TestLstmCell:
     def test_zero_everything(self):
         p = core.LstmParams(np.zeros((4, 2)), np.zeros((4, 1)), np.zeros(4))
-        h, c = core.lstm_cell(p, np.array([3.0, -1.0]), np.zeros(1), np.zeros(1))
+        h, c = lstm_cell(p, np.array([3.0, -1.0]), np.zeros(1), np.zeros(1))
         assert h[0] == 0.0 and c[0] == 0.0
 
     def test_scalar_hand_arithmetic(self):
@@ -36,7 +38,7 @@ class TestLstmCell:
         c1 = f * c0 + i * g
         h1 = o * math.tanh(c1)
 
-        h, c = core.lstm_cell(scalar_lstm_params(), np.array([x]),
+        h, c = lstm_cell(scalar_lstm_params(), np.array([x]),
                               np.array([h0]), np.array([c0]))
         assert h[0] == pytest.approx(h1, abs=1e-6)
         assert c[0] == pytest.approx(c1, abs=1e-6)
@@ -47,12 +49,12 @@ class TestLstmCell:
                             np.zeros((4, 1)),
                             np.array([-50.0, 50.0, 0.0, 0.0]))
         c0 = np.array([0.7])
-        _, c1 = core.lstm_cell(p, np.array([0.0]), np.zeros(1), c0)
+        _, c1 = lstm_cell(p, np.array([0.0]), np.zeros(1), c0)
         assert c1[0] == pytest.approx(0.7, abs=1e-9)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            core.lstm_cell(scalar_lstm_params(), np.array([1.0, 2.0]),
+            lstm_cell(scalar_lstm_params(), np.array([1.0, 2.0]),
                            np.zeros(1), np.zeros(1))
 
 
@@ -60,10 +62,10 @@ class TestBiLstm:
     def test_length_one_sequence(self, rng):
         m = core.BiLstm.init(3, 2, rng)
         x = rng.normal(size=(1, 3))
-        out = core.bilstm_forward(m, x)
+        out = bilstm_forward(m, x)
         assert len(out) == 1 and out[0].shape == (4,)
-        h_f, c_f = core.lstm_cell(m.forward, x[0], np.zeros(2), np.zeros(2))
-        h_b, c_b = core.lstm_cell(m.backward, x[0], np.zeros(2), np.zeros(2))
+        h_f, c_f = lstm_cell(m.forward, x[0], np.zeros(2), np.zeros(2))
+        h_b, c_b = lstm_cell(m.backward, x[0], np.zeros(2), np.zeros(2))
         assert np.allclose(out[0], np.concatenate([h_f, h_b]), atol=1e-12)
 
     def test_palindrome_symmetry(self, rng):
@@ -72,7 +74,7 @@ class TestBiLstm:
         p = core.LstmParams.init(3, 2, rng)
         m = core.BiLstm(p, p)
         a, b = rng.normal(size=3), rng.normal(size=3)
-        out = core.bilstm_forward(m, np.stack([a, b, a]))
+        out = bilstm_forward(m, np.stack([a, b, a]))
         for t in range(3):
             mirrored = np.concatenate([out[2 - t][2:], out[2 - t][:2]])
             assert np.allclose(out[t], mirrored, atol=1e-12)
@@ -80,19 +82,19 @@ class TestBiLstm:
     def test_output_length_matches_input(self, rng):
         m = core.BiLstm.init(3, 2, rng)
         for n in range(1, 11):
-            assert len(core.bilstm_forward(m, rng.normal(size=(n, 3)))) == n
+            assert len(bilstm_forward(m, rng.normal(size=(n, 3)))) == n
 
     def test_empty_sequence_rejected(self, rng):
         m = core.BiLstm.init(3, 2, rng)
         with pytest.raises(ValueError, match="nonempty"):
-            core.bilstm_forward(m, np.empty((0, 3)))
+            bilstm_forward(m, np.empty((0, 3)))
 
     def test_last_output_is_final_state_of_each_direction(self, rng):
         m = core.BiLstm.init(3, 2, rng)
         xs = rng.normal(size=(4, 3))
         cache = core.bilstm_run(m, xs)
         last = core.bilstm_last_output(cache)
-        outs = core.bilstm_outputs(m, cache)
+        outs = bilstm_outputs(cache)
         assert np.array_equal(last[:2], outs[-1][:2])   # forward at T-1
         assert np.array_equal(last[2:], outs[0][2:])    # backward at 0
 
@@ -156,15 +158,15 @@ class TestActivations:
 class TestDropout:
     def test_p_zero_identity(self, rng):
         x = rng.normal(size=10)
-        assert np.array_equal(core.dropout(x, 0.0, train=True, rng=rng), x)
+        assert np.array_equal(dropout(x, 0.0, train=True, rng=rng), x)
 
     def test_eval_identity(self, rng):
         x = rng.normal(size=10)
-        assert np.array_equal(core.dropout(x, 0.5, train=False), x)
+        assert np.array_equal(dropout(x, 0.5, train=False), x)
 
     def test_statistics(self, rng):
         x = rng.uniform(0.5, 1.5, size=10000)
-        out = core.dropout(x, 0.5, train=True, rng=rng)
+        out = dropout(x, 0.5, train=True, rng=rng)
         surviving = np.count_nonzero(out) / x.size
         assert abs(surviving - 0.5) < 0.02
         assert abs(out.mean() - x.mean()) < 0.05 * x.mean()
@@ -174,12 +176,12 @@ class TestDropout:
 
     def test_bad_probability(self, rng):
         with pytest.raises(ValueError):
-            core.dropout(np.ones(3), 1.0, train=True, rng=rng)
+            dropout(np.ones(3), 1.0, train=True, rng=rng)
 
     def test_seed_determinism(self):
         x = np.arange(1.0, 101.0)
-        a = core.dropout(x, 0.5, train=True, rng=np.random.default_rng(9))
-        b = core.dropout(x, 0.5, train=True, rng=np.random.default_rng(9))
+        a = dropout(x, 0.5, train=True, rng=np.random.default_rng(9))
+        b = dropout(x, 0.5, train=True, rng=np.random.default_rng(9))
         assert np.array_equal(a, b)
 
 
