@@ -11,13 +11,15 @@ both summarize the whole sequence.
 A model subclasses BiLstmMlp to fix its input width (copies of the word
 embedding per timestep), its output width and its ECPE1 kind code, and
 supplies a head: the loss on the logits and d(loss)/d(logits). This module
-owns the shape checks, initialization, the forward and backward passes,
-the training loop and the model file layout.
+owns the parameters, one flat float64 vector whose initialization, views,
+gradient and model file all follow one layout table (layout()), and the
+forward and backward passes and the training loop.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from typing import ClassVar
 
@@ -26,7 +28,7 @@ import numpy as np
 from .embeddings import EmbeddingTable
 from .errors import DataError, OovError
 from .nn import core
-from .nn.serialize import load_container, save_container, split_payload
+from .nn.serialize import load_container, save_container
 
 log = logging.getLogger(__name__)
 
@@ -34,11 +36,81 @@ DEFAULT_MID = 80
 DROPOUT_P = 0.5
 
 
-@dataclass
-class BiLstmMlp:
-    bilstm: core.BiLstm  # input_blocks * d -> 2H
+def layout(input_dim: int, hidden: int, mid: int, out: int) -> tuple:
+    """The network's tensors as (part, name, shape, init fan-in), in their
+    order in the flat parameter vector and the model file, for a Bi-LSTM
+    over input_dim-wide timesteps."""
+    four_h = 4 * hidden
+    return (
+        ("forward", "w_x", (four_h, input_dim), input_dim),
+        ("forward", "w_h", (four_h, hidden), hidden),
+        ("forward", "bias", (four_h,), hidden),
+        ("backward", "w_x", (four_h, input_dim), input_dim),
+        ("backward", "w_h", (four_h, hidden), hidden),
+        ("backward", "bias", (four_h,), hidden),
+        ("fc1", "weight", (mid, 2 * hidden), 2 * hidden),
+        ("fc1", "bias", (mid,), 2 * hidden),
+        ("fc2", "weight", (out, mid), mid),
+        ("fc2", "bias", (out,), mid),
+    )
+
+
+def _cut(flat: np.ndarray, dims):
+    """(part, name, view of flat, fan-in) for each row of layout(*dims)."""
+    start = 0
+    for part, name, shape, fan_in in layout(*dims):
+        end = start + math.prod(shape)
+        yield part, name, flat[start:end].reshape(shape), fan_in
+        start = end
+
+
+def n_values(dims) -> int:
+    return sum(math.prod(shape) for _, _, shape, _ in layout(*dims))
+
+
+def draw(dims, rng: core.Rng) -> np.ndarray:
+    """A new flat vector: each tensor in layout order drawn uniformly from
+    +-1/sqrt(fan-in)."""
+    flat = np.empty(n_values(dims))
+    for _, _, view, fan_in in _cut(flat, dims):
+        bound = 1.0 / np.sqrt(fan_in)
+        view[...] = rng.uniform(-bound, bound, size=view.shape)
+    return flat
+
+
+@dataclass(eq=False)
+class Weights:
+    """The network's tensors as views of one flat float64 vector. A model's
+    parameters and a training run's gradient both take this form."""
+
+    flat: np.ndarray
+    bilstm: core.BiLstm  # input_dim -> 2H
     fc1: core.LinearParams  # 2H -> mid
-    fc2: core.LinearParams  # mid -> out_width
+    fc2: core.LinearParams  # mid -> out
+
+    @classmethod
+    def over(cls, flat: np.ndarray, dims, **fields):
+        """A cls over flat, which holds the n_values(dims) values of
+        layout(*dims); fields gives any further fields."""
+        parts = {}
+        for part, name, view, _ in _cut(flat, dims):
+            parts.setdefault(part, {})[name] = view
+        return cls(flat=flat,
+                   bilstm=core.BiLstm(core.LstmParams(**parts["forward"]),
+                                      core.LstmParams(**parts["backward"])),
+                   fc1=core.LinearParams(**parts["fc1"]),
+                   fc2=core.LinearParams(**parts["fc2"]),
+                   **fields)
+
+    def zeros_like(self) -> "Weights":
+        """A zero vector cut the same way, e.g. the gradient of a training run."""
+        dims = (self.bilstm.input_dim, self.bilstm.hidden_dim,
+                self.fc1.out_dim, self.fc2.out_dim)
+        return Weights.over(np.zeros_like(self.flat), dims)
+
+
+@dataclass(eq=False)
+class BiLstmMlp(Weights):
     table: EmbeddingTable
 
     kind: ClassVar[int]  # ECPE1 descriptor kind code
@@ -46,28 +118,11 @@ class BiLstmMlp:
     input_blocks: ClassVar[int]  # copies of the embedding per timestep
     out_width: ClassVar[int]
 
-    def __post_init__(self):
-        if self.bilstm.input_dim != self.input_blocks * self.table.dim:
-            raise ValueError(f"Bi-LSTM input must be {self.input_blocks} * embedding dim")
-        if self.fc1.in_dim != 2 * self.bilstm.hidden_dim:
-            raise ValueError("fc1 input must be twice the Bi-LSTM hidden size")
-        if self.fc2.in_dim != self.fc1.out_dim:
-            raise ValueError("fc2 input must match fc1 output")
-        if self.fc2.out_dim != self.out_width:
-            raise ValueError(f"output width must be {self.out_width}")
-
     @classmethod
     def init(cls, table: EmbeddingTable, rng: core.Rng, hidden: int,
              mid: int = DEFAULT_MID):
-        return cls(
-            bilstm=core.BiLstm.init(cls.input_blocks * table.dim, hidden, rng),
-            fc1=core.LinearParams.init(2 * hidden, mid, rng),
-            fc2=core.LinearParams.init(mid, cls.out_width, rng),
-            table=table,
-        )
-
-    def parameters(self) -> list[np.ndarray]:
-        return self.bilstm.tensors() + self.fc1.tensors() + self.fc2.tensors()
+        dims = (cls.input_blocks * table.dim, hidden, mid, cls.out_width)
+        return cls.over(draw(dims, rng), dims, table=table)
 
 
 class ForwardCache:
@@ -95,17 +150,18 @@ def forward(m: BiLstmMlp, xs: np.ndarray, train: bool,
     return cache
 
 
-def backward(m: BiLstmMlp, cache: ForwardCache, d_logits: np.ndarray) -> list[np.ndarray]:
-    """Gradients in parameters() order, given d(loss)/d(logits)."""
-    d_w2 = np.outer(d_logits, cache.a1)
-    da1 = m.fc2.weight.T @ d_logits
-    dz1 = da1 * core.elu_grad(cache.z1)
-    d_w1 = np.outer(dz1, cache.h_drop)
+def backward(m: BiLstmMlp, cache: ForwardCache, d_logits: np.ndarray,
+             grad: Weights) -> None:
+    """Writes d(loss)/d(parameters) into grad, given d(loss)/d(logits)."""
+    np.outer(d_logits, cache.a1, out=grad.fc2.weight)
+    grad.fc2.bias[...] = d_logits
+    dz1 = np.multiply(m.fc2.weight.T @ d_logits, core.elu_grad(cache.z1),
+                      out=grad.fc1.bias)
+    np.outer(dz1, cache.h_drop, out=grad.fc1.weight)
     dh = m.fc1.weight.T @ dz1
     if cache.mask is not None:
-        dh = dh * cache.mask
-    lstm_grads = core.bilstm_backward_last(m.bilstm, cache.bilstm, dh)
-    return lstm_grads + [d_w1, dz1, d_w2, d_logits]
+        dh *= cache.mask
+    core.bilstm_backward_last(m.bilstm, cache.bilstm, dh, grad.bilstm)
 
 
 def train(cls, table: EmbeddingTable, examples, to_row, step, rng: core.Rng,
@@ -115,7 +171,8 @@ def train(cls, table: EmbeddingTable, examples, to_row, step, rng: core.Rng,
 
     to_row(example) gives (inputs, target), or raises OovError to skip the
     example (skips get one warning up front). step is the model's
-    loss_and_grads. Returns (model, per-epoch mean-loss trace); a
+    loss_and_grads, which writes into the one gradient vector of the run.
+    Returns (model, per-epoch mean-loss trace); a
     non-finite epoch loss stops training with a ValueError naming the epoch.
     """
     if not examples:
@@ -134,17 +191,15 @@ def train(cls, table: EmbeddingTable, examples, to_row, step, rng: core.Rng,
     if cfg is None:
         cfg = core.SgdConfig()
     model = cls.init(table, rng, hidden=hidden, mid=mid)
-    params = model.parameters()
+    grad = model.zeros_like()
     trace = []
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(rows))
         total = 0.0
         for idx in order:
             xs, target = rows[idx]
-            loss, grads = step(model, xs, target, train=True, rng=rng)
-            core.sgd_step(cfg, params, grads)
-            del grads  # let the next step's gradients reuse this memory
-            total += loss
+            total += step(model, xs, target, True, rng, grad)
+            core.sgd_step(cfg, model.flat, grad.flat)
         mean = total / len(rows)
         if not np.isfinite(mean):
             raise ValueError(f"epoch {epoch}: mean training loss is {mean}")
@@ -158,10 +213,11 @@ def save(m: BiLstmMlp, path) -> None:
     save_container(path,
                    [m.kind, m.table.dim, m.bilstm.hidden_dim,
                     m.fc1.out_dim, m.fc2.out_dim],
-                   m.parameters())
+                   m.flat)
 
 
 def load(cls, path, table: EmbeddingTable):
+    """The model's tensors are views of the file's payload, read in one array."""
     descriptor, payload = load_container(path)
     if len(descriptor) != 5 or descriptor[0] != cls.kind:
         raise DataError(f"{path}: not {cls.what} file")
@@ -170,12 +226,10 @@ def load(cls, path, table: EmbeddingTable):
         raise DataError(f"{path}: expected {cls.out_width} output(s), file has {out}")
     if dim != table.dim:
         raise DataError(f"{path}: model expects dim {dim}, table has {table.dim}")
-    lstm = [(4 * hidden, cls.input_blocks * dim), (4 * hidden, hidden), (4 * hidden,)]
-    t = split_payload(payload, lstm + lstm + [(mid, 2 * hidden), (mid,), (out, mid), (out,)],
-                      path)
-    return cls(
-        bilstm=core.BiLstm(core.LstmParams(*t[0:3]), core.LstmParams(*t[3:6])),
-        fc1=core.LinearParams(*t[6:8]),
-        fc2=core.LinearParams(*t[8:10]),
-        table=table,
-    )
+    dims = (cls.input_blocks * dim, hidden, mid, out)
+    expected = n_values(dims)
+    if payload.size != expected:
+        raise DataError(f"{path}: payload holds {payload.size} values, expected {expected}")
+    if not np.all(np.isfinite(payload)):
+        raise DataError(f"{path}: parameters contain non-finite values")
+    return cls.over(payload, dims, table=table)

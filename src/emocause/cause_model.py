@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bilstm_mlp
-from .bilstm_mlp import DEFAULT_MID, DROPOUT_P  # noqa: F401 (re-exported)
 from .embeddings import EMOTIONS, EmbeddingTable
 from .errors import OovError
 from .nn import core
@@ -85,13 +84,14 @@ def score_clause(m: CauseScorer, tokens, probs, train: bool = False,
 
 
 def loss_and_grads(m: CauseScorer, xs: np.ndarray, label: int,
-                   train: bool, rng: core.Rng | None):
-    """BCE loss and its gradients in parameters() order. d(loss)/d(logit)
-    of sigmoid + BCE collapses to (p - y)."""
+                   train: bool, rng: core.Rng | None, grad: bilstm_mlp.Weights) -> float:
+    """BCE loss; its gradient is written into grad. d(loss)/d(logit) of
+    sigmoid + BCE collapses to (p - y)."""
     cache = bilstm_mlp.forward(m, xs, train, rng)
     prob = core.sigmoid(float(cache.logits[0]))
     loss = core.bce_loss(prob, label)
-    return loss, bilstm_mlp.backward(m, cache, np.array([prob - label]))
+    bilstm_mlp.backward(m, cache, np.array([prob - label]), grad)
+    return loss
 
 
 def select_cause_clause(m: CauseScorer, clauses, probs) -> tuple[int, list]:
@@ -113,7 +113,7 @@ def select_cause_clause(m: CauseScorer, clauses, probs) -> tuple[int, list]:
 
 def train_cause(examples, table: EmbeddingTable, rng: core.Rng,
                 epochs: int = DEFAULT_EPOCHS, cfg: core.SgdConfig | None = None,
-                hidden: int = DEFAULT_HIDDEN, mid: int = DEFAULT_MID,
+                hidden: int = DEFAULT_HIDDEN, mid: int = bilstm_mlp.DEFAULT_MID,
                 log_epochs: bool = False):
     """Returns (model, per-epoch mean-loss trace); see bilstm_mlp.train.
     A single-label dataset trains anyway, with a warning."""

@@ -1,7 +1,8 @@
 """Gradient verification at toy scale, shared by the CLI and the test suite.
 
-Every check builds a small random instance, computes analytic gradients,
-and compares them against central finite differences. Dropout is exercised
+Every check builds a small random instance, writes its analytic gradient
+into a flat vector cut like the flat parameter vector, and compares the
+two against central finite differences. Dropout is exercised
 with a mask held fixed across the finite-difference evaluations. The
 finite-difference losses run forward passes only: the architecture checks
 compose the head's loss from the logits rather than calling the models'
@@ -22,27 +23,35 @@ TOY_HIDDEN = 4
 TOY_MID = 5
 
 
+def _toy_weights(rng: np.random.Generator, dims):
+    """Random network weights and a zero gradient. A layer check uses one
+    part; the rest has analytic and numerical gradients of exactly zero."""
+    w = bilstm_mlp.Weights.over(bilstm_mlp.draw(dims, rng), dims)
+    return w, w.zeros_like()
+
+
 def check_linear(seed: int, eps: float = DEFAULT_EPS) -> float:
     rng = np.random.default_rng(seed)
-    p = core.LinearParams.init(4, 3, rng)
+    w, g = _toy_weights(rng, (1, 1, 4, 3))  # fc2 is the 4 -> 3 layer
     x = rng.normal(size=4)
     r = rng.normal(size=3)
 
     def loss():
-        return float(r @ core.linear(p, x))
+        return float(r @ core.linear(w.fc2, x))
 
-    grads = [np.outer(r, x), r.copy()]
-    return gradient_check(loss, p.tensors(), grads, eps=eps)
+    np.outer(r, x, out=g.fc2.weight)
+    g.fc2.bias[...] = r
+    return gradient_check(loss, w.flat, g.flat, eps=eps)
 
 
 def check_linear_elu_logsoftmax_nll(seed: int, eps: float = DEFAULT_EPS) -> float:
     rng = np.random.default_rng(seed)
-    p = core.LinearParams.init(4, 4, rng)
+    w, g = _toy_weights(rng, (1, 1, 4, 4))
     x = rng.normal(size=4)
     target = int(rng.integers(4))
 
     def forward():
-        z = core.linear(p, x)
+        z = core.linear(w.fc2, x)
         a = core.elu(z)
         return z, a, core.log_softmax(a)
 
@@ -52,38 +61,38 @@ def check_linear_elu_logsoftmax_nll(seed: int, eps: float = DEFAULT_EPS) -> floa
     z, a, log_probs = forward()
     da = np.exp(log_probs)
     da[target] -= 1.0
-    dz = da * core.elu_grad(z)
-    grads = [np.outer(dz, x), dz]
-    return gradient_check(loss, p.tensors(), grads, eps=eps)
+    dz = np.multiply(da, core.elu_grad(z), out=g.fc2.bias)
+    np.outer(dz, x, out=g.fc2.weight)
+    return gradient_check(loss, w.flat, g.flat, eps=eps)
 
 
 def check_linear_sigmoid_bce(seed: int, eps: float = DEFAULT_EPS) -> float:
     rng = np.random.default_rng(seed)
-    p = core.LinearParams.init(4, 1, rng)
+    w, g = _toy_weights(rng, (1, 1, 4, 1))
     x = rng.normal(size=4)
     y = int(rng.integers(2))
 
     def loss():
-        return core.bce_loss(core.sigmoid(float(core.linear(p, x)[0])), y)
+        return core.bce_loss(core.sigmoid(float(core.linear(w.fc2, x)[0])), y)
 
-    prob = core.sigmoid(float(core.linear(p, x)[0]))
-    dz = np.array([prob - y])
-    grads = [np.outer(dz, x), dz]
-    return gradient_check(loss, p.tensors(), grads, eps=eps)
+    g.fc2.bias[0] = core.sigmoid(float(core.linear(w.fc2, x)[0])) - y
+    np.outer(g.fc2.bias, x, out=g.fc2.weight)
+    return gradient_check(loss, w.flat, g.flat, eps=eps)
 
 
 def check_dropout(seed: int, eps: float = DEFAULT_EPS) -> float:
     rng = np.random.default_rng(seed)
-    p = core.LinearParams.init(5, 6, rng)
+    w, g = _toy_weights(rng, (1, 1, 5, 6))
     x = rng.normal(size=5)
     r = rng.normal(size=6)
     mask = core.dropout_mask(0.5, 6, rng)
 
     def loss():
-        return float(r @ (core.linear(p, x) * mask))
+        return float(r @ (core.linear(w.fc2, x) * mask))
 
-    grads = [np.outer(r * mask, x), r * mask]
-    return gradient_check(loss, p.tensors(), grads, eps=eps)
+    np.multiply(r, mask, out=g.fc2.bias)
+    np.outer(g.fc2.bias, x, out=g.fc2.weight)
+    return gradient_check(loss, w.flat, g.flat, eps=eps)
 
 
 def check_lstm(seed: int, eps: float = DEFAULT_EPS, hidden: int = 3,
@@ -91,7 +100,8 @@ def check_lstm(seed: int, eps: float = DEFAULT_EPS, hidden: int = 3,
     """Single-direction LSTM with loss touching every timestep's output,
     so the full backpropagation through time is exercised."""
     rng = np.random.default_rng(seed)
-    p = core.LstmParams.init(TOY_DIM, hidden, rng)
+    w, g = _toy_weights(rng, (TOY_DIM, hidden, 1, 1))
+    p, gp = w.bilstm.forward, g.bilstm.forward
     xs = rng.normal(size=(steps, TOY_DIM))
     r = rng.normal(size=(steps, hidden))
 
@@ -100,21 +110,21 @@ def check_lstm(seed: int, eps: float = DEFAULT_EPS, hidden: int = 3,
         return float(np.sum(r * hs[1:]))
 
     fwd = kernels.lstm_forward_seq(p.w_x, p.w_h, p.bias, xs)
-    grads = list(kernels.lstm_backward_seq(p.w_x, p.w_h, xs, *fwd, r))
-    return gradient_check(loss, p.tensors(), grads, eps=eps)
+    kernels.lstm_backward_seq(p.w_x, p.w_h, xs, *fwd, r, gp.w_x, gp.w_h, gp.bias)
+    return gradient_check(loss, w.flat, g.flat, eps=eps)
 
 
 def check_bilstm_last(seed: int, eps: float = DEFAULT_EPS) -> float:
     rng = np.random.default_rng(seed)
-    m = core.BiLstm.init(TOY_DIM, TOY_HIDDEN, rng)
+    w, g = _toy_weights(rng, (TOY_DIM, TOY_HIDDEN, 1, 1))
     xs = rng.normal(size=(5, TOY_DIM))
     r = rng.normal(size=2 * TOY_HIDDEN)
 
     def loss():
-        return float(r @ core.bilstm_last_output(core.bilstm_run(m, xs)))
+        return float(r @ core.bilstm_last_output(core.bilstm_run(w.bilstm, xs)))
 
-    grads = core.bilstm_backward_last(m, core.bilstm_run(m, xs), r)
-    return gradient_check(loss, m.tensors(), grads, eps=eps)
+    core.bilstm_backward_last(w.bilstm, core.bilstm_run(w.bilstm, xs), r, g.bilstm)
+    return gradient_check(loss, w.flat, g.flat, eps=eps)
 
 
 def _toy_table(rng: np.random.Generator, dim: int = TOY_DIM) -> EmbeddingTable:
@@ -140,8 +150,9 @@ def check_emotion_architecture(seed: int, eps: float = DEFAULT_EPS,
         return core.nll_loss(core.log_softmax(logits), target)
 
     mask_rng = np.random.default_rng(mask_seed) if train else None
-    _, grads = emotion_model.loss_and_grads(model, xs, target, train, mask_rng)
-    return gradient_check(loss, model.parameters(), grads, eps=eps)
+    grad = model.zeros_like()
+    emotion_model.loss_and_grads(model, xs, target, train, mask_rng, grad)
+    return gradient_check(loss, model.flat, grad.flat, eps=eps)
 
 
 def check_cause_architecture(seed: int, eps: float = DEFAULT_EPS,
@@ -164,8 +175,9 @@ def check_cause_architecture(seed: int, eps: float = DEFAULT_EPS,
         return core.bce_loss(core.sigmoid(float(logit)), label)
 
     mask_rng = np.random.default_rng(mask_seed) if train else None
-    _, grads = cause_model.loss_and_grads(model, xs, label, train, mask_rng)
-    return gradient_check(loss, model.parameters(), grads, eps=eps)
+    grad = model.zeros_like()
+    cause_model.loss_and_grads(model, xs, label, train, mask_rng, grad)
+    return gradient_check(loss, model.flat, grad.flat, eps=eps)
 
 
 LAYER_CHECKS = (

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -19,7 +20,7 @@ import numpy as np
 from . import cause_model, emotion_model, pipeline, synthetic
 from .clauses import extract_clauses, parse_conllu
 from .corpus import load_corpus, save_corpus
-from .embeddings import (build_emotion_aware_table, load_emotion_lexicon,
+from .embeddings import (EMOTIONS, build_emotion_aware_table, load_emotion_lexicon,
                          load_word_embeddings, save_word_embeddings)
 from .errors import DataError
 from .nn import core
@@ -47,11 +48,24 @@ def _resolve_seed(value: int | None) -> int:
     return 0
 
 
-def positive_int(text: str) -> int:
-    value = int(text)  # argparse reports a ValueError as an invalid value
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _checked(parse, ok, requirement: str):
+    """An argparse type: parse the text, then reject values ok() refuses.
+    argparse reports a ValueError from parse as an invalid value."""
+    def check(text: str):
+        value = parse(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+        return value
+    check.__name__ = parse.__name__  # argparse names the type in its message
+    return check
+
+
+positive_int = _checked(int, lambda v: v > 0, "a positive integer")
+embedding_dim = _checked(int, lambda v: v >= len(EMOTIONS),
+                         f"at least {len(EMOTIONS)}, one axis per emotion")
+positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                          "a finite number > 0")
+momentum = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")  # false for nan
 
 
 def _add_seed(parser, help_text="rng seed (default: ECPE_SEED env var, else 0)"):
@@ -228,8 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--embeddings", required=True, help="emotion-aware table")
         p.add_argument("--output", required=True, help="model file to write")
         p.add_argument("--epochs", type=positive_int, default=model.DEFAULT_EPOCHS)
-        p.add_argument("--lr", type=float, default=0.003)
-        p.add_argument("--momentum", type=float, default=0.9)
+        p.add_argument("--lr", type=positive_float, default=0.003)
+        p.add_argument("--momentum", type=momentum, default=0.9)
         p.add_argument("--hidden", type=positive_int, default=model.DEFAULT_HIDDEN)
         _add_seed(p)
         p.set_defaults(func=func)
@@ -253,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cause-model", required=True)
     p.add_argument("--output", help="JSON report path (default: stdout)")
     p.add_argument("--text-output", help="also write a text rendering here")
-    p.add_argument("--threshold", type=float, default=pipeline.DEFAULT_THRESHOLD,
+    p.add_argument("--threshold", type=positive_float, default=pipeline.DEFAULT_THRESHOLD,
                    help="complete-linkage merge threshold")
     p.add_argument("--dump-2d", help="write 2-D projections of member "
                                      "vectors to this path")
@@ -262,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-synthetic", help="generate a synthetic corpus")
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--products", type=int, default=50)
-    p.add_argument("--reviews", type=int, default=1000)
-    p.add_argument("--dim", type=int, default=16, help="embedding dimension")
+    p.add_argument("--products", type=positive_int, default=50)
+    p.add_argument("--reviews", type=positive_int, default=1000)
+    p.add_argument("--dim", type=embedding_dim, default=16, help="embedding dimension")
     _add_seed(p)
     p.set_defaults(func=cmd_gen_synthetic)
 

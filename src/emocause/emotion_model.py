@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bilstm_mlp
-from .bilstm_mlp import DEFAULT_MID, DROPOUT_P  # noqa: F401 (re-exported)
 from .embeddings import EMOTIONS, EmbeddingTable
 from .errors import OovError
 from .nn import core
@@ -67,20 +66,21 @@ def emotion_probs(log_probs: np.ndarray) -> np.ndarray:
 
 
 def loss_and_grads(m: EmotionClassifier, xs: np.ndarray, target: int,
-                   train: bool, rng: core.Rng | None):
-    """NLL loss and its gradients in parameters() order. d(loss)/d(logits)
-    of log-softmax + NLL is softmax minus the one-hot target."""
+                   train: bool, rng: core.Rng | None, grad: bilstm_mlp.Weights) -> float:
+    """NLL loss; its gradient is written into grad. d(loss)/d(logits) of
+    log-softmax + NLL is softmax minus the one-hot target."""
     cache = bilstm_mlp.forward(m, xs, train, rng)
     log_probs = core.log_softmax(cache.logits)
     loss = core.nll_loss(log_probs, target)
     d_logits = np.exp(log_probs)
     d_logits[target] -= 1.0
-    return loss, bilstm_mlp.backward(m, cache, d_logits)
+    bilstm_mlp.backward(m, cache, d_logits, grad)
+    return loss
 
 
 def train_emotion(examples, table: EmbeddingTable, rng: core.Rng,
                   epochs: int = DEFAULT_EPOCHS, cfg: core.SgdConfig | None = None,
-                  hidden: int = DEFAULT_HIDDEN, mid: int = DEFAULT_MID,
+                  hidden: int = DEFAULT_HIDDEN, mid: int = bilstm_mlp.DEFAULT_MID,
                   log_epochs: bool = False):
     """Returns (model, per-epoch mean-loss trace); see bilstm_mlp.train.
     Examples whose tokens are all out of vocabulary are skipped."""
@@ -88,11 +88,6 @@ def train_emotion(examples, table: EmbeddingTable, rng: core.Rng,
         EmotionClassifier, table, examples,
         lambda ex: (embed_review(ex.tokens, table), EMOTIONS.index(ex.label)),
         loss_and_grads, rng, epochs, cfg, hidden, mid, log_epochs)
-
-
-def predict_label(m: EmotionClassifier, tokens) -> str:
-    log_probs = forward_emotion(m, tokens, train=False)
-    return m.labels[int(np.argmax(log_probs))]
 
 
 def save_emotion_model(m: EmotionClassifier, path) -> None:

@@ -1,5 +1,6 @@
-"""Minimal neural toolkit: LSTM/Bi-LSTM parameters, linear layers,
-activations, losses and SGD with momentum. Analytic gradients for the fixed
+"""Minimal neural toolkit: LSTM/Bi-LSTM and linear-layer weights (views of
+a model's flat parameter vector, see bilstm_mlp.layout), activations,
+losses and SGD with momentum. Analytic gradients for the fixed
 architectures live with the models; the sequence kernels are in kernels.py.
 
 Everything is float64. Random state is a numpy Generator created with
@@ -17,16 +18,6 @@ from . import kernels
 Rng = np.random.Generator
 
 
-def _uniform_init(rng: Rng, shape, fan_in: int) -> np.ndarray:
-    bound = 1.0 / np.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
-
-
-def _check_finite(name: str, a: np.ndarray) -> None:
-    if not np.all(np.isfinite(a)):
-        raise ValueError(f"{name} contains non-finite values")
-
-
 @dataclass
 class LstmParams:
     """One direction's LSTM weights, gates stacked row-wise as i|f|g|o."""
@@ -34,20 +25,6 @@ class LstmParams:
     w_x: np.ndarray  # (4H, D)
     w_h: np.ndarray  # (4H, H)
     bias: np.ndarray  # (4H,)
-
-    def __post_init__(self):
-        self.w_x = np.ascontiguousarray(self.w_x, dtype=np.float64)
-        self.w_h = np.ascontiguousarray(self.w_h, dtype=np.float64)
-        self.bias = np.ascontiguousarray(self.bias, dtype=np.float64)
-        four_h, hidden = self.w_h.shape
-        if four_h != 4 * hidden:
-            raise ValueError(f"w_h must be (4H, H), got {self.w_h.shape}")
-        if self.w_x.shape[0] != four_h:
-            raise ValueError("w_x and w_h disagree on hidden size")
-        if self.bias.shape != (four_h,):
-            raise ValueError(f"bias must be (4H,), got {self.bias.shape}")
-        for name in ("w_x", "w_h", "bias"):
-            _check_finite(name, getattr(self, name))
 
     @property
     def hidden_dim(self) -> int:
@@ -57,28 +34,11 @@ class LstmParams:
     def input_dim(self) -> int:
         return self.w_x.shape[1]
 
-    @classmethod
-    def init(cls, input_dim: int, hidden_dim: int, rng: Rng) -> "LstmParams":
-        return cls(
-            w_x=_uniform_init(rng, (4 * hidden_dim, input_dim), input_dim),
-            w_h=_uniform_init(rng, (4 * hidden_dim, hidden_dim), hidden_dim),
-            bias=_uniform_init(rng, 4 * hidden_dim, hidden_dim),
-        )
-
-    def tensors(self) -> list[np.ndarray]:
-        return [self.w_x, self.w_h, self.bias]
-
 
 @dataclass
 class BiLstm:
     forward: LstmParams
     backward: LstmParams
-
-    def __post_init__(self):
-        if self.forward.input_dim != self.backward.input_dim:
-            raise ValueError("directions disagree on input dim")
-        if self.forward.hidden_dim != self.backward.hidden_dim:
-            raise ValueError("directions disagree on hidden dim")
 
     @property
     def input_dim(self) -> int:
@@ -87,14 +47,6 @@ class BiLstm:
     @property
     def hidden_dim(self) -> int:
         return self.forward.hidden_dim
-
-    @classmethod
-    def init(cls, input_dim: int, hidden_dim: int, rng: Rng) -> "BiLstm":
-        return cls(LstmParams.init(input_dim, hidden_dim, rng),
-                   LstmParams.init(input_dim, hidden_dim, rng))
-
-    def tensors(self) -> list[np.ndarray]:
-        return self.forward.tensors() + self.backward.tensors()
 
 
 class BiLstmCache:
@@ -127,32 +79,23 @@ def bilstm_last_output(cache: BiLstmCache) -> np.ndarray:
     return np.concatenate([cache.fwd[0][-1], cache.bwd[0][-1]])
 
 
-def bilstm_backward_last(m: BiLstm, cache: BiLstmCache, d_last: np.ndarray):
-    """BPTT when the loss touches only bilstm_last_output. Returns gradients
-    in tensors() order."""
+def bilstm_backward_last(m: BiLstm, cache: BiLstmCache, d_last: np.ndarray,
+                         grad: BiLstm) -> None:
+    """BPTT when the loss touches only bilstm_last_output. Writes the
+    gradients into grad's arrays."""
     T = cache.xs.shape[0]
     h = m.hidden_dim
-    d_f = np.zeros((T, h))
-    d_f[T - 1] = d_last[:h]
-    d_b = np.zeros((T, h))
-    d_b[T - 1] = d_last[h:]
-    g_f = kernels.lstm_backward_seq(m.forward.w_x, m.forward.w_h, cache.xs, *cache.fwd, d_f)
-    g_b = kernels.lstm_backward_seq(m.backward.w_x, m.backward.w_h, cache.xs_rev, *cache.bwd, d_b)
-    return list(g_f) + list(g_b)
+    for p, g, xs, run, d in ((m.forward, grad.forward, cache.xs, cache.fwd, d_last[:h]),
+                             (m.backward, grad.backward, cache.xs_rev, cache.bwd, d_last[h:])):
+        d_h_out = np.zeros((T, h))
+        d_h_out[T - 1] = d
+        kernels.lstm_backward_seq(p.w_x, p.w_h, xs, *run, d_h_out, g.w_x, g.w_h, g.bias)
 
 
 @dataclass
 class LinearParams:
     weight: np.ndarray  # (out, in)
     bias: np.ndarray  # (out,)
-
-    def __post_init__(self):
-        self.weight = np.ascontiguousarray(self.weight, dtype=np.float64)
-        self.bias = np.ascontiguousarray(self.bias, dtype=np.float64)
-        if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
-            raise ValueError("linear: weight must be (out, in) with bias (out,)")
-        _check_finite("weight", self.weight)
-        _check_finite("bias", self.bias)
 
     @property
     def out_dim(self) -> int:
@@ -161,14 +104,6 @@ class LinearParams:
     @property
     def in_dim(self) -> int:
         return self.weight.shape[1]
-
-    @classmethod
-    def init(cls, in_dim: int, out_dim: int, rng: Rng) -> "LinearParams":
-        return cls(weight=_uniform_init(rng, (out_dim, in_dim), in_dim),
-                   bias=_uniform_init(rng, out_dim, in_dim))
-
-    def tensors(self) -> list[np.ndarray]:
-        return [self.weight, self.bias]
 
 
 def linear(p: LinearParams, x: np.ndarray) -> np.ndarray:
@@ -226,11 +161,12 @@ def bce_loss(p: float, y: int) -> float:
 @dataclass
 class SgdConfig:
     """SGD with classical momentum: v <- mu*v + g, theta <- theta - lr*v.
-    Velocity buffers are allocated on first use, one per parameter tensor."""
+    The velocity vector is allocated on first use, shaped like the flat
+    parameter vector."""
 
     learning_rate: float = 0.003
     momentum: float = 0.9
-    velocities: list[np.ndarray] | None = field(default=None, repr=False)
+    velocity: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -239,17 +175,14 @@ class SgdConfig:
             raise ValueError("momentum must be in [0, 1)")
 
 
-def sgd_step(cfg: SgdConfig, params: list[np.ndarray], grads: list[np.ndarray]) -> list[np.ndarray]:
-    """Update params in place; returns them for convenience. The grads are
-    spent: each one is overwritten with its step."""
-    if len(params) != len(grads):
-        raise ValueError("params and grads differ in length")
-    if cfg.velocities is None:
-        cfg.velocities = [np.zeros_like(p) for p in params]
-    if len(cfg.velocities) != len(params):
-        raise ValueError("velocity buffers do not match params")
-    for theta, g, v in zip(params, grads, cfg.velocities):
-        v *= cfg.momentum
-        v += g
-        theta -= np.multiply(v, cfg.learning_rate, out=g)
-    return params
+def sgd_step(cfg: SgdConfig, theta: np.ndarray, grad: np.ndarray) -> None:
+    """Update the flat parameter vector theta in place. grad is spent: it
+    is overwritten with the step."""
+    if cfg.velocity is None:
+        cfg.velocity = np.zeros_like(theta)
+    if cfg.velocity.shape != theta.shape or grad.shape != theta.shape:
+        raise ValueError("parameter, gradient and velocity vectors differ in shape")
+    v = cfg.velocity
+    v *= cfg.momentum
+    v += grad
+    theta -= np.multiply(v, cfg.learning_rate, out=grad)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -35,19 +35,12 @@ def max_relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.max(np.abs(analytic - numeric) / denom))
 
 
-def gradient_check(loss_fn: Callable[[], float], params: Sequence[np.ndarray],
-                   analytic_grads: Sequence[np.ndarray],
-                   eps: float = DEFAULT_EPS) -> float:
-    """Max over all parameters of the elementwise relative error between the
-    supplied analytic gradients and central finite differences.
+def gradient_check(loss_fn: Callable[[], float], theta: np.ndarray,
+                   analytic: np.ndarray, eps: float = DEFAULT_EPS) -> float:
+    """Max elementwise relative error between the analytic gradient and
+    central finite differences over the flat parameter vector theta.
 
     loss_fn must recompute the loss from the current (mutated) values of
-    params, with any internal randomness fixed.
+    theta, with any internal randomness fixed.
     """
-    if len(params) != len(analytic_grads):
-        raise ValueError("params and analytic_grads differ in length")
-    worst = 0.0
-    for param, analytic in zip(params, analytic_grads):
-        numeric = numerical_gradient(loss_fn, param, eps=eps)
-        worst = max(worst, max_relative_error(analytic, numeric))
-    return worst
+    return max_relative_error(analytic, numerical_gradient(loss_fn, theta, eps=eps))

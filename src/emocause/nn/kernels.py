@@ -8,7 +8,8 @@ depend on the recurrence runs once per sequence as one matrix product
   the recurrent product w_h @ h runs per timestep;
 - backward: the gate gradients of all steps are kept as one (T, 4H)
   array dZ, and d_wx = dZ.T @ xs, d_wh = dZ.T @ hs[:-1], d_bias =
-  dZ.sum(0); only the recurrent product dZ[t] @ w_h runs per timestep.
+  dZ.sum(0), each written into the caller's array; only the recurrent
+  product dZ[t] @ w_h runs per timestep.
 
 No array the size of a weight matrix is created inside a time loop.
 
@@ -48,12 +49,13 @@ def lstm_forward_seq(w_x, w_h, bias, xs):
     return hs, cs, gates, tanh_c
 
 
-def lstm_backward_seq(w_x, w_h, xs, hs, cs, gates, tanh_c, d_h_out):
+def lstm_backward_seq(w_x, w_h, xs, hs, cs, gates, tanh_c, d_h_out, d_wx, d_wh, d_bias):
     """Backpropagate through time given d_h_out (T, H), the gradient of the
     loss w.r.t. each timestep's hidden output.
 
-    Returns (d_wx, d_wh, d_bias). Input gradients are not computed; the
-    models feed frozen embeddings.
+    Writes the weight gradients into d_wx (4H, D), d_wh (4H, H) and d_bias
+    (4H,). Input gradients are not computed; the models feed frozen
+    embeddings.
     """
     T = xs.shape[0]
     H = w_h.shape[1]
@@ -74,4 +76,6 @@ def lstm_backward_seq(w_x, w_h, xs, hs, cs, gates, tanh_c, d_h_out):
         dc = dct * f[t]
         dh = dz[t].reshape(4 * H) @ w_h
     dz = dz.reshape(T, 4 * H)
-    return dz.T @ xs, dz.T @ hs[:-1], dz.sum(0)
+    np.matmul(dz.T, xs, out=d_wx)
+    np.matmul(dz.T, hs[:-1], out=d_wh)
+    dz.sum(0, out=d_bias)

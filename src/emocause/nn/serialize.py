@@ -5,10 +5,11 @@ Layout (all integers little-endian u32, all floats little-endian f64):
     bytes 0..4   magic "ECPE1" (ASCII)
     u32          number of descriptor values that follow
     u32 * n      architecture descriptor (model kind + dims)
-    f64 * ...    parameter tensors, raw row-major, in declaration order
+    f64 * ...    the flat parameter vector
 
-The descriptor alone determines every tensor shape, so the payload carries
-no per-tensor headers. Kind codes: 1 = emotion classifier, 2 = cause scorer.
+The descriptor alone determines every tensor shape, through the model's
+layout table (bilstm_mlp.layout), so the payload carries no per-tensor
+headers. Kind codes: 1 = emotion classifier, 2 = cause scorer.
 
 A file is written to a temporary file in the target's directory and then
 renamed over the target, so a failed write leaves any earlier file intact.
@@ -29,7 +30,7 @@ KIND_EMOTION = 1
 KIND_CAUSE = 2
 
 
-def save_container(path, descriptor: list[int], tensors: list[np.ndarray]) -> None:
+def save_container(path, descriptor: list[int], payload: np.ndarray) -> None:
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
@@ -37,8 +38,7 @@ def save_container(path, descriptor: list[int], tensors: list[np.ndarray]) -> No
             fh.write(struct.pack("<I", len(descriptor)))
             for value in descriptor:
                 fh.write(struct.pack("<I", value))
-            for tensor in tensors:
-                fh.write(np.ascontiguousarray(tensor, dtype="<f8").tobytes())
+            np.asarray(payload, dtype="<f8").tofile(fh)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -65,16 +65,3 @@ def load_container(path) -> tuple[tuple[int, ...], np.ndarray]:
             raise DataError(f"{path}: payload is not a whole number of f64 values")
         payload = np.fromfile(fh, dtype="<f8")
     return descriptor, payload
-
-
-def split_payload(payload: np.ndarray, shapes: list[tuple[int, ...]], path) -> list[np.ndarray]:
-    """Views of the payload, one per shape."""
-    sizes = [int(np.prod(s)) for s in shapes]
-    if payload.size != sum(sizes):
-        raise DataError(f"{path}: payload holds {payload.size} values, expected {sum(sizes)}")
-    out = []
-    start = 0
-    for shape, size in zip(shapes, sizes):
-        out.append(payload[start:start + size].reshape(shape))
-        start += size
-    return out

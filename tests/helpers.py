@@ -3,7 +3,7 @@ acceptance suite."""
 
 import numpy as np
 
-from emocause import cause_model, emotion_model
+from emocause import bilstm_mlp, cause_model, emotion_model
 from emocause.clustering import cosine_distance
 from emocause.embeddings import EMOTIONS, EmbeddingTable, build_similarity_matrix
 from emocause.nn import core
@@ -83,6 +83,12 @@ def lstm_cell(p, x, h, c):
     return h_new, c_new
 
 
+def random_bilstm(rng, input_dim, hidden):
+    """A randomly initialised Bi-LSTM, cut from a network's flat vector."""
+    dims = (input_dim, hidden, 1, 1)
+    return bilstm_mlp.Weights.over(bilstm_mlp.draw(dims, rng), dims).bilstm
+
+
 def bilstm_outputs(cache):
     """Per-timestep outputs (T, 2H): concat of both directions' states at
     each original position."""
@@ -155,9 +161,13 @@ def separable_cause_setup(dim=10):
     return table, examples
 
 
+def predict_label(m, tokens):
+    log_probs = emotion_model.forward_emotion(m, tokens, train=False)
+    return m.labels[int(np.argmax(log_probs))]
+
+
 def emotion_accuracy(model, examples):
-    return sum(emotion_model.predict_label(model, ex.tokens) == ex.label
-               for ex in examples)
+    return sum(predict_label(model, ex.tokens) == ex.label for ex in examples)
 
 
 def cause_accuracy(model, examples):

@@ -1,0 +1,131 @@
+import numpy as np
+import pytest
+
+from emocause import bilstm_mlp, cause_model, emotion_model
+from emocause.nn import core, serialize
+
+from conftest import random_table
+
+KINDS = {
+    "emotion": (emotion_model.EmotionClassifier, emotion_model.save_emotion_model,
+                emotion_model.load_emotion_model),
+    "cause": (cause_model.CauseScorer, cause_model.save_cause_model,
+              cause_model.load_cause_model),
+}
+
+
+def fields(m):
+    """Every array the kernels read, as (name, array)."""
+    return [(f"bilstm.{d}.{n}", getattr(getattr(m.bilstm, d), n))
+            for d in ("forward", "backward") for n in ("w_x", "w_h", "bias")] + \
+           [(f"{layer}.{n}", getattr(getattr(m, layer), n))
+            for layer in ("fc1", "fc2") for n in ("weight", "bias")]
+
+
+def assert_views_of(m, flat):
+    arrays = fields(m)
+    for name, a in arrays:
+        assert np.shares_memory(a, flat), name
+    # the ten tensors tile the vector: no gap, no overlap
+    assert sum(a.size for _, a in arrays) == flat.size
+
+
+@pytest.fixture(params=sorted(KINDS))
+def kind(request):
+    return KINDS[request.param]
+
+
+class TestFlatVector:
+    def test_fields_are_views_of_the_flat_vector(self, kind, rng):
+        cls, _, _ = kind
+        m = cls.init(random_table(rng, 5, 3), rng, hidden=4, mid=5)
+        assert_views_of(m, m.flat)
+        before = (m.bilstm.forward.w_x.copy(), m.fc2.bias.copy())
+        core.sgd_step(core.SgdConfig(learning_rate=1.0, momentum=0.0),
+                      m.flat, np.ones_like(m.flat))
+        assert np.array_equal(m.bilstm.forward.w_x, before[0] - 1.0)
+        assert np.array_equal(m.fc2.bias, before[1] - 1.0)
+
+    def test_gradient_is_cut_like_the_parameters(self, kind, rng):
+        cls, _, _ = kind
+        m = cls.init(random_table(rng, 5, 3), rng, hidden=4, mid=5)
+        grad = m.zeros_like()
+        assert_views_of(grad, grad.flat)
+        assert not np.shares_memory(grad.flat, m.flat)
+        for (name, a), (_, g) in zip(fields(m), fields(grad)):
+            assert g.shape == a.shape, name
+
+    def test_init_draws_each_tensor_in_file_order(self, kind):
+        # per-tensor oracle: w_x, w_h, bias of each direction, then fc1 and
+        # fc2 weight and bias, each uniform in +-1/sqrt(fan-in)
+        cls, _, _ = kind
+        rng = np.random.default_rng(4)
+        table = random_table(rng, 5, 3)
+        m = cls.init(table, np.random.default_rng(11), hidden=4, mid=5)
+        d, h, mid, out = cls.input_blocks * 3, 4, 5, cls.out_width
+        oracle = np.random.default_rng(11)
+        expected = []
+        for shape, fan_in in ([((4 * h, d), d), ((4 * h, h), h), ((4 * h,), h)] * 2
+                              + [((mid, 2 * h), 2 * h), ((mid,), 2 * h),
+                                 ((out, mid), mid), ((out,), mid)]):
+            bound = 1.0 / np.sqrt(fan_in)
+            expected.append(oracle.uniform(-bound, bound, size=shape))
+        assert np.array_equal(m.flat, np.concatenate([e.ravel() for e in expected]))
+        for (name, a), e in zip(fields(m), expected):
+            assert np.array_equal(a, e), name
+
+
+class TestModelFile:
+    def test_save_load_save_is_byte_identical(self, kind, rng, tmp_path):
+        cls, save, load = kind
+        table = random_table(rng, 5, 3)
+        save(cls.init(table, rng, hidden=4, mid=5), tmp_path / "a.bin")
+        loaded = load(tmp_path / "a.bin", table)
+        save(loaded, tmp_path / "b.bin")
+        assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
+
+    def test_loaded_tensors_are_views_of_the_payload(self, kind, rng, tmp_path, monkeypatch):
+        cls, save, load = kind
+        table = random_table(rng, 5, 3)
+        save(cls.init(table, rng, hidden=4, mid=5), tmp_path / "m.bin")
+        payloads = []
+
+        def recorded(path):
+            descriptor, payload = serialize.load_container(path)
+            payloads.append(payload)
+            return descriptor, payload
+
+        monkeypatch.setattr(bilstm_mlp, "load_container", recorded)
+        loaded = load(tmp_path / "m.bin", table)
+        assert loaded.flat is payloads[0]
+        assert_views_of(loaded, loaded.flat)
+
+    def test_non_finite_parameter_rejected(self, kind, rng, tmp_path):
+        cls, save, load = kind
+        table = random_table(rng, 5, 3)
+        m = cls.init(table, rng, hidden=4, mid=5)
+        m.fc1.weight[0, 0] = np.nan
+        save(m, tmp_path / "m.bin")
+        with pytest.raises(ValueError, match="non-finite"):
+            load(tmp_path / "m.bin", table)
+
+
+def test_one_gradient_per_training_run_and_none_for_inference(monkeypatch, tmp_path):
+    made = []
+    real = bilstm_mlp.Weights.zeros_like
+
+    def counted(self):
+        made.append(self.flat.size)
+        return real(self)
+
+    monkeypatch.setattr(bilstm_mlp.Weights, "zeros_like", counted)
+    rng = np.random.default_rng(0)
+    table = random_table(rng, 4, 3)
+    probs = cause_model.one_hot_probs("joy")
+    examples = [cause_model.CauseTrainExample((f"w{i}",), probs, i % 2) for i in range(4)]
+    model, _ = cause_model.train_cause(examples, table, rng, epochs=3, hidden=4)
+    assert made == [model.flat.size]
+    cause_model.save_cause_model(model, tmp_path / "m.bin")
+    loaded = cause_model.load_cause_model(tmp_path / "m.bin", table)
+    cause_model.score_clause(loaded, ("w0", "w1"), probs)
+    assert made == [model.flat.size]

@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
 
-from emocause import cause_model
+from emocause import bilstm_mlp, cause_model
 from emocause.embeddings import EmbeddingTable
 from emocause.errors import OovError
-from emocause.nn import core
 
 from conftest import random_table
 from helpers import cause_accuracy, separable_cause_setup
@@ -73,23 +72,21 @@ class TestScoreClause:
 
 
 def marker_sensitive_scorer(table):
-    """Hand-constructed weights: the forward cell gate watches input dim 0,
-    i/f/o gates are saturated open, the backward direction is shut, and the
-    head maps tanh-accumulated marker counts to ~0.9 vs ~0.2."""
-    d_in = 8 * table.dim
-    w_x = np.zeros((4, d_in))
-    w_x[2, 0] = 10.0
-    fwd = core.LstmParams(w_x, np.zeros((4, 1)),
-                          np.array([20.0, 20.0, 0.0, 20.0]))
-    bwd = core.LstmParams(np.zeros((4, d_in)), np.zeros((4, 1)),
-                          np.array([-20.0, 0.0, 0.0, 0.0]))
-    fc1 = core.LinearParams(np.array([[1.0, 0.0]]), np.zeros(1))
+    """Hand-set weights, written into the views of a zero-initialised model
+    with one hidden unit: the forward cell gate watches input dim 0, i/f/o
+    gates are saturated open, the backward direction is shut, and the head
+    maps tanh-accumulated marker counts to ~0.9 vs ~0.2."""
+    m = cause_model.CauseScorer.init(table, np.random.default_rng(0), hidden=1, mid=1)
+    m.flat[:] = 0.0
+    m.bilstm.forward.w_x[2, 0] = 10.0
+    m.bilstm.forward.bias[:] = [20.0, 20.0, 0.0, 20.0]
+    m.bilstm.backward.bias[:] = [-20.0, 0.0, 0.0, 0.0]
+    m.fc1.weight[0, 0] = 1.0
     h_marker = np.tanh(1.0)
     b = np.log(0.2 / 0.8)
-    w = (np.log(0.9 / 0.1) - b) / h_marker
-    fc2 = core.LinearParams(np.array([[w]]), np.array([b]))
-    return cause_model.CauseScorer(bilstm=core.BiLstm(fwd, bwd),
-                                   fc1=fc1, fc2=fc2, table=table)
+    m.fc2.weight[0, 0] = (np.log(0.9 / 0.1) - b) / h_marker
+    m.fc2.bias[0] = b
+    return m
 
 
 def clause_like(words):
@@ -168,9 +165,8 @@ class TestTrainCause:
         for _ in range(2):
             model, trace = cause_model.train_cause(
                 examples, table, np.random.default_rng(3), epochs=2, hidden=8)
-            runs.append((model.parameters(), trace))
-        for a, b in zip(runs[0][0], runs[1][0]):
-            assert np.array_equal(a, b)
+            runs.append((model.flat, trace))
+        assert np.array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
 
     def test_single_label_data_warns_but_trains(self, rng, caplog):
@@ -202,8 +198,7 @@ class TestSerialization:
         path = tmp_path / "cause.bin"
         cause_model.save_cause_model(model, path)
         loaded = cause_model.load_cause_model(path, table)
-        for a, b in zip(model.parameters(), loaded.parameters()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(model.flat, loaded.flat)
         probs = uniform_probs()
         assert (cause_model.score_clause(model, ("w0", "w2"), probs)
                 == cause_model.score_clause(loaded, ("w0", "w2"), probs))
@@ -221,9 +216,9 @@ class TestSerialization:
 class TestInvariants:
     def test_reference_default_sizes(self):
         assert cause_model.DEFAULT_HIDDEN == 1024
-        assert cause_model.DEFAULT_MID == 80
+        assert bilstm_mlp.DEFAULT_MID == 80
         assert cause_model.DEFAULT_EPOCHS == 50
-        assert cause_model.DROPOUT_P == 0.5
+        assert bilstm_mlp.DROPOUT_P == 0.5
 
     def test_input_dim_is_eight_d(self, rng):
         table = random_table(rng, 3, 7)

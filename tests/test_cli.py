@@ -53,11 +53,39 @@ class TestExitCodes:
          "--output", "o", "--epochs", "-3"],
         ["train-emotion", "--corpus", "c", "--parses", "p", "--embeddings", "e",
          "--output", "o", "--hidden", "0"],
-    ], ids=["top-k", "epochs", "hidden"])
+        ["gen-synthetic", "--output-dir", "d", "--products", "0"],
+        ["gen-synthetic", "--output-dir", "d", "--reviews", "0"],
+    ], ids=["top-k", "epochs", "hidden", "products", "reviews"])
     def test_non_positive_int_flag_is_usage_error(self, argv, capsys):
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "usage:" in err and f"{argv[-2]}: must be a positive integer" in err
+
+    TRAIN = ["train-cause", "--corpus", "c", "--parses", "p", "--embeddings", "e",
+             "--output", "o"]
+    SUMMARIZE = ["summarize", "--corpus", "c", "--parses", "p", "--embeddings", "e",
+                 "--aware", "a", "--emotion-model", "m", "--cause-model", "m"]
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-synthetic", "--output-dir", "d", "--dim", "2"],
+        ["gen-synthetic", "--output-dir", "d", "--dim", "7"],
+        TRAIN + ["--lr", "nan"],
+        TRAIN + ["--lr", "inf"],
+        TRAIN + ["--lr", "-1"],
+        TRAIN + ["--lr", "0"],
+        TRAIN + ["--momentum", "1.5"],
+        TRAIN + ["--momentum", "1"],
+        TRAIN + ["--momentum", "-0.1"],
+        TRAIN + ["--momentum", "nan"],
+        SUMMARIZE + ["--threshold", "-5"],
+        SUMMARIZE + ["--threshold", "0"],
+        SUMMARIZE + ["--threshold", "nan"],
+        SUMMARIZE + ["--threshold", "inf"],
+    ], ids=lambda argv: f"{argv[-2].lstrip('-')}={argv[-1]}")
+    def test_out_of_range_flag_is_usage_error(self, argv, capsys):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and f"{argv[-2]}: must be" in err
 
     def test_data_error_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"
@@ -156,7 +184,8 @@ class TestTrainingCli:
         real = emotion_model.loss_and_grads
 
         def nan_loss(*args, **kwargs):
-            return float("nan"), real(*args, **kwargs)[1]
+            real(*args, **kwargs)
+            return float("nan")
 
         monkeypatch.setattr(emotion_model, "loss_and_grads", nan_loss)
         code = main(["train-emotion", "--corpus", cfg.corpus_path,

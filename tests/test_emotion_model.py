@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from emocause import emotion_model
+from emocause import bilstm_mlp, emotion_model
 from emocause.embeddings import EMOTIONS, EmbeddingTable
 from emocause.errors import OovError
 from emocause.nn import core
 from emocause.nn.serialize import KIND_EMOTION, MAGIC, save_container
 
 from conftest import random_table
-from helpers import emotion_accuracy, separable_emotion_setup
+from helpers import emotion_accuracy, predict_label, separable_emotion_setup
 
 
 class TestEmbedReview:
@@ -53,7 +53,7 @@ class TestForward:
             emotion_model.forward_emotion(toy_model, ("w0",), train=True)
 
     def test_argmax_stable_across_calls(self, toy_model):
-        labels = {emotion_model.predict_label(toy_model, ("w0", "w1"))
+        labels = {predict_label(toy_model, ("w0", "w1"))
                   for _ in range(5)}
         assert len(labels) == 1
 
@@ -88,9 +88,8 @@ class TestTrainEmotion:
         for _ in range(2):
             model, trace = emotion_model.train_emotion(
                 examples, table, np.random.default_rng(7), epochs=3, hidden=8)
-            runs.append((model.parameters(), trace))
-        for a, b in zip(runs[0][0], runs[1][0]):
-            assert np.array_equal(a, b)
+            runs.append((model.flat, trace))
+        assert np.array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
 
     def test_oov_examples_skipped_with_warning(self, rng, caplog):
@@ -116,9 +115,9 @@ class TestTrainEmotion:
         steps = []
 
         def nan_in_epoch_two(*args, **kwargs):
-            loss, grads = real(*args, **kwargs)
+            loss = real(*args, **kwargs)
             steps.append(loss)
-            return (float("nan") if len(steps) > len(examples) else loss), grads
+            return float("nan") if len(steps) > len(examples) else loss
 
         monkeypatch.setattr(emotion_model, "loss_and_grads", nan_in_epoch_two)
         with pytest.raises(ValueError, match="epoch 2"):
@@ -138,12 +137,12 @@ class TestLossDecreaseProperty:
             rng = np.random.default_rng(seed)
             m = emotion_model.EmotionClassifier.init(table, rng, hidden=4, mid=5)
             cfg = core.SgdConfig()  # lr 0.003, momentum 0.9
-            params = m.parameters()
-            losses = [emotion_model.loss_and_grads(m, xs, 2, False, None)[0]]
+            grad = m.zeros_like()
+            losses = [emotion_model.loss_and_grads(m, xs, 2, False, None, grad)]
             for _ in range(5):
-                _, grads = emotion_model.loss_and_grads(m, xs, 2, True, rng)
-                core.sgd_step(cfg, params, grads)
-                losses.append(emotion_model.loss_and_grads(m, xs, 2, False, None)[0])
+                emotion_model.loss_and_grads(m, xs, 2, True, rng, grad)
+                core.sgd_step(cfg, m.flat, grad.flat)
+                losses.append(emotion_model.loss_and_grads(m, xs, 2, False, None, grad))
             ok += all(b < a for a, b in zip(losses, losses[1:]))
         assert ok >= 19
 
@@ -153,8 +152,7 @@ class TestSerialization:
         path = tmp_path / "emotion.bin"
         emotion_model.save_emotion_model(toy_model, path)
         loaded = emotion_model.load_emotion_model(path, toy_model.table)
-        for a, b in zip(toy_model.parameters(), loaded.parameters()):
-            assert np.array_equal(a, b)
+        assert np.array_equal(toy_model.flat, loaded.flat)
         out_a = emotion_model.forward_emotion(toy_model, ("w0", "w1"))
         out_b = emotion_model.forward_emotion(loaded, ("w0", "w1"))
         assert np.array_equal(out_a, out_b)
@@ -170,8 +168,8 @@ class TestSerialization:
         emotion_model.save_emotion_model(toy_model, path)
         before = path.read_bytes()
         with pytest.raises(ValueError):
-            # the second tensor cannot be converted, so the write fails midway
-            save_container(path, [KIND_EMOTION], [np.zeros(3), np.array(["oops"])])
+            # the header is written, then the payload cannot be converted
+            save_container(path, [KIND_EMOTION], np.array(["oops"]))
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["emotion.bin"]
 
@@ -200,6 +198,6 @@ class TestInvariants:
 
     def test_reference_default_sizes(self):
         assert emotion_model.DEFAULT_HIDDEN == 256
-        assert emotion_model.DEFAULT_MID == 80
+        assert bilstm_mlp.DEFAULT_MID == 80
         assert emotion_model.DEFAULT_EPOCHS == 100
-        assert emotion_model.DROPOUT_P == 0.5
+        assert bilstm_mlp.DROPOUT_P == 0.5

@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from emocause.nn import core, kernels
+from emocause.nn import kernels
 
-from helpers import lstm_cell
+from helpers import lstm_cell, random_bilstm
 
 
 class TestSequenceKernels:
@@ -12,7 +12,7 @@ class TestSequenceKernels:
                              ids=["T6-D4-H3", "T1", "D-over-4H", "T3-D7-H5"])
     def test_forward_matches_cell_loop(self, rng, steps, dim, hidden):
         # sequence kernel vs repeated single-cell application
-        p = core.LstmParams.init(dim, hidden, rng)
+        p = random_bilstm(rng, dim, hidden).forward
         xs = rng.normal(size=(steps, dim))
         hs, cs, _, _ = kernels.lstm_forward_seq(p.w_x, p.w_h, p.bias, xs)
         assert hs.shape == cs.shape == (steps + 1, hidden)

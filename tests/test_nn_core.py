@@ -3,11 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from emocause import checks
+from emocause import bilstm_mlp, checks
 from emocause.nn import core
 from emocause.nn.gradcheck import max_relative_error, numerical_gradient
 
-from helpers import bilstm_forward, bilstm_outputs, dropout, lstm_cell
+from helpers import bilstm_forward, bilstm_outputs, dropout, lstm_cell, random_bilstm
 
 
 def scalar_lstm_params():
@@ -60,7 +60,7 @@ class TestLstmCell:
 
 class TestBiLstm:
     def test_length_one_sequence(self, rng):
-        m = core.BiLstm.init(3, 2, rng)
+        m = random_bilstm(rng, 3, 2)
         x = rng.normal(size=(1, 3))
         out = bilstm_forward(m, x)
         assert len(out) == 1 and out[0].shape == (4,)
@@ -71,7 +71,7 @@ class TestBiLstm:
     def test_palindrome_symmetry(self, rng):
         # same params both directions + palindromic input: reversing the
         # output sequence and swapping its halves is the identity
-        p = core.LstmParams.init(3, 2, rng)
+        p = random_bilstm(rng, 3, 2).forward
         m = core.BiLstm(p, p)
         a, b = rng.normal(size=3), rng.normal(size=3)
         out = bilstm_forward(m, np.stack([a, b, a]))
@@ -80,17 +80,17 @@ class TestBiLstm:
             assert np.allclose(out[t], mirrored, atol=1e-12)
 
     def test_output_length_matches_input(self, rng):
-        m = core.BiLstm.init(3, 2, rng)
+        m = random_bilstm(rng, 3, 2)
         for n in range(1, 11):
             assert len(bilstm_forward(m, rng.normal(size=(n, 3)))) == n
 
     def test_empty_sequence_rejected(self, rng):
-        m = core.BiLstm.init(3, 2, rng)
+        m = random_bilstm(rng, 3, 2)
         with pytest.raises(ValueError, match="nonempty"):
             bilstm_forward(m, np.empty((0, 3)))
 
     def test_last_output_is_final_state_of_each_direction(self, rng):
-        m = core.BiLstm.init(3, 2, rng)
+        m = random_bilstm(rng, 3, 2)
         xs = rng.normal(size=(4, 3))
         cache = core.bilstm_run(m, xs)
         last = core.bilstm_last_output(cache)
@@ -218,14 +218,14 @@ class TestSgd:
     def test_one_step_to_zero(self):
         cfg = core.SgdConfig(learning_rate=1.0, momentum=0.0)
         theta = np.array([3.0, -2.0])
-        core.sgd_step(cfg, [theta], [theta.copy()])
+        core.sgd_step(cfg, theta, theta.copy())
         assert np.array_equal(theta, [0.0, 0.0])
 
     def test_zero_gradient_no_change(self):
         cfg = core.SgdConfig()
         theta = np.array([1.0, 2.0])
         for _ in range(2):
-            core.sgd_step(cfg, [theta], [np.zeros(2)])
+            core.sgd_step(cfg, theta, np.zeros(2))
         assert np.array_equal(theta, [1.0, 2.0])
 
     def test_two_step_hand_recursion(self):
@@ -235,8 +235,8 @@ class TestSgd:
         theta0 = np.array([1.0, -4.0])
         g = np.array([0.5, 2.0])
         theta = theta0.copy()
-        core.sgd_step(cfg, [theta], [g.copy()])
-        core.sgd_step(cfg, [theta], [g.copy()])
+        core.sgd_step(cfg, theta, g.copy())
+        core.sgd_step(cfg, theta, g.copy())
         assert np.allclose(theta, theta0 - lr * g * (1.0 + 1.9), atol=1e-12)
 
     def test_two_steps_bit_exact(self):
@@ -247,10 +247,10 @@ class TestSgd:
         theta0 = np.array([1.0, -4.0, 0.3])
         g = np.array([0.5, 2.0, -7.1])
         theta = theta0.copy()
-        core.sgd_step(cfg, [theta], [g.copy()])
+        core.sgd_step(cfg, theta, g.copy())
         theta1 = theta0 - lr * g
         assert np.array_equal(theta, theta1)
-        core.sgd_step(cfg, [theta], [g.copy()])
+        core.sgd_step(cfg, theta, g.copy())
         theta2 = theta1 - lr * (0.9 * g + g)
         assert np.array_equal(theta, theta2)
 
@@ -263,13 +263,12 @@ class TestSgd:
 
 class TestInitialization:
     def test_bit_reproducible(self):
-        a = core.BiLstm.init(5, 3, np.random.default_rng(77))
-        b = core.BiLstm.init(5, 3, np.random.default_rng(77))
-        for ta, tb in zip(a.tensors(), b.tensors()):
-            assert np.array_equal(ta, tb)
+        a = bilstm_mlp.draw((5, 3, 4, 2), np.random.default_rng(77))
+        b = bilstm_mlp.draw((5, 3, 4, 2), np.random.default_rng(77))
+        assert np.array_equal(a, b)
 
     def test_bounds(self):
-        p = core.LstmParams.init(16, 8, np.random.default_rng(0))
+        p = random_bilstm(np.random.default_rng(0), 16, 8).forward
         assert np.all(np.abs(p.w_x) <= 1.0 / 4.0)
         assert np.all(np.abs(p.w_h) <= 1.0 / math.sqrt(8))
 
