@@ -165,8 +165,7 @@ def backward(m: BiLstmMlp, cache: ForwardCache, d_logits: np.ndarray,
 
 
 def train(cls, table: EmbeddingTable, examples, to_row, step, rng: core.Rng,
-          epochs: int, cfg: core.SgdConfig | None, hidden: int, mid: int,
-          log_epochs: bool):
+          epochs: int, cfg: core.SgdConfig | None, hidden: int, log_epochs: bool):
     """Batch-size-1 SGD with momentum over seeded shuffles of the examples.
 
     to_row(example) gives (inputs, target), or raises OovError to skip the
@@ -190,7 +189,7 @@ def train(cls, table: EmbeddingTable, examples, to_row, step, rng: core.Rng,
         raise DataError("every training example is out of vocabulary")
     if cfg is None:
         cfg = core.SgdConfig()
-    model = cls.init(table, rng, hidden=hidden, mid=mid)
+    model = cls.init(table, rng, hidden=hidden)
     grad = model.zeros_like()
     trace = []
     for epoch in range(1, epochs + 1):

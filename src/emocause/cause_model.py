@@ -1,8 +1,9 @@
 """Clause-level cause scorer.
 
-Each word contributes eight copies of its embedding, one per emotion, each
-scaled by that emotion's probability from the review-level classifier; the
-copies are concatenated into the timestep input (8*d). These rows go
+Each in-vocabulary word contributes eight copies of its embedding, one per
+emotion, each scaled by that emotion's probability from the review-level
+classifier; the copies are concatenated into the timestep input (8*d), the
+Kronecker product of the probabilities and the vector. These rows go
 through the shared Bi-LSTM + MLP network (bilstm_mlp.py, 1024 hidden units
 per direction by default) with a scalar sigmoid head. Trained with BCE,
 batch size 1, 50 epochs. The review's cause clause is the one with the
@@ -67,13 +68,13 @@ def one_hot_probs(emotion: str) -> np.ndarray:
 
 
 def emotion_scaled_inputs(tokens, probs, table: EmbeddingTable) -> np.ndarray:
-    """(T, 8*d) inputs: for each in-vocabulary word w with vector v, the
-    eight blocks p1*v, ..., p8*v in fixed emotion order."""
+    """(T, 8*d) inputs: for each in-vocabulary word with vector v, the
+    eight blocks p1*v, ..., p8*v in fixed emotion order, from one broadcast
+    product over the gathered rows (OovError when no token is known)."""
     probs = _check_probs(probs)
-    xs = [np.kron(probs, table[t]) for t in tokens if t in table]
-    if not xs:
-        raise OovError("every token is out of vocabulary")
-    return np.array(xs)
+    vectors = table.rows(tokens)
+    n, d = vectors.shape
+    return (probs[:, None] * vectors[:, None, :]).reshape(n, N_EMOTIONS * d)
 
 
 def score_clause(m: CauseScorer, tokens, probs, train: bool = False,
@@ -113,8 +114,7 @@ def select_cause_clause(m: CauseScorer, clauses, probs) -> tuple[int, list]:
 
 def train_cause(examples, table: EmbeddingTable, rng: core.Rng,
                 epochs: int = DEFAULT_EPOCHS, cfg: core.SgdConfig | None = None,
-                hidden: int = DEFAULT_HIDDEN, mid: int = bilstm_mlp.DEFAULT_MID,
-                log_epochs: bool = False):
+                hidden: int = DEFAULT_HIDDEN, log_epochs: bool = False):
     """Returns (model, per-epoch mean-loss trace); see bilstm_mlp.train.
     A single-label dataset trains anyway, with a warning."""
     labels = {ex.label for ex in examples}
@@ -123,7 +123,7 @@ def train_cause(examples, table: EmbeddingTable, rng: core.Rng,
     return bilstm_mlp.train(
         CauseScorer, table, examples,
         lambda ex: (emotion_scaled_inputs(ex.tokens, ex.probs, table), ex.label),
-        loss_and_grads, rng, epochs, cfg, hidden, mid, log_epochs)
+        loss_and_grads, rng, epochs, cfg, hidden, log_epochs)
 
 
 def save_cause_model(m: CauseScorer, path) -> None:

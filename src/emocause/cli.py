@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cause_model, emotion_model, pipeline, synthetic
 from .clauses import extract_clauses, parse_conllu
-from .corpus import load_corpus, save_corpus
+from .corpus import save_corpus
 from .embeddings import (EMOTIONS, build_emotion_aware_table, load_emotion_lexicon,
                          load_word_embeddings, save_word_embeddings)
 from .errors import DataError
@@ -108,10 +108,7 @@ def cmd_extract_clauses(args) -> int:
 
 def _train(args, build_examples, train, save, what: str, gold: str) -> int:
     aware = load_word_embeddings(args.embeddings)
-    records = load_corpus(args.corpus)
-    with open(args.parses, encoding="utf-8") as fh:
-        sentences = pipeline.index_sentences(fh.read())
-    examples = build_examples(records, sentences)
+    examples = build_examples(*pipeline.load_reviews(args.corpus, args.parses))
     if not examples:
         raise DataError(f"no training examples with gold {gold}")
     rng = np.random.default_rng(_resolve_seed(args.seed))
@@ -137,17 +134,10 @@ def cmd_score_clauses(args) -> int:
     aware = load_word_embeddings(args.embeddings)
     emo = emotion_model.load_emotion_model(args.emotion_model, aware)
     scorer = cause_model.load_cause_model(args.cause_model, aware)
-    records = load_corpus(args.corpus)
-    with open(args.parses, encoding="utf-8") as fh:
-        sentences = pipeline.index_sentences(fh.read())
+    records, sentences = pipeline.load_reviews(args.corpus, args.parses)
+    results, skipped = pipeline.infer_corpus(records, sentences, emo, scorer)
     lines = []
-    skipped = dict.fromkeys(pipeline.SKIP_REASONS, 0)
-    for record in records:
-        try:
-            result = pipeline.infer_review(record, sentences, emo, scorer)
-        except pipeline.ReviewSkipped as skip:
-            skipped[skip.reason] += 1
-            continue
+    for record, result in results:
         for i, score in enumerate(result.scores):
             if score is None:
                 continue

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import EmbeddingTable, cosine_similarity
-from .errors import OovError
 
 DEFAULT_THRESHOLD = 0.13
 MIN_CLUSTER_SIZE = 2
@@ -41,13 +40,12 @@ class ClauseVector:
 
 
 def vectorize_clause(clause, raw: EmbeddingTable, aware: EmbeddingTable) -> ClauseVector:
-    """Max-pool concat(raw, aware) over the clause's in-vocabulary words."""
+    """Max-pool concat(raw, aware) over the clause words both tables know;
+    OovError when there are none."""
     if raw.dim != aware.dim:
         raise ValueError("raw and emotion-aware tables disagree on dimension")
-    rows = [np.concatenate([raw[w], aware[w]]) for w in clause.words if w in raw and w in aware]
-    if not rows:
-        raise OovError("every clause token is out of vocabulary")
-    pooled = np.max(np.stack(rows), axis=0)
+    words = [w for w in clause.words if w in raw and w in aware]
+    pooled = np.concatenate([raw.rows(words).max(axis=0), aware.rows(words).max(axis=0)])
     return ClauseVector(values=pooled,
                         review_id=clause.sentence.review_id,
                         clause_text=clause.text)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, OovError
 
 EMOTIONS = ("anger", "anticipation", "disgust", "fear", "joy",
             "sadness", "surprise", "trust")
@@ -56,8 +56,14 @@ class EmbeddingTable:
         except KeyError:
             raise KeyError(f"unknown word {word!r}") from None
 
-    def index_of(self, word: str) -> int:
-        return self._index[word]
+    def rows(self, tokens) -> np.ndarray:
+        """(n, d) vectors of the in-vocabulary tokens, in token order with
+        repeats, from one gather. Out-of-vocabulary tokens are dropped;
+        OovError when no token is known."""
+        index = [self._index[t] for t in tokens if t in self._index]
+        if not index:
+            raise OovError("every token is out of vocabulary")
+        return self.vectors[index]
 
 
 @dataclass(frozen=True)
@@ -195,14 +201,16 @@ def cosine_similarity(a, b) -> float:
     return float(a @ b / (na * nb))
 
 
+def _unit_rows(vectors: np.ndarray) -> np.ndarray:
+    return vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+
+
 def build_similarity_matrix(table: EmbeddingTable, lexicon: EmotionLexicon) -> SimilarityMatrix:
     emotion_words = tuple(sorted(w for w in lexicon.words() if w in table))
     if not emotion_words:
         raise DataError("no lexicon word occurs in the vocabulary")
-    norms = np.linalg.norm(table.vectors, axis=1, keepdims=True)
-    unit = table.vectors / norms
-    cols = np.stack([unit[table.index_of(w)] for w in emotion_words])
-    return SimilarityMatrix(table.words, emotion_words, unit @ cols.T)
+    cols = _unit_rows(table.rows(emotion_words))
+    return SimilarityMatrix(table.words, emotion_words, _unit_rows(table.vectors) @ cols.T)
 
 
 def _top_k(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -241,7 +249,7 @@ def build_emotion_aware_table(table: EmbeddingTable, lexicon: EmotionLexicon,
     total = weights.sum(axis=1)
     blended = total != 0.0
     weights = weights[blended] / total[blended, None]
-    vecs = np.stack([table[w] for w in matrix.emotion_words])[cols[blended]]
+    vecs = table.rows(matrix.emotion_words)[cols[blended]]
     out = np.array(table.vectors)
     out[blended] = (out[blended] + (weights[:, None, :] @ vecs)[:, 0]) / 2.0
     return EmbeddingTable(table.words, out)

@@ -14,7 +14,6 @@ import numpy as np
 
 from . import bilstm_mlp
 from .embeddings import EMOTIONS, EmbeddingTable
-from .errors import OovError
 from .nn import core
 from .nn.serialize import KIND_EMOTION
 
@@ -45,24 +44,12 @@ class EmotionTrainExample:
             raise ValueError(f"unknown emotion label {self.label!r}")
 
 
-def embed_review(tokens, table: EmbeddingTable) -> np.ndarray:
-    """(T, d) matrix of the in-vocabulary tokens' vectors; out-of-vocabulary
-    tokens are skipped."""
-    rows = [table[t] for t in tokens if t in table]
-    if not rows:
-        raise OovError("every token is out of vocabulary")
-    return np.array(rows)
-
-
 def forward_emotion(m: EmotionClassifier, tokens, train: bool = False,
                     rng: core.Rng | None = None) -> np.ndarray:
-    """Log-probabilities over the 8 emotions for a tokenized review."""
-    xs = embed_review(tokens, m.table)
+    """Log-probabilities over the 8 emotions for a tokenized review; its
+    in-vocabulary tokens are the timesteps (OovError when there are none)."""
+    xs = m.table.rows(tokens)
     return core.log_softmax(bilstm_mlp.forward(m, xs, train, rng).logits)
-
-
-def emotion_probs(log_probs: np.ndarray) -> np.ndarray:
-    return np.exp(np.asarray(log_probs, dtype=np.float64))
 
 
 def loss_and_grads(m: EmotionClassifier, xs: np.ndarray, target: int,
@@ -80,14 +67,13 @@ def loss_and_grads(m: EmotionClassifier, xs: np.ndarray, target: int,
 
 def train_emotion(examples, table: EmbeddingTable, rng: core.Rng,
                   epochs: int = DEFAULT_EPOCHS, cfg: core.SgdConfig | None = None,
-                  hidden: int = DEFAULT_HIDDEN, mid: int = bilstm_mlp.DEFAULT_MID,
-                  log_epochs: bool = False):
+                  hidden: int = DEFAULT_HIDDEN, log_epochs: bool = False):
     """Returns (model, per-epoch mean-loss trace); see bilstm_mlp.train.
     Examples whose tokens are all out of vocabulary are skipped."""
     return bilstm_mlp.train(
         EmotionClassifier, table, examples,
-        lambda ex: (embed_review(ex.tokens, table), EMOTIONS.index(ex.label)),
-        loss_and_grads, rng, epochs, cfg, hidden, mid, log_epochs)
+        lambda ex: (table.rows(ex.tokens), EMOTIONS.index(ex.label)),
+        loss_and_grads, rng, epochs, cfg, hidden, log_epochs)
 
 
 def save_emotion_model(m: EmotionClassifier, path) -> None:

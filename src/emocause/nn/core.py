@@ -169,8 +169,8 @@ class SgdConfig:
     velocity: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning rate must be > 0")
+        if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning rate must be finite and > 0")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError("momentum must be in [0, 1)")
 

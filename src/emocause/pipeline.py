@@ -80,6 +80,13 @@ def index_sentences(conllu_text: str) -> dict:
     return {s.sent_id: s for s in parse_conllu(conllu_text)}
 
 
+def load_reviews(corpus_path, parses_path):
+    """The corpus records and their parsed sentences, keyed by sent_id."""
+    records = load_corpus(corpus_path)
+    with open(parses_path, encoding="utf-8") as fh:
+        return records, index_sentences(fh.read())
+
+
 def load_tables(cfg: PipelineConfig):
     raw = load_word_embeddings(cfg.embeddings_path)
     aware = load_word_embeddings(cfg.aware_path)
@@ -150,7 +157,7 @@ def infer_review(record, sentences: dict, emo, causes) -> ReviewInference:
         log_probs = emotion_model.forward_emotion(emo, tokens)
     except OovError:
         raise ReviewSkipped("all_oov") from None
-    probs = emotion_model.emotion_probs(log_probs)
+    probs = np.exp(log_probs)
     try:
         chosen, scores = cause_model.select_cause_clause(causes, clauses, probs)
     except OovError:
@@ -159,28 +166,31 @@ def infer_review(record, sentences: dict, emo, causes) -> ReviewInference:
                            clauses=clauses, scores=scores, chosen=chosen)
 
 
+def infer_corpus(records, sentences: dict, emo, causes):
+    """(record, ReviewInference) for each usable review, in corpus order,
+    and the skipped reviews counted by reason."""
+    results = []
+    skipped = dict.fromkeys(SKIP_REASONS, 0)
+    for record in records:
+        try:
+            results.append((record, infer_review(record, sentences, emo, causes)))
+        except ReviewSkipped as skip:
+            skipped[skip.reason] += 1
+    return results, skipped
+
+
 def run_pipeline(cfg: PipelineConfig) -> SummaryReport:
     """Inference over a corpus with already-trained models and tables."""
     raw, aware = load_tables(cfg)
     emo = emotion_model.load_emotion_model(cfg.emotion_model_path, aware)
     causes = cause_model.load_cause_model(cfg.cause_model_path, aware)
-    records = load_corpus(cfg.corpus_path)
-    with open(cfg.parses_path, encoding="utf-8") as fh:
-        sentences = index_sentences(fh.read())
-
-    report = SummaryReport()
-    entries = []
-    for record in records:
-        try:
-            result = infer_review(record, sentences, emo, causes)
-        except ReviewSkipped as skip:
-            report.skipped_by_reason[skip.reason] += 1
-            continue
-        vector = clustering.vectorize_clause(result.clauses[result.chosen], raw, aware)
-        entries.append((record.product_id, result.emotion, vector))
-    report.processed = len(entries)
-    report.cluster_sets = clustering.cluster_causes(entries, cfg.threshold)
-    return report
+    records, sentences = load_reviews(cfg.corpus_path, cfg.parses_path)
+    results, skipped = infer_corpus(records, sentences, emo, causes)
+    entries = [(record.product_id, result.emotion,
+                clustering.vectorize_clause(result.clauses[result.chosen], raw, aware))
+               for record, result in results]
+    return SummaryReport(cluster_sets=clustering.cluster_causes(entries, cfg.threshold),
+                         processed=len(entries), skipped_by_reason=skipped)
 
 
 def dump_projection(report: SummaryReport) -> list[dict]:

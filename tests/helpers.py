@@ -54,6 +54,12 @@ def reference_emotion_aware_table(table, lexicon, k):
     return out
 
 
+def kron_scaled_inputs(tokens, probs, table):
+    """Per-token oracle for cause_model.emotion_scaled_inputs: one np.kron
+    of the probabilities and each in-vocabulary word's vector."""
+    return np.array([np.kron(probs, table[t]) for t in tokens if t in table])
+
+
 def sigmoid_vec(x):
     x = np.asarray(x, dtype=np.float64)
     out = np.empty_like(x)

@@ -6,7 +6,7 @@ from emocause.embeddings import EmbeddingTable
 from emocause.errors import OovError
 
 from conftest import random_table
-from helpers import cause_accuracy, separable_cause_setup
+from helpers import cause_accuracy, kron_scaled_inputs, separable_cause_setup
 
 
 def uniform_probs():
@@ -47,6 +47,20 @@ class TestEmotionScaledInputs:
         for t, word in enumerate(("w2", "w3")):
             blocks = xs[t].reshape(8, 5)
             assert np.allclose(blocks.sum(axis=0), table[word], atol=1e-9)
+
+    @pytest.mark.parametrize("kind", ["one_hot", "uniform", "random"])
+    @pytest.mark.parametrize("dim", [1, 4, 16, 300])
+    def test_byte_equal_to_per_token_kron(self, kind, dim):
+        rng = np.random.default_rng(dim)
+        table = random_table(rng, 6, dim)
+        probs = {"one_hot": cause_model.one_hot_probs("fear"),
+                 "uniform": uniform_probs(),
+                 "random": rng.dirichlet(np.ones(8))}[kind]
+        tokens = tuple(rng.choice(["w0", "w1", "w2", "w3", "w4", "w5", "zz", "yy"], size=12))
+        xs = cause_model.emotion_scaled_inputs(tokens, probs, table)
+        expected = kron_scaled_inputs(tokens, probs, table)
+        assert xs.shape == expected.shape and xs.dtype == expected.dtype
+        assert xs.tobytes() == expected.tobytes()
 
     def test_all_oov(self, rng):
         table = random_table(rng, 2, 3)

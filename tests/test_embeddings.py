@@ -8,7 +8,7 @@ from emocause.embeddings import (DEFAULT_TOP_K, EMOTIONS, EmbeddingTable,
                                  build_similarity_matrix, cosine_similarity,
                                  load_emotion_lexicon, load_word_embeddings,
                                  save_word_embeddings, top_k_emotion_words)
-from emocause.errors import DataError
+from emocause.errors import DataError, OovError
 
 from conftest import random_table
 from helpers import reference_emotion_aware_table
@@ -390,3 +390,40 @@ class TestEmbeddingTableInvariants:
     def test_emotion_labels_are_plutchik_eight(self):
         assert EMOTIONS == ("anger", "anticipation", "disgust", "fear",
                             "joy", "sadness", "surprise", "trust")
+
+
+class TestEmbeddingTableRows:
+    def test_all_known(self, rng):
+        table = random_table(rng, 5, 4)
+        xs = table.rows(("w0", "w2", "w4"))
+        assert xs.shape == (3, 4)
+        assert np.array_equal(xs[1], table["w2"])
+
+    def test_unknown_skipped(self, rng):
+        table = random_table(rng, 3, 4)
+        xs = table.rows(("w1", "zz", "yy"))
+        assert xs.shape == (1, 4)
+
+    def test_all_unknown_raises(self, rng):
+        table = random_table(rng, 3, 4)
+        with pytest.raises(OovError):
+            table.rows(("zz", "yy"))
+
+    def test_rows_follow_token_order(self, rng):
+        table = random_table(rng, 5, 3)
+        assert np.array_equal(table.rows(("w4", "w0", "w2")), table.vectors[[4, 0, 2]])
+
+    def test_repeated_tokens_repeat_rows(self, rng):
+        table = random_table(rng, 5, 3)
+        assert np.array_equal(table.rows(("w1", "w3", "w1", "w1")),
+                              table.vectors[[1, 3, 1, 1]])
+
+    def test_oov_tokens_dropped_in_place(self, rng):
+        table = random_table(rng, 5, 3)
+        assert np.array_equal(table.rows(("zz", "w2", "yy", "w0", "zz")),
+                              table.vectors[[2, 0]])
+
+    def test_empty_token_list_raises(self, rng):
+        table = random_table(rng, 3, 4)
+        with pytest.raises(OovError):
+            table.rows(())

@@ -3,30 +3,11 @@ import pytest
 
 from emocause import bilstm_mlp, emotion_model
 from emocause.embeddings import EMOTIONS, EmbeddingTable
-from emocause.errors import OovError
 from emocause.nn import core
 from emocause.nn.serialize import KIND_EMOTION, MAGIC, save_container
 
 from conftest import random_table
 from helpers import emotion_accuracy, predict_label, separable_emotion_setup
-
-
-class TestEmbedReview:
-    def test_all_known(self, rng):
-        table = random_table(rng, 5, 4)
-        xs = emotion_model.embed_review(("w0", "w2", "w4"), table)
-        assert xs.shape == (3, 4)
-        assert np.array_equal(xs[1], table["w2"])
-
-    def test_unknown_skipped(self, rng):
-        table = random_table(rng, 3, 4)
-        xs = emotion_model.embed_review(("w1", "zz", "yy"), table)
-        assert xs.shape == (1, 4)
-
-    def test_all_unknown_raises(self, rng):
-        table = random_table(rng, 3, 4)
-        with pytest.raises(OovError):
-            emotion_model.embed_review(("zz", "yy"), table)
 
 
 @pytest.fixture
@@ -39,7 +20,7 @@ class TestForward:
     def test_output_shape_and_distribution(self, toy_model):
         log_probs = emotion_model.forward_emotion(toy_model, ("w0", "w3"))
         assert log_probs.shape == (8,)
-        probs = emotion_model.emotion_probs(log_probs)
+        probs = np.exp(log_probs)
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(probs > 0)
 
@@ -58,20 +39,28 @@ class TestForward:
         assert len(labels) == 1
 
 
+def probs_with_logits(model, logits):
+    """exp(forward_emotion), the probabilities inference reads, with the
+    output layer set so that every review gets the given logits."""
+    model.fc2.weight[...] = 0.0
+    model.fc2.bias[...] = logits
+    return np.exp(emotion_model.forward_emotion(model, ("w0", "w3")))
+
+
 class TestEmotionProbs:
-    def test_uniform(self):
-        probs = emotion_model.emotion_probs(np.full(8, -np.log(8)))
+    def test_uniform(self, toy_model):
+        probs = probs_with_logits(toy_model, 0.0)
         assert np.allclose(probs, 0.125, atol=1e-12)
 
-    def test_exp_log_identity(self, rng):
+    def test_exp_log_identity(self, toy_model, rng):
         p = rng.random(8)
         p /= p.sum()
-        assert np.allclose(emotion_model.emotion_probs(np.log(p)), p, atol=1e-12)
+        assert np.allclose(probs_with_logits(toy_model, np.log(p)), p, atol=1e-12)
 
-    def test_matches_hand_exp(self, rng):
-        log_probs = core.log_softmax(rng.normal(size=8))
-        assert np.array_equal(emotion_model.emotion_probs(log_probs),
-                              np.exp(log_probs))
+    def test_matches_hand_exp(self, toy_model, rng):
+        logits = rng.normal(size=8)
+        assert np.allclose(probs_with_logits(toy_model, logits),
+                           np.exp(logits) / np.exp(logits).sum(), atol=1e-12)
 
 
 class TestTrainEmotion:
@@ -131,7 +120,7 @@ class TestLossDecreaseProperty:
         rng0 = np.random.default_rng(5)
         table = EmbeddingTable([f"w{i}" for i in range(6)],
                                rng0.normal(size=(6, 6)))
-        xs = emotion_model.embed_review(("w0", "w3", "w5"), table)
+        xs = table.rows(("w0", "w3", "w5"))
         ok = 0
         for seed in range(20):
             rng = np.random.default_rng(seed)

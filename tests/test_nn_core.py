@@ -260,6 +260,13 @@ class TestSgd:
         with pytest.raises(ValueError):
             core.SgdConfig(momentum=1.0)
 
+    @pytest.mark.parametrize("field, value", [("learning_rate", math.nan),
+                                              ("learning_rate", math.inf),
+                                              ("momentum", math.nan)])
+    def test_non_finite_config_rejected(self, field, value):
+        with pytest.raises(ValueError):
+            core.SgdConfig(**{field: value})
+
 
 class TestInitialization:
     def test_bit_reproducible(self):
