@@ -1,16 +1,22 @@
 """The Bi-LSTM + MLP network shared by the emotion classifier and the cause
 scorer:
 
-    (T, D) inputs -> Bi-LSTM -> last output -> dropout 0.5 -> linear to mid
-    -> ELU -> linear to the output width (the logits)
+    (T, d) word vectors and block weights p -> Bi-LSTM -> last output
+    -> dropout 0.5 -> linear to mid -> ELU -> linear to the output width
+    (the logits)
 
-"Last output" concatenates each direction's final hidden state, i.e. the
-forward state at the last token and the backward state at the first, so
-both summarize the whole sequence.
+A timestep's input is kron(p, v), input_blocks copies of the word vector v
+scaled by p: the emotion probabilities for the cause scorer, [1.0] for the
+emotion classifier. The Bi-LSTM projects v through the p-weighted sum of
+its input weight blocks instead, so that wide input is never built (see
+core.bilstm_run). "Last output" concatenates each direction's final hidden
+state, i.e. the forward state at the last token and the backward state at
+the first, so both summarize the whole sequence.
 
-A model subclasses BiLstmMlp to fix its input width (copies of the word
-embedding per timestep), its output width and its ECPE1 kind code, and
-supplies a head: the loss on the logits and d(loss)/d(logits). This module
+Inference runs many sequences per call; training runs one. A model
+subclasses BiLstmMlp to fix its number of input blocks, its output width
+and its ECPE1 kind code, and supplies a head: the loss on the logits and
+d(loss)/d(logits). This module
 owns the parameters, one flat float64 vector whose initialization, views,
 gradient and model file all follow one layout table (layout()), and the
 forward and backward passes and the training loop.
@@ -18,6 +24,7 @@ forward and backward passes and the training loop.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -129,12 +136,14 @@ class ForwardCache:
     __slots__ = ("bilstm", "mask", "h_drop", "z1", "a1", "logits")
 
 
-def forward(m: BiLstmMlp, xs: np.ndarray, train: bool,
+def forward(m: BiLstmMlp, rows: np.ndarray, lengths, weights, train: bool,
             rng: core.Rng | None) -> ForwardCache:
-    """Logits for a (T, D) input sequence, with what backward() needs.
-    Train mode draws one dropout mask from rng."""
+    """Logits (B, out) for B sequences, with what backward() needs: rows,
+    lengths and weights as core.bilstm_run takes them. The MLP runs as one
+    product per layer over the batch. Train mode draws one dropout mask
+    from rng."""
     cache = ForwardCache()
-    cache.bilstm = core.bilstm_run(m.bilstm, xs)
+    cache.bilstm = core.bilstm_run(m.bilstm, rows, lengths, weights)
     h_last = core.bilstm_last_output(cache.bilstm)
     if train:
         if rng is None:
@@ -144,23 +153,34 @@ def forward(m: BiLstmMlp, xs: np.ndarray, train: bool,
     else:
         cache.mask = None
         cache.h_drop = h_last
-    cache.z1 = core.linear(m.fc1, cache.h_drop)
+    cache.z1 = cache.h_drop @ m.fc1.weight.T + m.fc1.bias
     cache.a1 = core.elu(cache.z1)
-    cache.logits = core.linear(m.fc2, cache.a1)
+    cache.logits = cache.a1 @ m.fc2.weight.T + m.fc2.bias
     return cache
+
+
+def logits(m: BiLstmMlp, sequences, weights) -> np.ndarray:
+    """Inference logits (B, out) for B sequences of row indices into the
+    model's table, each nonempty; weights (B, input_blocks) as forward()
+    takes them."""
+    lengths = [len(s) for s in sequences]
+    rows = m.table.vectors[np.fromiter(itertools.chain.from_iterable(sequences), dtype=np.intp)]
+    return forward(m, rows, lengths, weights, False, None).logits
 
 
 def backward(m: BiLstmMlp, cache: ForwardCache, d_logits: np.ndarray,
              grad: Weights) -> None:
-    """Writes d(loss)/d(parameters) into grad, given d(loss)/d(logits)."""
-    np.outer(d_logits, cache.a1, out=grad.fc2.weight)
+    """Writes d(loss)/d(parameters) into grad, given d(loss)/d(logits), for
+    a forward pass over one sequence."""
+    a1, h_drop = cache.a1[0], cache.h_drop[0]
+    np.outer(d_logits, a1, out=grad.fc2.weight)
     grad.fc2.bias[...] = d_logits
-    dz1 = np.multiply(m.fc2.weight.T @ d_logits, core.elu_grad(cache.z1),
+    dz1 = np.multiply(m.fc2.weight.T @ d_logits, core.elu_grad(cache.z1[0]),
                       out=grad.fc1.bias)
-    np.outer(dz1, cache.h_drop, out=grad.fc1.weight)
+    np.outer(dz1, h_drop, out=grad.fc1.weight)
     dh = m.fc1.weight.T @ dz1
     if cache.mask is not None:
-        dh *= cache.mask
+        dh *= cache.mask[0]
     core.bilstm_backward_last(m.bilstm, cache.bilstm, dh, grad.bilstm)
 
 
@@ -168,24 +188,26 @@ def train(cls, table: EmbeddingTable, examples, to_row, step, rng: core.Rng,
           epochs: int, cfg: core.SgdConfig | None, hidden: int, log_epochs: bool):
     """Batch-size-1 SGD with momentum over seeded shuffles of the examples.
 
-    to_row(example) gives (inputs, target), or raises OovError to skip the
-    example (skips get one warning up front). step is the model's
-    loss_and_grads, which writes into the one gradient vector of the run.
-    Returns (model, per-epoch mean-loss trace); a
-    non-finite epoch loss stops training with a ValueError naming the epoch.
+    to_row(example) gives (rows, weights, target): the (T, d) vectors of
+    the example's in-vocabulary tokens, its (1, input_blocks) block
+    weights and its target; it raises OovError to skip the example (skips
+    get one warning up front). step is the model's loss_and_grads, which
+    writes into the one gradient vector of the run. Returns (model,
+    per-epoch mean-loss trace); a non-finite epoch loss stops training with
+    a ValueError naming the epoch.
     """
     if not examples:
         raise ValueError("no training examples")
-    rows = []
+    held = []
     for ex in examples:
         try:
-            rows.append(to_row(ex))
+            held.append(to_row(ex))
         except OovError:
             continue
-    if len(rows) < len(examples):
+    if len(held) < len(examples):
         log.warning("skipped %d of %d examples with no in-vocabulary tokens",
-                    len(examples) - len(rows), len(examples))
-    if not rows:
+                    len(examples) - len(held), len(examples))
+    if not held:
         raise DataError("every training example is out of vocabulary")
     if cfg is None:
         cfg = core.SgdConfig()
@@ -193,13 +215,12 @@ def train(cls, table: EmbeddingTable, examples, to_row, step, rng: core.Rng,
     grad = model.zeros_like()
     trace = []
     for epoch in range(1, epochs + 1):
-        order = rng.permutation(len(rows))
+        order = rng.permutation(len(held))
         total = 0.0
         for idx in order:
-            xs, target = rows[idx]
-            total += step(model, xs, target, True, rng, grad)
+            total += step(model, *held[idx], True, rng, grad)
             core.sgd_step(cfg, model.flat, grad.flat)
-        mean = total / len(rows)
+        mean = total / len(held)
         if not np.isfinite(mean):
             raise ValueError(f"epoch {epoch}: mean training loss is {mean}")
         trace.append(mean)

@@ -1,13 +1,17 @@
 """Clause-level cause scorer.
 
-Each in-vocabulary word contributes eight copies of its embedding, one per
-emotion, each scaled by that emotion's probability from the review-level
-classifier; the copies are concatenated into the timestep input (8*d), the
-Kronecker product of the probabilities and the vector. These rows go
-through the shared Bi-LSTM + MLP network (bilstm_mlp.py, 1024 hidden units
-per direction by default) with a scalar sigmoid head. Trained with BCE,
-batch size 1, 50 epochs. The review's cause clause is the one with the
-highest score.
+In the paper's model each in-vocabulary word contributes eight copies of
+its embedding, one per emotion, each scaled by that emotion's probability
+from the review-level classifier: the timestep input is the Kronecker
+product p (x) v, 8*d wide. That input is never built here. The shared
+Bi-LSTM + MLP network (bilstm_mlp.py, 1024 hidden units per direction by
+default) holds its input weights as eight (4H, d) blocks and projects v
+through their p-weighted sum, formed once per review and direction; the
+gradient of block k is p_k times the gradient of that sum. The head is a
+scalar sigmoid. Trained with BCE, batch size 1, 50 epochs, holding each
+example as its (T, d) word vectors and p. Inference scores many clauses
+per call (score); the review's cause clause is the one with the highest
+score.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ import numpy as np
 
 from . import bilstm_mlp
 from .embeddings import EMOTIONS, EmbeddingTable
-from .errors import OovError
 from .nn import core
 from .nn.serialize import KIND_CAUSE
 
@@ -38,11 +41,13 @@ class CauseScorer(bilstm_mlp.BiLstmMlp):
     out_width = 1
 
 
-def _check_probs(probs) -> np.ndarray:
+def _check_probs(probs, shape=(N_EMOTIONS,)) -> np.ndarray:
+    """probs as a float64 array of the given shape, each last-axis row a
+    distribution over the emotions."""
     probs = np.asarray(probs, dtype=np.float64)
-    if probs.shape != (N_EMOTIONS,):
-        raise ValueError(f"emotion probabilities must have length {N_EMOTIONS}")
-    if abs(float(probs.sum()) - 1.0) > PROB_SUM_TOL or np.any(probs < 0):
+    if probs.shape != shape:
+        raise ValueError(f"emotion probabilities must have shape {shape}")
+    if np.any(np.abs(probs.sum(axis=-1) - 1.0) > PROB_SUM_TOL) or np.any(probs < 0):
         raise ValueError("emotion probabilities must be a distribution")
     return probs
 
@@ -67,62 +72,41 @@ def one_hot_probs(emotion: str) -> np.ndarray:
     return probs
 
 
-def emotion_scaled_inputs(tokens, probs, table: EmbeddingTable) -> np.ndarray:
-    """(T, 8*d) inputs: for each in-vocabulary word with vector v, the
-    eight blocks p1*v, ..., p8*v in fixed emotion order, from one broadcast
-    product over the gathered rows (OovError when no token is known)."""
-    probs = _check_probs(probs)
-    vectors = table.rows(tokens)
-    n, d = vectors.shape
-    return (probs[:, None] * vectors[:, None, :]).reshape(n, N_EMOTIONS * d)
+def score(m: CauseScorer, sequences, probs) -> np.ndarray:
+    """Cause scores in (0, 1) for B clauses, in one batched forward: each
+    clause is the nonempty sequence of its in-vocabulary tokens' row indices
+    in the model's table, and probs (B, 8) holds the emotion probabilities
+    of its review. Give a review's clauses one after another, so that its
+    effective input weights are formed once."""
+    probs = _check_probs(probs, (len(sequences), N_EMOTIONS))
+    return np.array([core.sigmoid(float(z)) for z in bilstm_mlp.logits(m, sequences, probs)[:, 0]])
 
 
-def score_clause(m: CauseScorer, tokens, probs, train: bool = False,
-                 rng: core.Rng | None = None) -> float:
-    """Probability in (0, 1) that the clause is a cause clause."""
-    xs = emotion_scaled_inputs(tokens, probs, m.table)
-    return core.sigmoid(float(bilstm_mlp.forward(m, xs, train, rng).logits[0]))
-
-
-def loss_and_grads(m: CauseScorer, xs: np.ndarray, label: int,
+def loss_and_grads(m: CauseScorer, rows: np.ndarray, weights: np.ndarray, label: int,
                    train: bool, rng: core.Rng | None, grad: bilstm_mlp.Weights) -> float:
-    """BCE loss; its gradient is written into grad. d(loss)/d(logit) of
-    sigmoid + BCE collapses to (p - y)."""
-    cache = bilstm_mlp.forward(m, xs, train, rng)
-    prob = core.sigmoid(float(cache.logits[0]))
+    """BCE loss of one clause, whose (T, d) word vectors are rows and whose
+    review's emotion probabilities are weights (1, 8); its gradient is
+    written into grad. d(loss)/d(logit) of sigmoid + BCE collapses to
+    (p - y)."""
+    cache = bilstm_mlp.forward(m, rows, (len(rows),), weights, train, rng)
+    prob = core.sigmoid(float(cache.logits[0, 0]))
     loss = core.bce_loss(prob, label)
     bilstm_mlp.backward(m, cache, np.array([prob - label]), grad)
     return loss
-
-
-def select_cause_clause(m: CauseScorer, clauses, probs) -> tuple[int, list]:
-    """Index of the highest-scoring clause (ties go to the lowest index) and
-    every clause's score, None for a clause whose tokens are all out of
-    vocabulary; such clauses are not scored. OovError when no clause (or an
-    empty list) can be scored."""
-    scores = []
-    for clause in clauses:
-        try:
-            scores.append(score_clause(m, clause.words, probs))
-        except OovError:
-            scores.append(None)
-    scored = [i for i, s in enumerate(scores) if s is not None]
-    if not scored:
-        raise OovError("no clause has an in-vocabulary token")
-    return max(scored, key=scores.__getitem__), scores
 
 
 def train_cause(examples, table: EmbeddingTable, rng: core.Rng,
                 epochs: int = DEFAULT_EPOCHS, cfg: core.SgdConfig | None = None,
                 hidden: int = DEFAULT_HIDDEN, log_epochs: bool = False):
     """Returns (model, per-epoch mean-loss trace); see bilstm_mlp.train.
-    A single-label dataset trains anyway, with a warning."""
+    Each example is held as its clause's (T, d) word vectors and its
+    probabilities. A single-label dataset trains anyway, with a warning."""
     labels = {ex.label for ex in examples}
     if len(labels) == 1:
         log.warning("training data contains only label %s", labels.pop())
     return bilstm_mlp.train(
         CauseScorer, table, examples,
-        lambda ex: (emotion_scaled_inputs(ex.tokens, ex.probs, table), ex.label),
+        lambda ex: (table.rows(ex.tokens), ex.probs[None, :], ex.label),
         loss_and_grads, rng, epochs, cfg, hidden, log_epochs)
 
 

@@ -105,12 +105,14 @@ def check_lstm(seed: int, eps: float = DEFAULT_EPS, hidden: int = 3,
     xs = rng.normal(size=(steps, TOY_DIM))
     r = rng.normal(size=(steps, hidden))
 
-    def loss():
-        hs = kernels.lstm_forward_seq(p.w_x, p.w_h, p.bias, xs)[0]
-        return float(np.sum(r * hs[1:]))
+    def run():
+        zx = (xs @ p.w_x.T + p.bias)[:, None, :]
+        return [a[:, 0] for a in kernels.lstm_forward_seq(zx, p.w_h, (steps,))]
 
-    fwd = kernels.lstm_forward_seq(p.w_x, p.w_h, p.bias, xs)
-    kernels.lstm_backward_seq(p.w_x, p.w_h, xs, *fwd, r, gp.w_x, gp.w_h, gp.bias)
+    def loss():
+        return float(np.sum(r * run()[0][1:]))
+
+    kernels.lstm_backward_seq(p.w_x, p.w_h, xs, *run(), r, gp.w_x, gp.w_h, gp.bias)
     return gradient_check(loss, w.flat, g.flat, eps=eps)
 
 
@@ -120,10 +122,13 @@ def check_bilstm_last(seed: int, eps: float = DEFAULT_EPS) -> float:
     xs = rng.normal(size=(5, TOY_DIM))
     r = rng.normal(size=2 * TOY_HIDDEN)
 
-    def loss():
-        return float(r @ core.bilstm_last_output(core.bilstm_run(w.bilstm, xs)))
+    def run():
+        return core.bilstm_run(w.bilstm, xs, (5,), emotion_model.ONE_BLOCK)
 
-    core.bilstm_backward_last(w.bilstm, core.bilstm_run(w.bilstm, xs), r, g.bilstm)
+    def loss():
+        return float(r @ core.bilstm_last_output(run())[0])
+
+    core.bilstm_backward_last(w.bilstm, run(), r, g.bilstm)
     return gradient_check(loss, w.flat, g.flat, eps=eps)
 
 
@@ -141,42 +146,45 @@ def check_emotion_architecture(seed: int, eps: float = DEFAULT_EPS,
     model = emotion_model.EmotionClassifier.init(table, rng, hidden=TOY_HIDDEN,
                                                  mid=TOY_MID)
     xs = table.vectors[rng.integers(len(table), size=5)]
+    weights = emotion_model.ONE_BLOCK
     target = int(rng.integers(emotion_model.N_EMOTIONS))
     mask_seed = int(rng.integers(2 ** 31))
 
     def loss():
         mask_rng = np.random.default_rng(mask_seed) if train else None
-        logits = bilstm_mlp.forward(model, xs, train, mask_rng).logits
+        logits = bilstm_mlp.forward(model, xs, (5,), weights, train, mask_rng).logits[0]
         return core.nll_loss(core.log_softmax(logits), target)
 
     mask_rng = np.random.default_rng(mask_seed) if train else None
     grad = model.zeros_like()
-    emotion_model.loss_and_grads(model, xs, target, train, mask_rng, grad)
+    emotion_model.loss_and_grads(model, xs, weights, target, train, mask_rng, grad)
     return gradient_check(loss, model.flat, grad.flat, eps=eps)
 
 
 def check_cause_architecture(seed: int, eps: float = DEFAULT_EPS,
                              train: bool = False) -> float:
-    """Full scorer stack: Bi-LSTM over emotion-scaled inputs -> (dropout) ->
-    linear -> ELU -> linear -> sigmoid -> BCE."""
+    """Full scorer stack: Bi-LSTM over the factored emotion-scaled input
+    (random, not one-hot, probabilities, so every input weight block gets
+    a gradient) -> (dropout) -> linear -> ELU -> linear -> sigmoid -> BCE."""
     rng = np.random.default_rng(seed)
     table = _toy_table(rng)
     model = cause_model.CauseScorer.init(table, rng, hidden=TOY_HIDDEN, mid=TOY_MID)
     probs = rng.random(cause_model.N_EMOTIONS)
     probs /= probs.sum()
     tokens = [table.words[int(i)] for i in rng.integers(len(table), size=4)]
-    xs = cause_model.emotion_scaled_inputs(tokens, probs, table)
+    xs = table.rows(tokens)
+    weights = probs[None, :]
     label = int(rng.integers(2))
     mask_seed = int(rng.integers(2 ** 31))
 
     def loss():
         mask_rng = np.random.default_rng(mask_seed) if train else None
-        logit = bilstm_mlp.forward(model, xs, train, mask_rng).logits[0]
+        logit = bilstm_mlp.forward(model, xs, (4,), weights, train, mask_rng).logits[0, 0]
         return core.bce_loss(core.sigmoid(float(logit)), label)
 
     mask_rng = np.random.default_rng(mask_seed) if train else None
     grad = model.zeros_like()
-    cause_model.loss_and_grads(model, xs, label, train, mask_rng, grad)
+    cause_model.loss_and_grads(model, xs, weights, label, train, mask_rng, grad)
     return gradient_check(loss, model.flat, grad.flat, eps=eps)
 
 

@@ -56,14 +56,20 @@ class EmbeddingTable:
         except KeyError:
             raise KeyError(f"unknown word {word!r}") from None
 
+    def indices(self, tokens) -> tuple:
+        """Row indices of the in-vocabulary tokens, in token order with
+        repeats; out-of-vocabulary tokens are dropped."""
+        index = self._index
+        return tuple(index[t] for t in tokens if t in index)
+
     def rows(self, tokens) -> np.ndarray:
         """(n, d) vectors of the in-vocabulary tokens, in token order with
         repeats, from one gather. Out-of-vocabulary tokens are dropped;
         OovError when no token is known."""
-        index = [self._index[t] for t in tokens if t in self._index]
+        index = self.indices(tokens)
         if not index:
             raise OovError("every token is out of vocabulary")
-        return self.vectors[index]
+        return self.vectors[list(index)]
 
 
 @dataclass(frozen=True)

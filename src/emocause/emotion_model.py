@@ -1,8 +1,9 @@
 """Review-level 8-way emotion classifier.
 
 The shared Bi-LSTM + MLP network (bilstm_mlp.py, 256 hidden units per
-direction by default) over the review's word embeddings, with a
-log-softmax head. Trained with NLL loss, batch size 1, SGD with momentum,
+direction by default) over the review's word embeddings, one input block
+with weight 1, under a log-softmax head. Inference classifies many reviews
+per call (classify). Trained with NLL loss, batch size 1, SGD with momentum,
 for 100 epochs.
 """
 
@@ -44,20 +45,25 @@ class EmotionTrainExample:
             raise ValueError(f"unknown emotion label {self.label!r}")
 
 
-def forward_emotion(m: EmotionClassifier, tokens, train: bool = False,
-                    rng: core.Rng | None = None) -> np.ndarray:
-    """Log-probabilities over the 8 emotions for a tokenized review; its
-    in-vocabulary tokens are the timesteps (OovError when there are none)."""
-    xs = m.table.rows(tokens)
-    return core.log_softmax(bilstm_mlp.forward(m, xs, train, rng).logits)
+ONE_BLOCK = np.ones((1, 1))  # a review's block weights: its word vectors as they are
 
 
-def loss_and_grads(m: EmotionClassifier, xs: np.ndarray, target: int,
-                   train: bool, rng: core.Rng | None, grad: bilstm_mlp.Weights) -> float:
-    """NLL loss; its gradient is written into grad. d(loss)/d(logits) of
-    log-softmax + NLL is softmax minus the one-hot target."""
-    cache = bilstm_mlp.forward(m, xs, train, rng)
-    log_probs = core.log_softmax(cache.logits)
+def classify(m: EmotionClassifier, sequences) -> np.ndarray:
+    """Log-probabilities (B, 8) over the emotions for B reviews, in one
+    batched forward; each review is the nonempty sequence of its
+    in-vocabulary tokens' row indices in the model's table."""
+    weights = np.broadcast_to(ONE_BLOCK, (len(sequences), 1))
+    return core.log_softmax(bilstm_mlp.logits(m, sequences, weights))
+
+
+def loss_and_grads(m: EmotionClassifier, rows: np.ndarray, weights: np.ndarray,
+                   target: int, train: bool, rng: core.Rng | None,
+                   grad: bilstm_mlp.Weights) -> float:
+    """NLL loss of one review; its gradient is written into grad.
+    d(loss)/d(logits) of log-softmax + NLL is softmax minus the one-hot
+    target."""
+    cache = bilstm_mlp.forward(m, rows, (len(rows),), weights, train, rng)
+    log_probs = core.log_softmax(cache.logits[0])
     loss = core.nll_loss(log_probs, target)
     d_logits = np.exp(log_probs)
     d_logits[target] -= 1.0
@@ -72,7 +78,7 @@ def train_emotion(examples, table: EmbeddingTable, rng: core.Rng,
     Examples whose tokens are all out of vocabulary are skipped."""
     return bilstm_mlp.train(
         EmotionClassifier, table, examples,
-        lambda ex: (table.rows(ex.tokens), EMOTIONS.index(ex.label)),
+        lambda ex: (table.rows(ex.tokens), ONE_BLOCK, EMOTIONS.index(ex.label)),
         loss_and_grads, rng, epochs, cfg, hidden, log_epochs)
 
 

@@ -9,6 +9,7 @@ Everything is float64. Random state is a numpy Generator created with
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,46 +51,117 @@ class BiLstm:
 
 
 class BiLstmCache:
-    """Everything both directions recorded during a forward pass."""
+    """Everything both directions recorded during a forward pass over B
+    sequences packed by length."""
 
-    __slots__ = ("xs", "xs_rev", "fwd", "bwd")
+    __slots__ = ("rows", "rows_rev", "weights", "lengths", "last", "w_eff", "fwd", "bwd")
 
-    def __init__(self, xs, xs_rev, fwd, bwd):
-        self.xs = xs
-        self.xs_rev = xs_rev
+    def __init__(self, rows, rows_rev, weights, lengths, last, w_eff, fwd, bwd):
+        self.rows = rows  # (N, d): the sequences' timesteps, one after another
+        self.rows_rev = rows_rev  # the same, each sequence reversed in place
+        self.weights = weights  # (B, k) block weights, one row per sequence
+        self.lengths = lengths  # B ints
+        self.last = last  # (B,) each sequence's last state, as a row of hs.reshape(-1, H)
+        self.w_eff = w_eff  # per direction, the last run's (4H, d) input weights
         self.fwd = fwd  # (hs, cs, gates, tanh_c) of the left-to-right run
-        self.bwd = bwd  # same for the run over the reversed sequence
+        self.bwd = bwd  # same for the run over the reversed sequences
 
 
-def bilstm_run(m: BiLstm, xs: np.ndarray) -> BiLstmCache:
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    if xs.ndim != 2 or xs.shape[0] == 0:
-        raise ValueError("bilstm: need a nonempty (T, D) sequence")
-    if xs.shape[1] != m.input_dim:
-        raise ValueError(f"bilstm: input dim {xs.shape[1]} != {m.input_dim}")
-    xs_rev = np.ascontiguousarray(xs[::-1])
-    fwd = kernels.lstm_forward_seq(m.forward.w_x, m.forward.w_h, m.forward.bias, xs)
-    bwd = kernels.lstm_forward_seq(m.backward.w_x, m.backward.w_h, m.backward.bias, xs_rev)
-    return BiLstmCache(xs, xs_rev, fwd, bwd)
+def bilstm_bytes(hidden: int, steps: int, batch: int) -> int:
+    """Bytes of the kernel arrays bilstm_run holds for batch sequences of at
+    most steps timesteps: per direction, gates (4H) plus hs, cs and tanh_c
+    (H each) per padded step."""
+    return 2 * 8 * 7 * hidden * (steps + 1) * batch
+
+
+def effective_weights(w_blocks: np.ndarray, p: list) -> np.ndarray:
+    """sum_j p[j] * w_blocks[:, j], a new (4H, d) array; for a one-hot p,
+    the one block itself (a view): the emotion model's single block and the
+    cause scorer's teacher-forced training then copy nothing."""
+    nonzero = [j for j, x in enumerate(p) if x]
+    if len(nonzero) == 1 and p[nonzero[0]] == 1.0:
+        return w_blocks[:, nonzero[0]]
+    return np.matmul(p, w_blocks)
+
+
+def bilstm_run(m: BiLstm, rows: np.ndarray, lengths, weights) -> BiLstmCache:
+    """Both directions over B sequences at once.
+
+    rows (N, d) holds the sequences' timesteps one after another, lengths
+    (B,) their lengths and weights (B, k) their block weights, k * d =
+    input_dim. Sequence i's timestep input is kron(weights[i], row), but
+    that k*d-wide input is never built: since W_x kron(p, v) =
+    (sum_j p_j W_x^(j)) v, each direction projects the rows through
+    W_eff = sum_j p_j W_x^(j) (effective_weights), formed once per run of
+    consecutive sequences with equal weights and dropped after it. The
+    projections are packed by decreasing length (ties keep their order)
+    into the kernel's time-major array, the backward direction's with each
+    sequence reversed.
+    """
+    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
+    lengths = [int(n) for n in lengths]
+    if rows.ndim != 2 or not lengths or min(lengths) < 1:
+        raise ValueError("bilstm: need nonempty (T, D) sequences")
+    n, d = rows.shape
+    if n != sum(lengths):
+        raise ValueError(f"bilstm: {n} rows for sequences of {sum(lengths)} steps")
+    batch = len(lengths)
+    if weights.ndim != 2 or weights.shape[0] != batch or weights.shape[1] * d != m.input_dim:
+        raise ValueError(f"bilstm: input dim {weights.shape[1:]} x {d} != {m.input_dim}")
+    ends = list(itertools.accumulate(lengths))
+    spans = list(zip([0] + ends[:-1], ends))  # each sequence's rows
+    order = sorted(range(batch), key=lengths.__getitem__, reverse=True)  # stable
+    col = [0] * batch
+    for c, i in enumerate(order):
+        col[i] = c
+    rows_rev = np.concatenate([rows[a:b][::-1] for a, b in spans])
+    w = weights.tolist()
+    firsts = [i for i in range(batch) if i == 0 or w[i] != w[i - 1]]
+    runs, w_eff = [], []
+    for p, xs in ((m.forward, rows), (m.backward, rows_rev)):
+        four_h = p.w_h.shape[0]
+        w_blocks = p.w_x.reshape(four_h, weights.shape[1], d)
+        zx = np.empty((lengths[order[0]], batch, four_h))  # the kernel reads no padding
+        for s, e in zip(firsts, firsts[1:] + [batch]):
+            w_run = effective_weights(w_blocks, w[s])
+            base = spans[s][0]
+            z = xs[base:spans[e - 1][1]] @ w_run.T + p.bias
+            for i in range(s, e):
+                zx[:lengths[i], col[i]] = z[spans[i][0] - base:spans[i][1] - base]
+        runs.append(kernels.lstm_forward_seq(zx, p.w_h, [lengths[i] for i in order]))
+        w_eff.append(w_run)
+    last = np.array([n * batch + c for n, c in zip(lengths, col)])
+    return BiLstmCache(rows, rows_rev, weights, lengths, last, w_eff, *runs)
 
 
 def bilstm_last_output(cache: BiLstmCache) -> np.ndarray:
-    """concat(h_fwd at the final position, h_bwd at position 0) — each
-    direction's state after it has consumed the whole sequence."""
-    return np.concatenate([cache.fwd[0][-1], cache.bwd[0][-1]])
+    """(B, 2H): per sequence, concat(h_fwd at its final position, h_bwd at
+    position 0) — each direction's state after it has consumed the whole
+    sequence."""
+    hs_f, hs_b = cache.fwd[0], cache.bwd[0]
+    h = hs_f.shape[2]
+    return np.concatenate([hs_f.reshape(-1, h)[cache.last], hs_b.reshape(-1, h)[cache.last]],
+                          axis=1)
 
 
 def bilstm_backward_last(m: BiLstm, cache: BiLstmCache, d_last: np.ndarray,
                          grad: BiLstm) -> None:
-    """BPTT when the loss touches only bilstm_last_output. Writes the
-    gradients into grad's arrays."""
-    T = cache.xs.shape[0]
+    """BPTT for one sequence when the loss touches only bilstm_last_output.
+    Writes the gradients into grad's arrays."""
+    if len(cache.lengths) != 1:
+        raise ValueError("bilstm backward: one sequence at a time")
+    T = cache.lengths[0]
     h = m.hidden_dim
-    for p, g, xs, run, d in ((m.forward, grad.forward, cache.xs, cache.fwd, d_last[:h]),
-                             (m.backward, grad.backward, cache.xs_rev, cache.bwd, d_last[h:])):
+    weights = cache.weights[0].tolist()
+    for p, g, xs, w_eff, run, d in (
+            (m.forward, grad.forward, cache.rows, cache.w_eff[0], cache.fwd, d_last[:h]),
+            (m.backward, grad.backward, cache.rows_rev, cache.w_eff[1], cache.bwd, d_last[h:])):
         d_h_out = np.zeros((T, h))
         d_h_out[T - 1] = d
-        kernels.lstm_backward_seq(p.w_x, p.w_h, xs, *run, d_h_out, g.w_x, g.w_h, g.bias)
+        hs, cs, gates, tanh_c = run
+        kernels.lstm_backward_seq(w_eff, p.w_h, xs, hs[:, 0], cs[:, 0], gates[:, 0],
+                                  tanh_c[:, 0], d_h_out, g.w_x, g.w_h, g.bias, weights)
 
 
 @dataclass
@@ -132,9 +204,10 @@ def sigmoid(x: float) -> float:
 
 
 def log_softmax(x: np.ndarray) -> np.ndarray:
+    """Over the last axis, so a (B, n) array gives one distribution per row."""
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x)
-    return shifted - np.log(np.sum(np.exp(shifted)))
+    shifted = x - np.max(x, axis=-1, keepdims=True)
+    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
 
 
 def dropout_mask(p: float, shape, rng: Rng) -> np.ndarray:

@@ -1,61 +1,91 @@
 """LSTM sequence kernels — the hot inner loops of training and inference.
 
-Both kernels run over a whole sequence, and every product that does not
-depend on the recurrence runs once per sequence as one matrix product
-(input-projection batching, Appleyard et al. 2016, arXiv:1604.01946):
+Every product that does not depend on the recurrence runs outside the time
+loop as one matrix product (input-projection batching, Appleyard et al.
+2016, arXiv:1604.01946), here extended across sequences:
 
-- forward: the input projection xs @ w_x.T + bias for all T steps; only
-  the recurrent product w_h @ h runs per timestep;
-- backward: the gate gradients of all steps are kept as one (T, 4H)
-  array dZ, and d_wx = dZ.T @ xs, d_wh = dZ.T @ hs[:-1], d_bias =
-  dZ.sum(0), each written into the caller's array; only the recurrent
-  product dZ[t] @ w_h runs per timestep.
+- forward: batch-major over B sequences packed by length. The caller
+  hands in the input pre-activations of every step of every sequence as
+  one time-major (T, B, 4H) array; only the recurrent product
+  h[:n] @ w_h.T runs per timestep, one (n, H) @ (H, 4H) product over the
+  n sequences still running at that step. Sequences are sorted by
+  decreasing length, so those n are the first n rows: nothing is masked
+  and no padded step is computed. Training runs the same kernel with B = 1.
+- backward: one sequence at a time, on the B = 1 views of the forward
+  outputs. The gate gradients of all steps are kept as one (T, 4H) array
+  dZ, and the input weight blocks' dZ.T @ (p_k xs), d_wh = dZ.T @
+  hs[:-1] and d_bias = dZ.sum(0) are each written into the caller's
+  array; only the recurrent product dZ[t] @ w_h runs per timestep.
 
 No array the size of a weight matrix is created inside a time loop.
 
 Gate layout: the four gates are stacked row-wise in one matrix, in the
-order input | forget | cell | output, so w_x is (4H, D), w_h is (4H, H)
-and bias is (4H,). All arrays are C-contiguous float64.
+order input | forget | cell | output, so w_h is (4H, H) and a direction's
+input weights w_x are (4H, D). All arrays are C-contiguous float64.
 """
+
+import bisect
 
 import numpy as np
 
 
-def lstm_forward_seq(w_x, w_h, bias, xs):
-    """Run an LSTM left to right over xs (T, D) from zero state.
+def lstm_forward_seq(zx, w_h, lengths):
+    """Run an LSTM left to right from zero state over B sequences at once.
 
-    Returns (hs, cs, gates, tanh_c) where hs/cs are (T+1, H) with row 0 the
-    initial zero state, gates is (T, 4H) post-activation in i|f|g|o order and
-    tanh_c is (T, H); everything the backward pass needs.
+    zx is (T, B, 4H), time-major: zx[t, i] is sequence i's input
+    pre-activation at step t, bias included. lengths (B,) is sorted in
+    decreasing order with lengths[0] == T, so step t updates only the first
+    n_active[t] rows. zx is turned into the gate activations in place.
+
+    Returns (hs, cs, gates, tanh_c): hs/cs are (T+1, B, H) with row 0 the
+    initial zero state, gates is zx, (T, B, 4H) post-activation in i|f|g|o
+    order, and tanh_c is (T, B, H); everything the backward pass needs.
+    Sequence i's last state is hs[lengths[i], i]; entries past a
+    sequence's end are not computed (zero in hs, cs and tanh_c, and zx's
+    own values in gates) and not read.
     """
-    T = xs.shape[0]
+    T, B, four_h = zx.shape
     H = w_h.shape[1]
-    hs = np.zeros((T + 1, H))
-    cs = np.zeros((T + 1, H))
-    tanh_c = np.empty((T, H))
-    # pre-activations from the inputs, turned into the activations in place
-    gates = xs @ w_x.T + bias
-    for t in range(T):
-        z = gates[t]
-        z += w_h @ hs[t]
-        i, f, g, o = act = z.reshape(4, H)
+    neg = [-int(n) for n in lengths]  # ascending
+    if len(neg) != B or neg[0] != -T or neg[-1] > -1 or neg != sorted(neg):
+        raise ValueError("lstm: lengths must be >= 1, in decreasing order, the first equal to T")
+    n_active = [bisect.bisect_left(neg, -t) for t in range(T)]  # lengths > t
+    hs = np.zeros((T + 1, B, H))
+    cs = np.zeros((T + 1, B, H))
+    tanh_c = np.zeros((T, B, H))
+    w_ht = w_h.T
+    acts = zx.reshape(T, B, 4, H).transpose(0, 2, 1, 3)  # gate-major views of zx
+    for t, n in enumerate(n_active):
+        z = zx[t, :n]
+        z += hs[t, :n] @ w_ht
+        act = acts[t, :, :n]
+        i, f, g, o = act
         tanh_g = np.tanh(g)
-        act[:] = 1.0 / (1.0 + np.exp(-act))
-        g[:] = tanh_g
-        np.multiply(f, cs[t], out=cs[t + 1])
-        cs[t + 1] += i * g
-        np.tanh(cs[t + 1], out=tanh_c[t])
-        np.multiply(o, tanh_c[t], out=hs[t + 1])
-    return hs, cs, gates, tanh_c
+        np.exp(np.negative(act, act), act)
+        np.add(act, 1.0, act)
+        np.divide(1.0, act, act)
+        g[...] = tanh_g
+        c = cs[t + 1, :n]
+        np.multiply(f, cs[t, :n], c)
+        c += i * g
+        np.multiply(o, np.tanh(c, tanh_c[t, :n]), hs[t + 1, :n])
+    return hs, cs, zx, tanh_c
 
 
-def lstm_backward_seq(w_x, w_h, xs, hs, cs, gates, tanh_c, d_h_out, d_wx, d_wh, d_bias):
-    """Backpropagate through time given d_h_out (T, H), the gradient of the
-    loss w.r.t. each timestep's hidden output.
+def lstm_backward_seq(w_x, w_h, xs, hs, cs, gates, tanh_c, d_h_out, d_wx, d_wh, d_bias,
+                      block_weights=(1.0,)):
+    """Backpropagate through time over one sequence, given d_h_out (T, H),
+    the gradient of the loss w.r.t. each timestep's hidden output, and the
+    forward kernel's outputs for that sequence ((T+1, H), (T+1, H),
+    (T, 4H), (T, H)).
 
-    Writes the weight gradients into d_wx (4H, D), d_wh (4H, H) and d_bias
-    (4H,). Input gradients are not computed; the models feed frozen
-    embeddings.
+    w_x (4H, D) is the weight matrix the sequence's (T, D) inputs xs were
+    projected with. The parameter it came from is k = len(block_weights)
+    blocks of that shape, w_x = sum_j block_weights[j] * block_j, so the
+    gradient of block j is dZ.T @ (block_weights[j] * xs), exactly zero for
+    a zero weight: d_wx (4H, k*D) is written block by block, with no
+    (T, k*D) input and no (4H, k*D) temporary. Also writes d_wh (4H, H) and d_bias (4H,). Input gradients
+    are not computed; the models feed frozen embeddings.
     """
     T = xs.shape[0]
     H = w_h.shape[1]
@@ -76,6 +106,11 @@ def lstm_backward_seq(w_x, w_h, xs, hs, cs, gates, tanh_c, d_h_out, d_wx, d_wh, 
         dc = dct * f[t]
         dh = dz[t].reshape(4 * H) @ w_h
     dz = dz.reshape(T, 4 * H)
-    np.matmul(dz.T, xs, out=d_wx)
+    blocks = d_wx.reshape(4 * H, len(block_weights), xs.shape[1])
+    if not all(block_weights):
+        d_wx[...] = 0.0
+    for j, weight in enumerate(block_weights):
+        if weight:
+            np.matmul(dz.T, xs if weight == 1.0 else weight * xs, out=blocks[:, j])
     np.matmul(dz.T, hs[:-1], out=d_wh)
     dz.sum(0, out=d_bias)

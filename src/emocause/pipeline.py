@@ -17,7 +17,8 @@ from . import cause_model, clustering, emotion_model
 from .clauses import extract_clauses, parse_conllu
 from .corpus import load_corpus
 from .embeddings import load_word_embeddings
-from .errors import DataError, OovError
+from .errors import DataError
+from .nn import core
 
 DEFAULT_THRESHOLD = clustering.DEFAULT_THRESHOLD
 
@@ -128,6 +129,13 @@ def build_cause_examples(records, sentences: dict):
     return examples
 
 
+# Reviews are inferred in chunks of whole reviews: one batched emotion
+# forward over a chunk's reviews, then one batched cause forward over all of
+# their distinct scorable clauses. A chunk grows while the padded kernel
+# arrays of its larger forward fit in this many bytes (one review at least).
+CHUNK_BYTES = 1 << 20
+
+
 class ReviewSkipped(Exception):
     """A review that inference cannot use; reason is one of SKIP_REASONS."""
 
@@ -145,37 +153,98 @@ class ReviewInference:
     chosen: int  # index of the cause clause
 
 
-def infer_review(record, sentences: dict, emo, causes) -> ReviewInference:
-    """Emotion and cause clause of one review, or ReviewSkipped."""
+def distinct_clauses(clauses, table) -> tuple[list, list]:
+    """(slots, distinct): distinct holds the row-index tuples of the
+    clauses' in-vocabulary tokens, each once, in order of first use; slot i
+    is clause i's index into it, or None when none of its tokens is known.
+    Clauses with equal tuples are scored once and share that score exactly."""
+    seen: dict = {}
+    slots = []
+    for clause in clauses:
+        key = table.indices(clause.words)
+        slots.append(seen.setdefault(key, len(seen)) if key else None)
+    return slots, list(seen)
+
+
+def choose(slots, distinct_scores) -> tuple[int, list]:
+    """(index of the highest-scoring clause, per-clause scores) from the
+    scores of the distinct clauses; ties go to the lowest index."""
+    scores = [None if s is None else float(distinct_scores[s]) for s in slots]
+    scored = [i for i, s in enumerate(scores) if s is not None]
+    return max(scored, key=scores.__getitem__), scores
+
+
+@dataclass
+class _Review:
+    """A usable review, ready for the batched forwards."""
+
+    record: object
+    clauses: list
+    tokens: tuple  # the emotion model's table rows of its in-vocabulary tokens
+    slots: list  # see distinct_clauses
+    distinct: list
+
+
+def _prepare(record, sentences: dict, emo, causes) -> _Review:
+    """The review's inputs, or ReviewSkipped with the data reason."""
     try:
         parsed = [sentences[pid] for pid in record.parse_ids]
     except KeyError:
         raise ReviewSkipped("missing_parse") from None
     clauses = [c for s in parsed for c in extract_clauses(s)]
-    tokens = [t for s in parsed for t in s.texts()]
-    try:
-        log_probs = emotion_model.forward_emotion(emo, tokens)
-    except OovError:
-        raise ReviewSkipped("all_oov") from None
+    tokens = emo.table.indices(t for s in parsed for t in s.texts())
+    if not tokens:
+        raise ReviewSkipped("all_oov")
+    slots, distinct = distinct_clauses(clauses, causes.table)
+    if not distinct:
+        raise ReviewSkipped("no_clause")
+    return _Review(record, clauses, tokens, slots, distinct)
+
+
+def _chunk_bytes(chunk, emo, causes) -> int:
+    """Kernel bytes of the larger of the chunk's two forwards."""
+    clauses = [c for r in chunk for c in r.distinct]
+    return max(core.bilstm_bytes(emo.bilstm.hidden_dim, max(len(r.tokens) for r in chunk),
+                                 len(chunk)),
+               core.bilstm_bytes(causes.bilstm.hidden_dim, max(map(len, clauses)),
+                                 len(clauses)))
+
+
+def _infer_chunk(chunk, emo, causes) -> list:
+    log_probs = emotion_model.classify(emo, [r.tokens for r in chunk])
     probs = np.exp(log_probs)
-    try:
-        chosen, scores = cause_model.select_cause_clause(causes, clauses, probs)
-    except OovError:
-        raise ReviewSkipped("no_clause") from None
-    return ReviewInference(emotion=emo.labels[int(np.argmax(log_probs))], probs=probs,
-                           clauses=clauses, scores=scores, chosen=chosen)
+    clauses = [c for r in chunk for c in r.distinct]
+    clause_probs = np.repeat(probs, [len(r.distinct) for r in chunk], axis=0)
+    scores = cause_model.score(causes, clauses, clause_probs)
+    results, start = [], 0
+    for r, review_log_probs, review_probs in zip(chunk, log_probs, probs):
+        chosen, review_scores = choose(r.slots, scores[start:start + len(r.distinct)])
+        start += len(r.distinct)
+        results.append((r.record, ReviewInference(
+            emotion=emo.labels[int(np.argmax(review_log_probs))], probs=review_probs,
+            clauses=r.clauses, scores=review_scores, chosen=chosen)))
+    return results
 
 
 def infer_corpus(records, sentences: dict, emo, causes):
     """(record, ReviewInference) for each usable review, in corpus order,
-    and the skipped reviews counted by reason."""
+    and the skipped reviews counted by reason. Usable reviews are inferred
+    in chunks of at most CHUNK_BYTES of kernel arrays."""
     results = []
     skipped = dict.fromkeys(SKIP_REASONS, 0)
+    chunk = []
     for record in records:
         try:
-            results.append((record, infer_review(record, sentences, emo, causes)))
+            review = _prepare(record, sentences, emo, causes)
         except ReviewSkipped as skip:
             skipped[skip.reason] += 1
+            continue
+        if chunk and _chunk_bytes(chunk + [review], emo, causes) > CHUNK_BYTES:
+            results += _infer_chunk(chunk, emo, causes)
+            chunk = []
+        chunk.append(review)
+    if chunk:
+        results += _infer_chunk(chunk, emo, causes)
     return results, skipped
 
 

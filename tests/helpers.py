@@ -3,9 +3,10 @@ acceptance suite."""
 
 import numpy as np
 
-from emocause import bilstm_mlp, cause_model, emotion_model
+from emocause import bilstm_mlp, cause_model, emotion_model, pipeline
 from emocause.clustering import cosine_distance
 from emocause.embeddings import EMOTIONS, EmbeddingTable, build_similarity_matrix
+from emocause.errors import OovError
 from emocause.nn import core
 
 
@@ -55,9 +56,47 @@ def reference_emotion_aware_table(table, lexicon, k):
 
 
 def kron_scaled_inputs(tokens, probs, table):
-    """Per-token oracle for cause_model.emotion_scaled_inputs: one np.kron
-    of the probabilities and each in-vocabulary word's vector."""
+    """The paper's (T, 8d) cause input, the oracle for the factored
+    projection: one np.kron of the probabilities and each in-vocabulary
+    word's vector."""
     return np.array([np.kron(probs, table[t]) for t in tokens if t in table])
+
+
+def reference_lstm_forward_seq(w_x, w_h, bias, xs):
+    """The one-sequence forward kernel that the batch-major kernel
+    replaced, kept verbatim as an oracle: an LSTM left to right over xs
+    (T, D) from zero state. Returns (hs, cs, gates, tanh_c) with hs/cs
+    (T+1, H), gates (T, 4H) post-activation in i|f|g|o order and tanh_c
+    (T, H)."""
+    T = xs.shape[0]
+    H = w_h.shape[1]
+    hs = np.zeros((T + 1, H))
+    cs = np.zeros((T + 1, H))
+    tanh_c = np.empty((T, H))
+    gates = xs @ w_x.T + bias
+    for t in range(T):
+        z = gates[t]
+        z += w_h @ hs[t]
+        i, f, g, o = act = z.reshape(4, H)
+        tanh_g = np.tanh(g)
+        act[:] = 1.0 / (1.0 + np.exp(-act))
+        g[:] = tanh_g
+        np.multiply(f, cs[t], out=cs[t + 1])
+        cs[t + 1] += i * g
+        np.tanh(cs[t + 1], out=tanh_c[t])
+        np.multiply(o, tanh_c[t], out=hs[t + 1])
+    return hs, cs, gates, tanh_c
+
+
+def kron_logits(m, tokens, probs):
+    """Oracle for a cause scorer's logit: both directions run by the
+    reference kernel over the (T, 8d) Kronecker input and the full input
+    weights, then the MLP, as the paper writes the model."""
+    xs = kron_scaled_inputs(tokens, probs, m.table)
+    last = [reference_lstm_forward_seq(p.w_x, p.w_h, p.bias, seq)[0][-1]
+            for p, seq in ((m.bilstm.forward, xs), (m.bilstm.backward, xs[::-1]))]
+    a1 = core.elu(core.linear(m.fc1, np.concatenate(last)))
+    return core.linear(m.fc2, a1)
 
 
 def sigmoid_vec(x):
@@ -96,16 +135,17 @@ def random_bilstm(rng, input_dim, hidden):
 
 
 def bilstm_outputs(cache):
-    """Per-timestep outputs (T, 2H): concat of both directions' states at
-    each original position."""
-    hs_f = cache.fwd[0][1:]
-    hs_b = cache.bwd[0][1:][::-1]
+    """Per-timestep outputs (T, 2H) of a one-sequence run: concat of both
+    directions' states at each original position."""
+    hs_f = cache.fwd[0][1:, 0]
+    hs_b = cache.bwd[0][1:, 0][::-1]
     return np.concatenate([hs_f, hs_b], axis=1)
 
 
 def bilstm_forward(m, seq):
     """Sequence of per-timestep output vectors, each of length 2*hidden."""
-    return list(bilstm_outputs(core.bilstm_run(m, np.asarray(seq, dtype=np.float64))))
+    seq = np.asarray(seq, dtype=np.float64)
+    return list(bilstm_outputs(core.bilstm_run(m, seq, (len(seq),), emotion_model.ONE_BLOCK)))
 
 
 def dropout(x, p, train, rng=None):
@@ -167,8 +207,19 @@ def separable_cause_setup(dim=10):
     return table, examples
 
 
+def forward_emotion(m, tokens, train=False, rng=None):
+    """Log-probabilities over the 8 emotions for one tokenized review: the
+    batched classifier's one-review call, or in train mode one forward
+    pass with a dropout mask drawn from rng."""
+    if not train:
+        return emotion_model.classify(m, [m.table.indices(tokens)])[0]
+    rows = m.table.rows(tokens)
+    logits = bilstm_mlp.forward(m, rows, (len(rows),), emotion_model.ONE_BLOCK, train, rng).logits
+    return core.log_softmax(logits[0])
+
+
 def predict_label(m, tokens):
-    log_probs = emotion_model.forward_emotion(m, tokens, train=False)
+    log_probs = forward_emotion(m, tokens, train=False)
     return m.labels[int(np.argmax(log_probs))]
 
 
@@ -176,8 +227,36 @@ def emotion_accuracy(model, examples):
     return sum(predict_label(model, ex.tokens) == ex.label for ex in examples)
 
 
+def score_clause(m, tokens, probs):
+    """Cause score of one clause: the batched scorer's one-clause call
+    (OovError when no token is known)."""
+    index = m.table.indices(tokens)
+    if not index:
+        raise OovError("every token is out of vocabulary")
+    return float(cause_model.score(m, [index], [probs])[0])
+
+
+def select_cause_clause(m, clauses, probs):
+    """(index of the cause clause, per-clause scores) of one review's
+    clauses, as inference picks it: one batched call over the distinct
+    scorable clauses. OovError when no clause can be scored."""
+    slots, distinct = pipeline.distinct_clauses(clauses, m.table)
+    if not distinct:
+        raise OovError("no clause has an in-vocabulary token")
+    return pipeline.choose(slots, cause_model.score(m, distinct, [probs] * len(distinct)))
+
+
+def infer_review(record, sentences, emo, causes):
+    """Inference over a one-review corpus: the review's ReviewInference, or
+    ReviewSkipped with its reason."""
+    results, skipped = pipeline.infer_corpus([record], sentences, emo, causes)
+    if not results:
+        raise pipeline.ReviewSkipped(next(r for r, n in skipped.items() if n))
+    return results[0][1]
+
+
 def cause_accuracy(model, examples):
-    return sum((cause_model.score_clause(model, ex.tokens, ex.probs) >= 0.5)
+    return sum((score_clause(model, ex.tokens, ex.probs) >= 0.5)
                == bool(ex.label) for ex in examples)
 
 

@@ -5,6 +5,7 @@ from emocause import bilstm_mlp, cause_model, emotion_model
 from emocause.nn import core, serialize
 
 from conftest import random_table
+from helpers import score_clause
 
 KINDS = {
     "emotion": (emotion_model.EmotionClassifier, emotion_model.save_emotion_model,
@@ -127,5 +128,5 @@ def test_one_gradient_per_training_run_and_none_for_inference(monkeypatch, tmp_p
     assert made == [model.flat.size]
     cause_model.save_cause_model(model, tmp_path / "m.bin")
     loaded = cause_model.load_cause_model(tmp_path / "m.bin", table)
-    cause_model.score_clause(loaded, ("w0", "w1"), probs)
+    score_clause(loaded, ("w0", "w1"), probs)
     assert made == [model.flat.size]

@@ -1,76 +1,171 @@
 import numpy as np
 import pytest
 
-from emocause import bilstm_mlp, cause_model
+from emocause import bilstm_mlp, cause_model, pipeline
 from emocause.embeddings import EmbeddingTable
 from emocause.errors import OovError
+from emocause.nn import core, kernels
 
 from conftest import random_table
-from helpers import cause_accuracy, kron_scaled_inputs, separable_cause_setup
+from helpers import (cause_accuracy, kron_logits, kron_scaled_inputs, reference_lstm_forward_seq,
+                     score_clause, select_cause_clause, separable_cause_setup)
 
 
 def uniform_probs():
     return np.full(8, 0.125)
 
 
+def dyadic_probs(kind, rng):
+    """Probabilities that are exact multiples of 1/64."""
+    if kind == "one_hot":
+        return cause_model.one_hot_probs("fear")
+    if kind == "uniform":
+        return uniform_probs()
+    return np.bincount(rng.integers(8, size=64), minlength=8) / 64.0
+
+
 class TestEmotionScaledInputs:
+    """The factored cause input: each direction projects a word vector v
+    through W_eff = sum_k p_k W_x^(k) rather than W_x through kron(p, v)."""
+
+    def blocks(self, rng, hidden, dim):
+        w_x = rng.normal(size=(4 * hidden, 8 * dim))
+        return w_x, w_x.reshape(4 * hidden, 8, dim)
+
+    def effective(self, w_blocks, probs):
+        return core.effective_weights(w_blocks, list(probs))
+
     def test_one_hot_isolates_block(self, rng):
-        table = random_table(rng, 3, 4)
+        w_x, w_blocks = self.blocks(rng, 2, 4)
         probs = cause_model.one_hot_probs("disgust")  # index 2
-        xs = cause_model.emotion_scaled_inputs(("w1",), probs, table)
-        assert xs.shape == (1, 32)
-        v = table["w1"]
-        assert np.array_equal(xs[0, 8:12], v)
-        mask = np.ones(32, dtype=bool)
-        mask[8:12] = False
-        assert not np.any(xs[0, mask])
+        w_eff = self.effective(w_blocks, probs)
+        assert w_eff.shape == (8, 4)
+        assert np.array_equal(w_eff, w_x[:, 8:12])
 
     def test_uniform_gives_equal_blocks(self, rng):
-        table = random_table(rng, 3, 4)
-        xs = cause_model.emotion_scaled_inputs(("w0",), uniform_probs(), table)
-        v = table["w0"]
-        for k in range(8):
-            assert np.allclose(xs[0, 4 * k:4 * (k + 1)], v / 8.0, atol=1e-12)
+        # equal blocks give that block back: the weights sum to one
+        block = rng.normal(size=(8, 4))
+        w_blocks = np.repeat(block[:, None, :], 8, axis=1)
+        assert np.allclose(self.effective(w_blocks, uniform_probs()), block, atol=1e-12)
 
     def test_hand_values(self):
-        table = EmbeddingTable(["w"], [[1.0, 2.0]])
+        w_x = np.zeros((4, 16))
+        w_x[:, :4] = [[1.0, 2.0, 3.0, 4.0]] * 4  # blocks 0 and 1 of a d = 2 input
         probs = np.array([0.6, 0.4, 0, 0, 0, 0, 0, 0], dtype=float)
-        xs = cause_model.emotion_scaled_inputs(("w",), probs, table)
-        expected = [0.6, 1.2, 0.4, 0.8] + [0.0] * 12
-        assert np.allclose(xs[0], expected, atol=1e-12)
+        w_eff = self.effective(w_x.reshape(4, 8, 2), probs)
+        assert np.allclose(w_eff, [[0.6 * 1 + 0.4 * 3, 0.6 * 2 + 0.4 * 4]] * 4, atol=1e-12)
 
     def test_blocks_sum_to_vector(self, rng):
+        # the projection of v equals W_x kron(p, v), the paper's input
         table = random_table(rng, 4, 5)
-        probs = rng.random(8)
-        probs /= probs.sum()
-        xs = cause_model.emotion_scaled_inputs(("w2", "w3"), probs, table)
-        for t, word in enumerate(("w2", "w3")):
-            blocks = xs[t].reshape(8, 5)
-            assert np.allclose(blocks.sum(axis=0), table[word], atol=1e-9)
+        w_x, w_blocks = self.blocks(rng, 3, 5)
+        probs = rng.dirichlet(np.ones(8))
+        w_eff = self.effective(w_blocks, probs)
+        for word in ("w2", "w3"):
+            assert np.allclose(w_eff @ table[word], w_x @ np.kron(probs, table[word]),
+                               rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("kind", ["one_hot", "uniform", "random"])
     @pytest.mark.parametrize("dim", [1, 4, 16, 300])
     def test_byte_equal_to_per_token_kron(self, kind, dim):
+        # with every product exact (small integers, multiples of 1/64 and of
+        # 1/16), any summation order gives the same bytes, so the factored
+        # projection must equal the kron path exactly
         rng = np.random.default_rng(dim)
-        table = random_table(rng, 6, dim)
-        probs = {"one_hot": cause_model.one_hot_probs("fear"),
-                 "uniform": uniform_probs(),
-                 "random": rng.dirichlet(np.ones(8))}[kind]
+        table = EmbeddingTable([f"w{i}" for i in range(6)],
+                               rng.integers(1, 5, size=(6, dim)) * rng.choice([-1.0, 1.0], size=(6, dim)))
+        w_x = rng.integers(-16, 17, size=(12, 8 * dim)) / 16.0
+        probs = dyadic_probs(kind, rng)
         tokens = tuple(rng.choice(["w0", "w1", "w2", "w3", "w4", "w5", "zz", "yy"], size=12))
-        xs = cause_model.emotion_scaled_inputs(tokens, probs, table)
-        expected = kron_scaled_inputs(tokens, probs, table)
-        assert xs.shape == expected.shape and xs.dtype == expected.dtype
-        assert xs.tobytes() == expected.tobytes()
+        rows = table.rows(tokens)
+        projected = rows @ self.effective(w_x.reshape(12, 8, dim), probs).T
+        expected = kron_scaled_inputs(tokens, probs, table) @ w_x.T
+        assert projected.shape == expected.shape and projected.dtype == expected.dtype
+        assert projected.tobytes() == expected.tobytes()
 
     def test_all_oov(self, rng):
+        # an all-OOV clause gets no timesteps and no score
         table = random_table(rng, 2, 3)
+        slots, distinct = pipeline.distinct_clauses([clause_like(("zz",)), clause_like(("w0",))],
+                                                    table)
+        assert slots == [None, 0] and distinct == [(0,)]
         with pytest.raises(OovError):
-            cause_model.emotion_scaled_inputs(("zz",), uniform_probs(), table)
+            table.rows(("zz",))
 
     def test_invalid_probs(self, rng):
         table = random_table(rng, 2, 3)
+        m = cause_model.CauseScorer.init(table, rng, hidden=2, mid=3)
         with pytest.raises(ValueError, match="distribution"):
-            cause_model.emotion_scaled_inputs(("w0",), np.full(8, 0.2), table)
+            cause_model.score(m, [(0,)], [np.full(8, 0.2)])
+
+
+class TestFactoredModel:
+    """The scorer against the paper's form: the reference kernel over the
+    (T, 8d) Kronecker input with the full input weights."""
+
+    @pytest.mark.parametrize("kind", ["one_hot", "random"])
+    def test_logits_agree_with_kron_path(self, rng, kind):
+        table = random_table(rng, 6, 5)
+        m = cause_model.CauseScorer.init(table, rng, hidden=4, mid=5)
+        tokens = [("w0", "w3", "w1"), ("w5",), ("w2", "w2", "w4", "w0")]
+        probs = [rng.dirichlet(np.ones(8)) if kind == "random" else cause_model.one_hot_probs(e)
+                 for e in ("joy", "fear", "joy")]
+        logits = bilstm_mlp.logits(m, [table.indices(t) for t in tokens], probs)
+        for row, t, p in zip(logits, tokens, probs):
+            assert np.allclose(row, kron_logits(m, t, p), rtol=1e-12, atol=1e-14)
+
+    @pytest.mark.parametrize("kind", ["one_hot", "random"])
+    def test_gradient_agrees_with_kron_path(self, rng, kind):
+        # the oracle runs the kernels on the kron input as one 8d-wide block
+        table = random_table(rng, 6, 5)
+        m = cause_model.CauseScorer.init(table, rng, hidden=4, mid=5)
+        probs = rng.dirichlet(np.ones(8)) if kind == "random" else cause_model.one_hot_probs("trust")
+        tokens = ("w1", "w4", "w2")
+        grad = m.zeros_like()
+        cause_model.loss_and_grads(m, table.rows(tokens), probs[None, :], 1, False, None, grad)
+        # d(loss)/d(last output) through the head, as bilstm_mlp.backward has it
+        prob = core.sigmoid(float(kron_logits(m, tokens, probs)[0]))
+        z1 = core.linear(m.fc1, np.concatenate(
+            [reference_lstm_forward_seq(p.w_x, p.w_h, p.bias, xs)[0][-1]
+             for p, xs in ((m.bilstm.forward, kron_scaled_inputs(tokens, probs, table)),
+                           (m.bilstm.backward, kron_scaled_inputs(tokens[::-1], probs, table)))]))
+        d_last = m.fc1.weight.T @ ((m.fc2.weight[0] * (prob - 1)) * core.elu_grad(z1))
+        for p, g, words, d in ((m.bilstm.forward, grad.bilstm.forward, tokens, d_last[:4]),
+                               (m.bilstm.backward, grad.bilstm.backward, tokens[::-1], d_last[4:])):
+            xs = kron_scaled_inputs(words, probs, table)
+            d_h_out = np.zeros((3, 4))
+            d_h_out[-1] = d
+            expected = [np.empty_like(p.w_x), np.empty_like(p.w_h), np.empty_like(p.bias)]
+            kernels.lstm_backward_seq(p.w_x, p.w_h, xs, *reference_lstm_forward_seq(
+                p.w_x, p.w_h, p.bias, xs), d_h_out, *expected)
+            for got, want in zip((g.w_x, g.w_h, g.bias), expected):
+                assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
+
+    def test_one_hot_leaves_other_blocks_exactly_zero(self, rng):
+        table = random_table(rng, 6, 5)
+        m = cause_model.CauseScorer.init(table, rng, hidden=4, mid=5)
+        grad = m.zeros_like()
+        grad.flat[:] = np.nan  # every entry must be written
+        probs = cause_model.one_hot_probs("sadness")  # index 5
+        cause_model.loss_and_grads(m, table.rows(("w0", "w1")), probs[None, :], 0,
+                                   True, np.random.default_rng(1), grad)
+        for g in (grad.bilstm.forward, grad.bilstm.backward):
+            blocks = g.w_x.reshape(16, 8, 5)
+            assert np.all(np.isfinite(blocks[:, 5])) and np.any(blocks[:, 5])
+            assert np.all(np.delete(blocks, 5, axis=1) == 0.0)
+
+    def test_trainer_holds_d_wide_inputs(self, monkeypatch):
+        table, examples = separable_cause_setup(dim=10)
+        held = []
+        real = cause_model.loss_and_grads
+
+        def spy(m, rows, weights, *args):
+            held.append((rows.shape[1], weights.shape))
+            return real(m, rows, weights, *args)
+
+        monkeypatch.setattr(cause_model, "loss_and_grads", spy)
+        cause_model.train_cause(examples, table, np.random.default_rng(0), epochs=1, hidden=4)
+        assert held and set(held) == {(10, (1, 8))}
 
 
 class TestScoreClause:
@@ -79,8 +174,8 @@ class TestScoreClause:
         m = cause_model.CauseScorer.init(table, rng, hidden=4, mid=5)
         for _ in range(10):
             tokens = tuple(f"w{int(i)}" for i in rng.integers(5, size=3))
-            a = cause_model.score_clause(m, tokens, uniform_probs())
-            b = cause_model.score_clause(m, tokens, uniform_probs())
+            a = score_clause(m, tokens, uniform_probs())
+            b = score_clause(m, tokens, uniform_probs())
             assert 0.0 < a < 1.0
             assert a == b
 
@@ -104,7 +199,7 @@ def marker_sensitive_scorer(table):
 
 
 def clause_like(words):
-    """A minimal Clause stand-in: select_cause_clause only reads .words."""
+    """A minimal Clause stand-in: distinct_clauses only reads .words."""
     class _C:
         def __init__(self, words):
             self.words = tuple(words)
@@ -122,47 +217,48 @@ class TestSelectCauseClause:
 
     def test_single_clause(self):
         m = marker_sensitive_scorer(self.single_marker_table())
-        idx, scores = cause_model.select_cause_clause(
+        idx, scores = select_cause_clause(
             m, [clause_like(("plain",))], self.probs_first())
         assert idx == 0 and len(scores) == 1 and 0.0 < scores[0] < 1.0
 
     def test_constructed_scores_pick_marker_clause(self):
         m = marker_sensitive_scorer(self.single_marker_table())
         clauses = [clause_like(("marker", "plain")), clause_like(("plain", "other"))]
-        hi = cause_model.score_clause(m, clauses[0].words, self.probs_first())
-        lo = cause_model.score_clause(m, clauses[1].words, self.probs_first())
+        # the same batched call select makes: both clauses, one after the other
+        hi, lo = cause_model.score(m, [m.table.indices(c.words) for c in clauses],
+                                   [self.probs_first()] * 2)
         assert hi > 0.8 and lo < 0.25
-        idx, scores = cause_model.select_cause_clause(m, clauses, self.probs_first())
+        idx, scores = select_cause_clause(m, clauses, self.probs_first())
         assert idx == 0 and scores == [hi, lo]
 
     def test_marker_clause_second(self):
         m = marker_sensitive_scorer(self.single_marker_table())
         clauses = [clause_like(("plain",)), clause_like(("marker",))]
-        idx, _ = cause_model.select_cause_clause(m, clauses, self.probs_first())
+        idx, _ = select_cause_clause(m, clauses, self.probs_first())
         assert idx == 1
 
     def test_tie_breaks_to_lowest_index(self):
         m = marker_sensitive_scorer(self.single_marker_table())
         clauses = [clause_like(("plain", "other")), clause_like(("plain", "other"))]
-        idx, _ = cause_model.select_cause_clause(m, clauses, self.probs_first())
+        idx, _ = select_cause_clause(m, clauses, self.probs_first())
         assert idx == 0
 
     def test_oov_clauses_excluded(self):
         m = marker_sensitive_scorer(self.single_marker_table())
         clauses = [clause_like(("zz",)), clause_like(("marker",))]
-        idx, scores = cause_model.select_cause_clause(m, clauses, self.probs_first())
+        idx, scores = select_cause_clause(m, clauses, self.probs_first())
         assert idx == 1 and scores[0] is None
 
     def test_all_oov_raises(self):
         m = marker_sensitive_scorer(self.single_marker_table())
         with pytest.raises(OovError):
-            cause_model.select_cause_clause(
+            select_cause_clause(
                 m, [clause_like(("zz",)), clause_like(("yy",))], self.probs_first())
 
     def test_empty_clause_list(self):
         m = marker_sensitive_scorer(self.single_marker_table())
         with pytest.raises(OovError):
-            cause_model.select_cause_clause(m, [], self.probs_first())
+            select_cause_clause(m, [], self.probs_first())
 
 
 class TestTrainCause:
@@ -214,8 +310,8 @@ class TestSerialization:
         loaded = cause_model.load_cause_model(path, table)
         assert np.array_equal(model.flat, loaded.flat)
         probs = uniform_probs()
-        assert (cause_model.score_clause(model, ("w0", "w2"), probs)
-                == cause_model.score_clause(loaded, ("w0", "w2"), probs))
+        assert (score_clause(model, ("w0", "w2"), probs)
+                == score_clause(loaded, ("w0", "w2"), probs))
 
     def test_kind_mismatch_rejected(self, rng, tmp_path):
         from emocause import emotion_model

@@ -7,7 +7,7 @@ from emocause.nn import core
 from emocause.nn.serialize import KIND_EMOTION, MAGIC, save_container
 
 from conftest import random_table
-from helpers import emotion_accuracy, predict_label, separable_emotion_setup
+from helpers import emotion_accuracy, forward_emotion, predict_label, separable_emotion_setup
 
 
 @pytest.fixture
@@ -18,20 +18,20 @@ def toy_model(rng):
 
 class TestForward:
     def test_output_shape_and_distribution(self, toy_model):
-        log_probs = emotion_model.forward_emotion(toy_model, ("w0", "w3"))
+        log_probs = forward_emotion(toy_model, ("w0", "w3"))
         assert log_probs.shape == (8,)
         probs = np.exp(log_probs)
         assert probs.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(probs > 0)
 
     def test_eval_mode_deterministic(self, toy_model):
-        a = emotion_model.forward_emotion(toy_model, ("w1", "w2", "w5"))
-        b = emotion_model.forward_emotion(toy_model, ("w1", "w2", "w5"))
+        a = forward_emotion(toy_model, ("w1", "w2", "w5"))
+        b = forward_emotion(toy_model, ("w1", "w2", "w5"))
         assert np.array_equal(a, b)
 
     def test_train_mode_needs_rng(self, toy_model):
         with pytest.raises(ValueError, match="rng"):
-            emotion_model.forward_emotion(toy_model, ("w0",), train=True)
+            forward_emotion(toy_model, ("w0",), train=True)
 
     def test_argmax_stable_across_calls(self, toy_model):
         labels = {predict_label(toy_model, ("w0", "w1"))
@@ -44,7 +44,7 @@ def probs_with_logits(model, logits):
     output layer set so that every review gets the given logits."""
     model.fc2.weight[...] = 0.0
     model.fc2.bias[...] = logits
-    return np.exp(emotion_model.forward_emotion(model, ("w0", "w3")))
+    return np.exp(forward_emotion(model, ("w0", "w3")))
 
 
 class TestEmotionProbs:
@@ -127,11 +127,12 @@ class TestLossDecreaseProperty:
             m = emotion_model.EmotionClassifier.init(table, rng, hidden=4, mid=5)
             cfg = core.SgdConfig()  # lr 0.003, momentum 0.9
             grad = m.zeros_like()
-            losses = [emotion_model.loss_and_grads(m, xs, 2, False, None, grad)]
+            one = emotion_model.ONE_BLOCK
+            losses = [emotion_model.loss_and_grads(m, xs, one, 2, False, None, grad)]
             for _ in range(5):
-                emotion_model.loss_and_grads(m, xs, 2, True, rng, grad)
+                emotion_model.loss_and_grads(m, xs, one, 2, True, rng, grad)
                 core.sgd_step(cfg, m.flat, grad.flat)
-                losses.append(emotion_model.loss_and_grads(m, xs, 2, False, None, grad))
+                losses.append(emotion_model.loss_and_grads(m, xs, one, 2, False, None, grad))
             ok += all(b < a for a, b in zip(losses, losses[1:]))
         assert ok >= 19
 
@@ -142,8 +143,8 @@ class TestSerialization:
         emotion_model.save_emotion_model(toy_model, path)
         loaded = emotion_model.load_emotion_model(path, toy_model.table)
         assert np.array_equal(toy_model.flat, loaded.flat)
-        out_a = emotion_model.forward_emotion(toy_model, ("w0", "w1"))
-        out_b = emotion_model.forward_emotion(loaded, ("w0", "w1"))
+        out_a = forward_emotion(toy_model, ("w0", "w1"))
+        out_b = forward_emotion(loaded, ("w0", "w1"))
         assert np.array_equal(out_a, out_b)
 
     def test_bad_magic_rejected(self, toy_model, tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from emocause import bilstm_mlp, checks
+from emocause.emotion_model import ONE_BLOCK
 from emocause.nn import core
 from emocause.nn.gradcheck import max_relative_error, numerical_gradient
 
@@ -92,11 +93,32 @@ class TestBiLstm:
     def test_last_output_is_final_state_of_each_direction(self, rng):
         m = random_bilstm(rng, 3, 2)
         xs = rng.normal(size=(4, 3))
-        cache = core.bilstm_run(m, xs)
-        last = core.bilstm_last_output(cache)
+        cache = core.bilstm_run(m, xs, (4,), ONE_BLOCK)
+        last = core.bilstm_last_output(cache)[0]
         outs = bilstm_outputs(cache)
         assert np.array_equal(last[:2], outs[-1][:2])   # forward at T-1
         assert np.array_equal(last[2:], outs[0][2:])    # backward at 0
+
+    def test_batch_matches_one_sequence_runs(self, rng):
+        # mixed lengths out of order, a tie, and a run of equal block weights
+        m = random_bilstm(rng, 6, 3)  # two input blocks of width 3
+        lengths = [2, 5, 1, 5, 3]
+        rows = rng.normal(size=(sum(lengths), 3))
+        weights = rng.dirichlet(np.ones(2), size=5)
+        weights[2] = weights[1]
+        last = core.bilstm_last_output(core.bilstm_run(m, rows, lengths, weights))
+        start = 0
+        for i, n in enumerate(lengths):
+            one = core.bilstm_run(m, rows[start:start + n], (n,), weights[i:i + 1])
+            assert np.allclose(last[i], core.bilstm_last_output(one)[0], rtol=1e-12, atol=1e-15)
+            start += n
+
+    def test_rows_must_match_lengths_and_width(self, rng):
+        m = random_bilstm(rng, 3, 2)
+        with pytest.raises(ValueError, match="rows"):
+            core.bilstm_run(m, rng.normal(size=(4, 3)), (3,), ONE_BLOCK)
+        with pytest.raises(ValueError, match="input dim"):
+            core.bilstm_run(m, rng.normal(size=(4, 2)), (4,), ONE_BLOCK)
 
 
 class TestLinear:

@@ -7,10 +7,10 @@ from emocause.clustering import cosine_distance
 from emocause.corpus import load_corpus, save_corpus
 from emocause.pipeline import (PipelineConfig, ReviewSkipped,
                                build_cause_examples, build_emotion_examples,
-                               index_sentences, infer_review, load_tables,
+                               index_sentences, infer_corpus, load_tables,
                                run_pipeline)
 
-from helpers import run_cli_chain
+from helpers import infer_review, run_cli_chain
 
 
 @pytest.fixture(scope="module")
@@ -99,7 +99,7 @@ class TestRunPipeline:
         def broken(*args, **kwargs):
             raise ValueError("scorer bug")
 
-        monkeypatch.setattr(cause_model, "score_clause", broken)
+        monkeypatch.setattr(cause_model, "score", broken)
         with pytest.raises(ValueError, match="scorer bug"):
             run_pipeline(cfg)
 
@@ -140,6 +140,90 @@ class TestInferReview:
         with pytest.raises(ReviewSkipped) as info:
             infer_review(record, sentences, emo, causes)
         assert info.value.reason == "no_clause"
+
+
+CLASSIFY = emotion_model.classify
+
+
+class TestChunkedInference:
+    """infer_corpus runs whole reviews in chunks bounded by CHUNK_BYTES;
+    the chunking must not change what it finds."""
+
+    @pytest.fixture
+    def setup(self, trained):
+        cfg, _ = trained
+        _, aware = load_tables(cfg)
+        emo = emotion_model.load_emotion_model(cfg.emotion_model_path, aware)
+        causes = cause_model.load_cause_model(cfg.cause_model_path, aware)
+        with open(cfg.parses_path, encoding="utf-8") as fh:
+            sentences = index_sentences(fh.read() + OOV_PARSE)
+        records = load_corpus(cfg.corpus_path)[:12]
+        # skipped reviews first, last, side by side and between usable ones
+        bad = {0: ("ghost.0",), 3: ("zz.0",), 4: ("ghost.1",), 8: ("zz.0",), 11: ("ghost.2",)}
+        records = [type(r)(**{**r.__dict__, "parse_ids": bad[i]}) if i in bad else r
+                   for i, r in enumerate(records)]
+        return records, sentences, emo, causes
+
+    def run(self, monkeypatch, setup, budget):
+        """(what inference found, skip counts, reviews per chunk)."""
+        monkeypatch.setattr(pipeline, "CHUNK_BYTES", budget)
+        sizes = []
+
+        def spy(m, sequences):
+            sizes.append(len(sequences))
+            return CLASSIFY(m, sequences)
+
+        monkeypatch.setattr(emotion_model, "classify", spy)
+        results, skipped = infer_corpus(*setup)
+        found = [(record.review_id, r.emotion, r.chosen, [s is None for s in r.scores])
+                 for record, r in results]
+        return found, skipped, sizes
+
+    def test_chunk_size_changes_nothing(self, monkeypatch, setup):
+        emo, causes = setup[2], setup[3]
+        # the budget that just fits k reviews of the corpus, as infer_corpus counts
+        one = max(pipeline._chunk_bytes([r], emo, causes) for r in self.prepared(setup))
+        runs = {k: self.run(monkeypatch, setup, budget)
+                for k, budget in (("1", 1), ("2", 2 * one), ("3", 3 * one), ("all", 1 << 40))}
+        found, skipped, sizes = runs["all"]
+        assert sizes == [7]
+        assert skipped == {"missing_parse": 3, "all_oov": 2, "no_clause": 0}
+        assert len(found) == 7
+        assert runs["1"][2] == [1] * 7
+        assert max(runs["2"][2]) >= 2 and max(runs["3"][2]) >= 3
+        for k, (f, s, sz) in runs.items():
+            assert sum(sz) == 7
+            assert s == skipped, k
+            assert f == found, k
+
+    def prepared(self, setup):
+        records, sentences, emo, causes = setup
+        out = []
+        for record in records:
+            try:
+                out.append(pipeline._prepare(record, sentences, emo, causes))
+            except ReviewSkipped:
+                pass
+        return out
+
+    def test_no_usable_review(self, monkeypatch, setup):
+        records, sentences, emo, causes = setup
+        bad = [records[i] for i in (0, 3, 4, 8, 11)]
+        for budget in (1, 1 << 40):
+            found, skipped, sizes = self.run(monkeypatch, (bad, sentences, emo, causes), budget)
+            assert found == [] and sizes == []
+            assert skipped == {"missing_parse": 3, "all_oov": 2, "no_clause": 0}
+
+    def test_equal_clauses_share_one_score(self, setup):
+        # a review whose sentences all appear twice: each clause and its
+        # copy tie exactly, and the tie goes to the first
+        records, sentences, emo, causes = setup
+        record = records[1]
+        n = len(infer_review(record, sentences, emo, causes).clauses)
+        doubled = type(record)(**{**record.__dict__, "parse_ids": record.parse_ids * 2})
+        twice = infer_review(doubled, sentences, emo, causes)
+        assert twice.scores[:n] == twice.scores[n:]
+        assert twice.chosen < n
 
 
 class TestReportRendering:
