@@ -3,7 +3,7 @@ scorer:
 
     (T, d) word vectors and block weights p -> Bi-LSTM -> last output
     -> dropout 0.5 -> linear to mid -> ELU -> linear to the output width
-    (the logits)
+    (the logits) -> the model's head
 
 A timestep's input is kron(p, v), input_blocks copies of the word vector v
 scaled by p: the emotion probabilities for the cause scorer, [1.0] for the
@@ -15,11 +15,13 @@ the first, so both summarize the whole sequence.
 
 Inference runs many sequences per call; training runs one. A model
 subclasses BiLstmMlp to fix its number of input blocks, its output width
-and its ECPE1 kind code, and supplies a head: the loss on the logits and
-d(loss)/d(logits). This module
-owns the parameters, one flat float64 vector whose initialization, views,
-gradient and model file all follow one layout table (layout()), and the
-forward and backward passes and the training loop.
+and its ECPE1 kind code, and defines its head: head(logits, target) gives
+one sequence's loss and d(loss)/d(logits). Everything else is here, once
+for both models: the parameters, one flat float64 vector whose
+initialization, views, gradient and model file all follow one layout table
+(layout()); the forward and backward passes; the training step
+(loss_and_grads: forward, head, backward); the training loop; and save and
+load.
 """
 
 from __future__ import annotations
@@ -118,6 +120,10 @@ class Weights:
 
 @dataclass(eq=False)
 class BiLstmMlp(Weights):
+    """A model: the network over its embedding table. A subclass sets the
+    class attributes below and defines head(logits, target) -> (loss,
+    d(loss)/d(logits)) for one sequence's (out_width,) logits."""
+
     table: EmbeddingTable
 
     kind: ClassVar[int]  # ECPE1 descriptor kind code
@@ -184,17 +190,29 @@ def backward(m: BiLstmMlp, cache: ForwardCache, d_logits: np.ndarray,
     core.bilstm_backward_last(m.bilstm, cache.bilstm, dh, grad.bilstm)
 
 
-def train(cls, table: EmbeddingTable, examples, to_row, step, rng: core.Rng,
-          epochs: int, cfg: core.SgdConfig | None, hidden: int, log_epochs: bool):
+def loss_and_grads(m: BiLstmMlp, rows: np.ndarray, weights: np.ndarray, target,
+                   train: bool, rng: core.Rng | None, grad: Weights) -> float:
+    """The loss of one sequence under the model's head; its gradient is
+    written into grad. rows (T, d) are the sequence's word vectors and
+    weights (1, input_blocks) its block weights; train mode draws a dropout
+    mask from rng."""
+    cache = forward(m, rows, (len(rows),), weights, train, rng)
+    loss, d_logits = m.head(cache.logits[0], target)
+    backward(m, cache, d_logits, grad)
+    return loss
+
+
+def train(cls, table: EmbeddingTable, examples, to_row, rng: core.Rng,
+          epochs: int, cfg: core.SgdConfig, hidden: int, log_epochs: bool):
     """Batch-size-1 SGD with momentum over seeded shuffles of the examples.
 
-    to_row(example) gives (rows, weights, target): the (T, d) vectors of
-    the example's in-vocabulary tokens, its (1, input_blocks) block
-    weights and its target; it raises OovError to skip the example (skips
-    get one warning up front). step is the model's loss_and_grads, which
-    writes into the one gradient vector of the run. Returns (model,
-    per-epoch mean-loss trace); a non-finite epoch loss stops training with
-    a ValueError naming the epoch.
+    to_row(example) gives (rows, weights, target) as loss_and_grads takes
+    them: the (T, d) vectors of the example's in-vocabulary tokens, its
+    (1, input_blocks) block weights and its target; it raises OovError to
+    skip the example (skips get one warning up front). The run holds one
+    gradient vector and one velocity vector, both shaped like the
+    parameters. Returns (model, per-epoch mean-loss trace); a non-finite
+    epoch loss stops training with a ValueError naming the epoch.
     """
     if not examples:
         raise ValueError("no training examples")
@@ -209,17 +227,16 @@ def train(cls, table: EmbeddingTable, examples, to_row, step, rng: core.Rng,
                     len(examples) - len(held), len(examples))
     if not held:
         raise DataError("every training example is out of vocabulary")
-    if cfg is None:
-        cfg = core.SgdConfig()
     model = cls.init(table, rng, hidden=hidden)
     grad = model.zeros_like()
+    velocity = np.zeros_like(model.flat)
     trace = []
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(held))
         total = 0.0
         for idx in order:
-            total += step(model, *held[idx], True, rng, grad)
-            core.sgd_step(cfg, model.flat, grad.flat)
+            total += loss_and_grads(model, *held[idx], True, rng, grad)
+            core.sgd_step(cfg, model.flat, grad.flat, velocity)
         mean = total / len(held)
         if not np.isfinite(mean):
             raise ValueError(f"epoch {epoch}: mean training loss is {mean}")
@@ -246,6 +263,9 @@ def load(cls, path, table: EmbeddingTable):
         raise DataError(f"{path}: expected {cls.out_width} output(s), file has {out}")
     if dim != table.dim:
         raise DataError(f"{path}: model expects dim {dim}, table has {table.dim}")
+    if hidden <= 0 or mid <= 0:
+        raise DataError(f"{path}: hidden and mid widths must be positive, "
+                        f"file has {hidden} and {mid}")
     dims = (cls.input_blocks * dim, hidden, mid, out)
     expected = n_values(dims)
     if payload.size != expected:

@@ -8,10 +8,11 @@ Bi-LSTM + MLP network (bilstm_mlp.py, 1024 hidden units per direction by
 default) holds its input weights as eight (4H, d) blocks and projects v
 through their p-weighted sum, formed once per review and direction; the
 gradient of block k is p_k times the gradient of that sum. The head is a
-scalar sigmoid. Trained with BCE, batch size 1, 50 epochs, holding each
-example as its (T, d) word vectors and p. Inference scores many clauses
-per call (score); the review's cause clause is the one with the highest
-score.
+scalar sigmoid under BCE (CauseScorer.head). Trained by bilstm_mlp.train:
+batch size 1, 50 epochs, holding each example as its (T, d) word vectors
+and p. Inference scores many clauses per call (score); the review's cause
+clause is the one with the highest score. Models are saved and loaded with
+bilstm_mlp.save and bilstm_mlp.load.
 """
 
 from __future__ import annotations
@@ -39,6 +40,13 @@ class CauseScorer(bilstm_mlp.BiLstmMlp):
     what = "a cause model"
     input_blocks = N_EMOTIONS
     out_width = 1
+
+    @staticmethod
+    def head(logits: np.ndarray, label: int):
+        """BCE of the label under the sigmoid of the one logit.
+        d(loss)/d(logit) of sigmoid + BCE collapses to (p - y)."""
+        prob = core.sigmoid(float(logits[0]))
+        return core.bce_loss(prob, label), np.array([prob - label])
 
 
 def _check_probs(probs, shape=(N_EMOTIONS,)) -> np.ndarray:
@@ -82,21 +90,8 @@ def score(m: CauseScorer, sequences, probs) -> np.ndarray:
     return np.array([core.sigmoid(float(z)) for z in bilstm_mlp.logits(m, sequences, probs)[:, 0]])
 
 
-def loss_and_grads(m: CauseScorer, rows: np.ndarray, weights: np.ndarray, label: int,
-                   train: bool, rng: core.Rng | None, grad: bilstm_mlp.Weights) -> float:
-    """BCE loss of one clause, whose (T, d) word vectors are rows and whose
-    review's emotion probabilities are weights (1, 8); its gradient is
-    written into grad. d(loss)/d(logit) of sigmoid + BCE collapses to
-    (p - y)."""
-    cache = bilstm_mlp.forward(m, rows, (len(rows),), weights, train, rng)
-    prob = core.sigmoid(float(cache.logits[0, 0]))
-    loss = core.bce_loss(prob, label)
-    bilstm_mlp.backward(m, cache, np.array([prob - label]), grad)
-    return loss
-
-
 def train_cause(examples, table: EmbeddingTable, rng: core.Rng,
-                epochs: int = DEFAULT_EPOCHS, cfg: core.SgdConfig | None = None,
+                epochs: int = DEFAULT_EPOCHS, cfg: core.SgdConfig = core.SgdConfig(),
                 hidden: int = DEFAULT_HIDDEN, log_epochs: bool = False):
     """Returns (model, per-epoch mean-loss trace); see bilstm_mlp.train.
     Each example is held as its clause's (T, d) word vectors and its
@@ -107,12 +102,4 @@ def train_cause(examples, table: EmbeddingTable, rng: core.Rng,
     return bilstm_mlp.train(
         CauseScorer, table, examples,
         lambda ex: (table.rows(ex.tokens), ex.probs[None, :], ex.label),
-        loss_and_grads, rng, epochs, cfg, hidden, log_epochs)
-
-
-def save_cause_model(m: CauseScorer, path) -> None:
-    bilstm_mlp.save(m, path)
-
-
-def load_cause_model(path, table: EmbeddingTable) -> CauseScorer:
-    return bilstm_mlp.load(CauseScorer, path, table)
+        rng, epochs, cfg, hidden, log_epochs)

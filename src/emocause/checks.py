@@ -5,8 +5,8 @@ into a flat vector cut like the flat parameter vector, and compares the
 two against central finite differences. Dropout is exercised
 with a mask held fixed across the finite-difference evaluations. The
 finite-difference losses run forward passes only: the architecture checks
-compose the head's loss from the logits rather than calling the models'
-loss_and_grads, whose gradients they check.
+take the model's head loss on the forward pass's logits, and check the
+gradient of the shared training step, bilstm_mlp.loss_and_grads.
 """
 
 from __future__ import annotations
@@ -137,6 +137,24 @@ def _toy_table(rng: np.random.Generator, dim: int = TOY_DIM) -> EmbeddingTable:
     return EmbeddingTable(words, rng.normal(size=(len(words), dim)))
 
 
+def _check_architecture(model: bilstm_mlp.BiLstmMlp, xs: np.ndarray,
+                        weights: np.ndarray, target, mask_seed: int, train: bool,
+                        eps: float) -> float:
+    """The model's whole stack on one sequence: the training step's
+    gradient against the head's loss on forward-only logits, with a
+    dropout mask drawn from mask_seed in train mode."""
+    def mask_rng():
+        return np.random.default_rng(mask_seed) if train else None
+
+    def loss():
+        logits = bilstm_mlp.forward(model, xs, (len(xs),), weights, train, mask_rng()).logits[0]
+        return model.head(logits, target)[0]
+
+    grad = model.zeros_like()
+    bilstm_mlp.loss_and_grads(model, xs, weights, target, train, mask_rng(), grad)
+    return gradient_check(loss, model.flat, grad.flat, eps=eps)
+
+
 def check_emotion_architecture(seed: int, eps: float = DEFAULT_EPS,
                                train: bool = False) -> float:
     """Full classifier stack: Bi-LSTM -> (dropout) -> linear -> ELU ->
@@ -146,19 +164,9 @@ def check_emotion_architecture(seed: int, eps: float = DEFAULT_EPS,
     model = emotion_model.EmotionClassifier.init(table, rng, hidden=TOY_HIDDEN,
                                                  mid=TOY_MID)
     xs = table.vectors[rng.integers(len(table), size=5)]
-    weights = emotion_model.ONE_BLOCK
     target = int(rng.integers(emotion_model.N_EMOTIONS))
-    mask_seed = int(rng.integers(2 ** 31))
-
-    def loss():
-        mask_rng = np.random.default_rng(mask_seed) if train else None
-        logits = bilstm_mlp.forward(model, xs, (5,), weights, train, mask_rng).logits[0]
-        return core.nll_loss(core.log_softmax(logits), target)
-
-    mask_rng = np.random.default_rng(mask_seed) if train else None
-    grad = model.zeros_like()
-    emotion_model.loss_and_grads(model, xs, weights, target, train, mask_rng, grad)
-    return gradient_check(loss, model.flat, grad.flat, eps=eps)
+    return _check_architecture(model, xs, emotion_model.ONE_BLOCK, target,
+                               int(rng.integers(2 ** 31)), train, eps)
 
 
 def check_cause_architecture(seed: int, eps: float = DEFAULT_EPS,
@@ -172,20 +180,9 @@ def check_cause_architecture(seed: int, eps: float = DEFAULT_EPS,
     probs = rng.random(cause_model.N_EMOTIONS)
     probs /= probs.sum()
     tokens = [table.words[int(i)] for i in rng.integers(len(table), size=4)]
-    xs = table.rows(tokens)
-    weights = probs[None, :]
     label = int(rng.integers(2))
-    mask_seed = int(rng.integers(2 ** 31))
-
-    def loss():
-        mask_rng = np.random.default_rng(mask_seed) if train else None
-        logit = bilstm_mlp.forward(model, xs, (4,), weights, train, mask_rng).logits[0, 0]
-        return core.bce_loss(core.sigmoid(float(logit)), label)
-
-    mask_rng = np.random.default_rng(mask_seed) if train else None
-    grad = model.zeros_like()
-    cause_model.loss_and_grads(model, xs, weights, label, train, mask_rng, grad)
-    return gradient_check(loss, model.flat, grad.flat, eps=eps)
+    return _check_architecture(model, table.rows(tokens), probs[None, :], label,
+                               int(rng.integers(2 ** 31)), train, eps)
 
 
 LAYER_CHECKS = (

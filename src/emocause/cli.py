@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import cause_model, emotion_model, pipeline, synthetic
+from . import bilstm_mlp, cause_model, emotion_model, pipeline, synthetic
 from .clauses import extract_clauses, parse_conllu
 from .corpus import save_corpus
 from .embeddings import (EMOTIONS, build_emotion_aware_table, load_emotion_lexicon,
@@ -106,7 +106,7 @@ def cmd_extract_clauses(args) -> int:
     return 0
 
 
-def _train(args, build_examples, train, save, what: str, gold: str) -> int:
+def _train(args, build_examples, train, what: str, gold: str) -> int:
     aware = load_word_embeddings(args.embeddings)
     examples = build_examples(*pipeline.load_reviews(args.corpus, args.parses))
     if not examples:
@@ -115,25 +115,25 @@ def _train(args, build_examples, train, save, what: str, gold: str) -> int:
     cfg = core.SgdConfig(learning_rate=args.lr, momentum=args.momentum)
     model, _trace = train(examples, aware, rng, epochs=args.epochs, cfg=cfg,
                           hidden=args.hidden, log_epochs=True)
-    save(model, args.output)
+    bilstm_mlp.save(model, args.output)
     print(f"saved {what} model to {args.output}")
     return 0
 
 
 def cmd_train_emotion(args) -> int:
     return _train(args, pipeline.build_emotion_examples, emotion_model.train_emotion,
-                  emotion_model.save_emotion_model, "emotion", "emotion labels")
+                  "emotion", "emotion labels")
 
 
 def cmd_train_cause(args) -> int:
     return _train(args, pipeline.build_cause_examples, cause_model.train_cause,
-                  cause_model.save_cause_model, "cause", "cause spans")
+                  "cause", "cause spans")
 
 
 def cmd_score_clauses(args) -> int:
     aware = load_word_embeddings(args.embeddings)
-    emo = emotion_model.load_emotion_model(args.emotion_model, aware)
-    scorer = cause_model.load_cause_model(args.cause_model, aware)
+    emo = bilstm_mlp.load(emotion_model.EmotionClassifier, args.emotion_model, aware)
+    scorer = bilstm_mlp.load(cause_model.CauseScorer, args.cause_model, aware)
     records, sentences = pipeline.load_reviews(args.corpus, args.parses)
     results, skipped = pipeline.infer_corpus(records, sentences, emo, scorer)
     lines = []

@@ -19,6 +19,10 @@ from .embeddings import EMOTIONS
 from .errors import DataError
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)  # JSON true is not 1
+
+
 @dataclass(frozen=True)
 class GoldCause:
     sentence_index: int
@@ -39,7 +43,7 @@ class ReviewRecord:
     def __post_init__(self):
         if not self.review_id:
             raise DataError("review_id must be nonempty")
-        if not isinstance(self.stars, int) or not 1 <= self.stars <= 5:
+        if not _is_int(self.stars) or not 1 <= self.stars <= 5:
             raise DataError(f"stars must be an integer in [1, 5], got {self.stars!r}")
         if (self.gold_emotion is None) != (self.gold_cause is None):
             raise DataError("gold_emotion and gold_cause must be present together")
@@ -69,23 +73,27 @@ def _record_from_obj(obj: dict, where: str) -> ReviewRecord:
     for key in required:
         if key not in obj:
             raise DataError(f"{where}: missing field {key!r}")
-    gold_emotion = obj.get("gold_emotion")
+    for key in ("review_id", "product_id", "text"):
+        if not isinstance(obj[key], str):
+            raise DataError(f"{where}: {key} must be a string, got {obj[key]!r}")
+    parse_ids = obj["parse_ids"]
+    if not isinstance(parse_ids, list) or not all(isinstance(p, str) for p in parse_ids):
+        raise DataError(f"{where}: parse_ids must be a list of strings, got {parse_ids!r}")
     raw_cause = obj.get("gold_cause")
     gold_cause = None
     if raw_cause is not None:
-        try:
-            gold_cause = GoldCause(int(raw_cause["sentence_index"]),
-                                   int(raw_cause["start"]), int(raw_cause["end"]))
-        except (KeyError, TypeError, ValueError):
-            raise DataError(f"{where}: malformed gold_cause") from None
+        keys = ("sentence_index", "start", "end")
+        if not isinstance(raw_cause, dict) or not all(_is_int(raw_cause.get(k)) for k in keys):
+            raise DataError(f"{where}: malformed gold_cause")
+        gold_cause = GoldCause(*(raw_cause[k] for k in keys))
     try:
         return ReviewRecord(
-            review_id=str(obj["review_id"]),
-            product_id=str(obj["product_id"]),
+            review_id=obj["review_id"],
+            product_id=obj["product_id"],
             stars=obj["stars"],
-            text=str(obj["text"]),
-            parse_ids=tuple(str(p) for p in obj["parse_ids"]),
-            gold_emotion=gold_emotion,
+            text=obj["text"],
+            parse_ids=tuple(parse_ids),
+            gold_emotion=obj.get("gold_emotion"),
             gold_cause=gold_cause,
         )
     except DataError as err:

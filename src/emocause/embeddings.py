@@ -101,22 +101,18 @@ class EmotionLexicon:
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    """Cosine similarities of every vocabulary word (rows) against every
-    emotion word that occurs in the vocabulary (columns, sorted)."""
+    """Cosine similarities of every word of the table (rows, in table order)
+    against every emotion word that occurs in it (columns, sorted)."""
 
-    vocab_words: tuple
+    table: EmbeddingTable
     emotion_words: tuple
     values: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "_row_index",
-                           {w: i for i, w in enumerate(self.vocab_words)})
-
     def row(self, word: str) -> np.ndarray:
-        try:
-            return self.values[self._row_index[word]]
-        except KeyError:
-            raise KeyError(f"word {word!r} not in similarity matrix") from None
+        index = self.table.indices((word,))
+        if not index:
+            raise KeyError(f"word {word!r} not in similarity matrix")
+        return self.values[index[0]]
 
 
 def load_word_embeddings(path) -> EmbeddingTable:
@@ -216,7 +212,7 @@ def build_similarity_matrix(table: EmbeddingTable, lexicon: EmotionLexicon) -> S
     if not emotion_words:
         raise DataError("no lexicon word occurs in the vocabulary")
     cols = _unit_rows(table.rows(emotion_words))
-    return SimilarityMatrix(table.words, emotion_words, _unit_rows(table.vectors) @ cols.T)
+    return SimilarityMatrix(table, emotion_words, _unit_rows(table.vectors) @ cols.T)
 
 
 def _top_k(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -2,9 +2,10 @@
 
 The shared Bi-LSTM + MLP network (bilstm_mlp.py, 256 hidden units per
 direction by default) over the review's word embeddings, one input block
-with weight 1, under a log-softmax head. Inference classifies many reviews
-per call (classify). Trained with NLL loss, batch size 1, SGD with momentum,
-for 100 epochs.
+with weight 1, under a log-softmax + NLL head (EmotionClassifier.head).
+Inference classifies many reviews per call (classify). Trained by
+bilstm_mlp.train: batch size 1, SGD with momentum, 100 epochs. Models are
+saved and loaded with bilstm_mlp.save and bilstm_mlp.load.
 """
 
 from __future__ import annotations
@@ -32,6 +33,16 @@ class EmotionClassifier(bilstm_mlp.BiLstmMlp):
     input_blocks = 1
     out_width = N_EMOTIONS
 
+    @staticmethod
+    def head(logits: np.ndarray, target: int):
+        """NLL of the target under log-softmax. d(loss)/d(logits) is softmax
+        minus the one-hot target."""
+        log_probs = core.log_softmax(logits)
+        loss = core.nll_loss(log_probs, target)
+        d_logits = np.exp(log_probs)
+        d_logits[target] -= 1.0
+        return loss, d_logits
+
 
 @dataclass(frozen=True)
 class EmotionTrainExample:
@@ -56,35 +67,12 @@ def classify(m: EmotionClassifier, sequences) -> np.ndarray:
     return core.log_softmax(bilstm_mlp.logits(m, sequences, weights))
 
 
-def loss_and_grads(m: EmotionClassifier, rows: np.ndarray, weights: np.ndarray,
-                   target: int, train: bool, rng: core.Rng | None,
-                   grad: bilstm_mlp.Weights) -> float:
-    """NLL loss of one review; its gradient is written into grad.
-    d(loss)/d(logits) of log-softmax + NLL is softmax minus the one-hot
-    target."""
-    cache = bilstm_mlp.forward(m, rows, (len(rows),), weights, train, rng)
-    log_probs = core.log_softmax(cache.logits[0])
-    loss = core.nll_loss(log_probs, target)
-    d_logits = np.exp(log_probs)
-    d_logits[target] -= 1.0
-    bilstm_mlp.backward(m, cache, d_logits, grad)
-    return loss
-
-
 def train_emotion(examples, table: EmbeddingTable, rng: core.Rng,
-                  epochs: int = DEFAULT_EPOCHS, cfg: core.SgdConfig | None = None,
+                  epochs: int = DEFAULT_EPOCHS, cfg: core.SgdConfig = core.SgdConfig(),
                   hidden: int = DEFAULT_HIDDEN, log_epochs: bool = False):
     """Returns (model, per-epoch mean-loss trace); see bilstm_mlp.train.
     Examples whose tokens are all out of vocabulary are skipped."""
     return bilstm_mlp.train(
         EmotionClassifier, table, examples,
         lambda ex: (table.rows(ex.tokens), ONE_BLOCK, EMOTIONS.index(ex.label)),
-        loss_and_grads, rng, epochs, cfg, hidden, log_epochs)
-
-
-def save_emotion_model(m: EmotionClassifier, path) -> None:
-    bilstm_mlp.save(m, path)
-
-
-def load_emotion_model(path, table: EmbeddingTable) -> EmotionClassifier:
-    return bilstm_mlp.load(EmotionClassifier, path, table)
+        rng, epochs, cfg, hidden, log_epochs)

@@ -1,7 +1,8 @@
 """Minimal neural toolkit: LSTM/Bi-LSTM and linear-layer weights (views of
 a model's flat parameter vector, see bilstm_mlp.layout), activations,
-losses and SGD with momentum. Analytic gradients for the fixed
-architectures live with the models; the sequence kernels are in kernels.py.
+losses and SGD with momentum. The network's forward and backward passes
+are in bilstm_mlp.py, the heads' loss gradients on the model classes; the
+sequence kernels are in kernels.py.
 
 Everything is float64. Random state is a numpy Generator created with
 `np.random.default_rng(seed)`; identical seeds give identical streams.
@@ -10,7 +11,7 @@ Everything is float64. Random state is a numpy Generator created with
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -231,15 +232,14 @@ def bce_loss(p: float, y: int) -> float:
     return float(-(y * np.log(p) + (1 - y) * np.log(1.0 - p)))
 
 
-@dataclass
+@dataclass(frozen=True)
 class SgdConfig:
     """SGD with classical momentum: v <- mu*v + g, theta <- theta - lr*v.
-    The velocity vector is allocated on first use, shaped like the flat
-    parameter vector."""
+    Only the hyperparameters: the velocity v is the training run's, passed
+    to sgd_step, so one config can serve any number of runs."""
 
     learning_rate: float = 0.003
     momentum: float = 0.9
-    velocity: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if not (np.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -248,14 +248,12 @@ class SgdConfig:
             raise ValueError("momentum must be in [0, 1)")
 
 
-def sgd_step(cfg: SgdConfig, theta: np.ndarray, grad: np.ndarray) -> None:
-    """Update the flat parameter vector theta in place. grad is spent: it
-    is overwritten with the step."""
-    if cfg.velocity is None:
-        cfg.velocity = np.zeros_like(theta)
-    if cfg.velocity.shape != theta.shape or grad.shape != theta.shape:
+def sgd_step(cfg: SgdConfig, theta: np.ndarray, grad: np.ndarray,
+             velocity: np.ndarray) -> None:
+    """Update the flat parameter vector theta and its velocity in place.
+    grad is spent: it is overwritten with the step."""
+    if velocity.shape != theta.shape or grad.shape != theta.shape:
         raise ValueError("parameter, gradient and velocity vectors differ in shape")
-    v = cfg.velocity
-    v *= cfg.momentum
-    v += grad
-    theta -= np.multiply(v, cfg.learning_rate, out=grad)
+    velocity *= cfg.momentum
+    velocity += grad
+    theta -= np.multiply(velocity, cfg.learning_rate, out=grad)

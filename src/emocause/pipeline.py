@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cause_model, clustering, emotion_model
+from . import bilstm_mlp, cause_model, clustering, emotion_model
 from .clauses import extract_clauses, parse_conllu
 from .corpus import load_corpus
 from .embeddings import load_word_embeddings
@@ -251,8 +251,8 @@ def infer_corpus(records, sentences: dict, emo, causes):
 def run_pipeline(cfg: PipelineConfig) -> SummaryReport:
     """Inference over a corpus with already-trained models and tables."""
     raw, aware = load_tables(cfg)
-    emo = emotion_model.load_emotion_model(cfg.emotion_model_path, aware)
-    causes = cause_model.load_cause_model(cfg.cause_model_path, aware)
+    emo = bilstm_mlp.load(emotion_model.EmotionClassifier, cfg.emotion_model_path, aware)
+    causes = bilstm_mlp.load(cause_model.CauseScorer, cfg.cause_model_path, aware)
     records, sentences = load_reviews(cfg.corpus_path, cfg.parses_path)
     results, skipped = infer_corpus(records, sentences, emo, causes)
     entries = [(record.product_id, result.emotion,

@@ -2,17 +2,13 @@ import numpy as np
 import pytest
 
 from emocause import bilstm_mlp, cause_model, emotion_model
+from emocause.errors import DataError
 from emocause.nn import core, serialize
 
 from conftest import random_table
-from helpers import score_clause
+from helpers import score_clause, separable_cause_setup, separable_emotion_setup
 
-KINDS = {
-    "emotion": (emotion_model.EmotionClassifier, emotion_model.save_emotion_model,
-                emotion_model.load_emotion_model),
-    "cause": (cause_model.CauseScorer, cause_model.save_cause_model,
-              cause_model.load_cause_model),
-}
+KINDS = {"emotion": emotion_model.EmotionClassifier, "cause": cause_model.CauseScorer}
 
 
 def fields(m):
@@ -32,38 +28,35 @@ def assert_views_of(m, flat):
 
 
 @pytest.fixture(params=sorted(KINDS))
-def kind(request):
+def model_cls(request):
     return KINDS[request.param]
 
 
 class TestFlatVector:
-    def test_fields_are_views_of_the_flat_vector(self, kind, rng):
-        cls, _, _ = kind
-        m = cls.init(random_table(rng, 5, 3), rng, hidden=4, mid=5)
+    def test_fields_are_views_of_the_flat_vector(self, model_cls, rng):
+        m = model_cls.init(random_table(rng, 5, 3), rng, hidden=4, mid=5)
         assert_views_of(m, m.flat)
         before = (m.bilstm.forward.w_x.copy(), m.fc2.bias.copy())
         core.sgd_step(core.SgdConfig(learning_rate=1.0, momentum=0.0),
-                      m.flat, np.ones_like(m.flat))
+                      m.flat, np.ones_like(m.flat), np.zeros_like(m.flat))
         assert np.array_equal(m.bilstm.forward.w_x, before[0] - 1.0)
         assert np.array_equal(m.fc2.bias, before[1] - 1.0)
 
-    def test_gradient_is_cut_like_the_parameters(self, kind, rng):
-        cls, _, _ = kind
-        m = cls.init(random_table(rng, 5, 3), rng, hidden=4, mid=5)
+    def test_gradient_is_cut_like_the_parameters(self, model_cls, rng):
+        m = model_cls.init(random_table(rng, 5, 3), rng, hidden=4, mid=5)
         grad = m.zeros_like()
         assert_views_of(grad, grad.flat)
         assert not np.shares_memory(grad.flat, m.flat)
         for (name, a), (_, g) in zip(fields(m), fields(grad)):
             assert g.shape == a.shape, name
 
-    def test_init_draws_each_tensor_in_file_order(self, kind):
+    def test_init_draws_each_tensor_in_file_order(self, model_cls):
         # per-tensor oracle: w_x, w_h, bias of each direction, then fc1 and
         # fc2 weight and bias, each uniform in +-1/sqrt(fan-in)
-        cls, _, _ = kind
         rng = np.random.default_rng(4)
         table = random_table(rng, 5, 3)
-        m = cls.init(table, np.random.default_rng(11), hidden=4, mid=5)
-        d, h, mid, out = cls.input_blocks * 3, 4, 5, cls.out_width
+        m = model_cls.init(table, np.random.default_rng(11), hidden=4, mid=5)
+        d, h, mid, out = model_cls.input_blocks * 3, 4, 5, model_cls.out_width
         oracle = np.random.default_rng(11)
         expected = []
         for shape, fan_in in ([((4 * h, d), d), ((4 * h, h), h), ((4 * h,), h)] * 2
@@ -77,18 +70,16 @@ class TestFlatVector:
 
 
 class TestModelFile:
-    def test_save_load_save_is_byte_identical(self, kind, rng, tmp_path):
-        cls, save, load = kind
+    def test_save_load_save_is_byte_identical(self, model_cls, rng, tmp_path):
         table = random_table(rng, 5, 3)
-        save(cls.init(table, rng, hidden=4, mid=5), tmp_path / "a.bin")
-        loaded = load(tmp_path / "a.bin", table)
-        save(loaded, tmp_path / "b.bin")
+        bilstm_mlp.save(model_cls.init(table, rng, hidden=4, mid=5), tmp_path / "a.bin")
+        loaded = bilstm_mlp.load(model_cls, tmp_path / "a.bin", table)
+        bilstm_mlp.save(loaded, tmp_path / "b.bin")
         assert (tmp_path / "a.bin").read_bytes() == (tmp_path / "b.bin").read_bytes()
 
-    def test_loaded_tensors_are_views_of_the_payload(self, kind, rng, tmp_path, monkeypatch):
-        cls, save, load = kind
+    def test_loaded_tensors_are_views_of_the_payload(self, model_cls, rng, tmp_path, monkeypatch):
         table = random_table(rng, 5, 3)
-        save(cls.init(table, rng, hidden=4, mid=5), tmp_path / "m.bin")
+        bilstm_mlp.save(model_cls.init(table, rng, hidden=4, mid=5), tmp_path / "m.bin")
         payloads = []
 
         def recorded(path):
@@ -97,18 +88,53 @@ class TestModelFile:
             return descriptor, payload
 
         monkeypatch.setattr(bilstm_mlp, "load_container", recorded)
-        loaded = load(tmp_path / "m.bin", table)
+        loaded = bilstm_mlp.load(model_cls, tmp_path / "m.bin", table)
         assert loaded.flat is payloads[0]
         assert_views_of(loaded, loaded.flat)
 
-    def test_non_finite_parameter_rejected(self, kind, rng, tmp_path):
-        cls, save, load = kind
+    def test_non_finite_parameter_rejected(self, model_cls, rng, tmp_path):
         table = random_table(rng, 5, 3)
-        m = cls.init(table, rng, hidden=4, mid=5)
+        m = model_cls.init(table, rng, hidden=4, mid=5)
         m.fc1.weight[0, 0] = np.nan
-        save(m, tmp_path / "m.bin")
+        bilstm_mlp.save(m, tmp_path / "m.bin")
         with pytest.raises(ValueError, match="non-finite"):
-            load(tmp_path / "m.bin", table)
+            bilstm_mlp.load(model_cls, tmp_path / "m.bin", table)
+
+    @pytest.mark.parametrize("width", ["hidden", "mid"])
+    def test_zero_width_rejected(self, model_cls, width, rng, tmp_path):
+        # the payload has the size those widths give, so only a width is wrong
+        table = random_table(rng, 5, 3)
+        hidden, mid = (0, 5) if width == "hidden" else (4, 0)
+        dims = (model_cls.input_blocks * 3, hidden, mid, model_cls.out_width)
+        path = tmp_path / "m.bin"
+        serialize.save_container(path, [model_cls.kind, 3, hidden, mid, model_cls.out_width],
+                                 np.ones(bilstm_mlp.n_values(dims)))
+        with pytest.raises(DataError, match=r"m\.bin: hidden and mid widths must be positive"):
+            bilstm_mlp.load(model_cls, path, table)
+
+
+class TestTrainerOwnsItsMomentum:
+    """The velocity belongs to a training run; an SgdConfig holds only the
+    hyperparameters, so one config can serve any number of runs."""
+
+    def test_runs_sharing_a_config_are_byte_identical(self):
+        table, examples = separable_emotion_setup()
+        cfg = core.SgdConfig()
+        a, _ = emotion_model.train_emotion(examples, table, np.random.default_rng(7),
+                                           epochs=3, cfg=cfg, hidden=8)
+        b, _ = emotion_model.train_emotion(examples, table, np.random.default_rng(7),
+                                           epochs=3, cfg=cfg, hidden=8)
+        assert a.flat.tobytes() == b.flat.tobytes()
+
+    def test_one_config_serves_both_models(self):
+        cfg = core.SgdConfig()
+        table, examples = separable_emotion_setup()
+        emotion_model.train_emotion(examples, table, np.random.default_rng(0),
+                                    epochs=1, cfg=cfg, hidden=4)
+        table, examples = separable_cause_setup()
+        _, trace = cause_model.train_cause(examples, table, np.random.default_rng(0),
+                                           epochs=1, cfg=cfg, hidden=4)
+        assert len(trace) == 1 and np.isfinite(trace[0])
 
 
 def test_one_gradient_per_training_run_and_none_for_inference(monkeypatch, tmp_path):
@@ -126,7 +152,7 @@ def test_one_gradient_per_training_run_and_none_for_inference(monkeypatch, tmp_p
     examples = [cause_model.CauseTrainExample((f"w{i}",), probs, i % 2) for i in range(4)]
     model, _ = cause_model.train_cause(examples, table, rng, epochs=3, hidden=4)
     assert made == [model.flat.size]
-    cause_model.save_cause_model(model, tmp_path / "m.bin")
-    loaded = cause_model.load_cause_model(tmp_path / "m.bin", table)
+    bilstm_mlp.save(model, tmp_path / "m.bin")
+    loaded = bilstm_mlp.load(cause_model.CauseScorer, tmp_path / "m.bin", table)
     score_clause(loaded, ("w0", "w1"), probs)
     assert made == [model.flat.size]

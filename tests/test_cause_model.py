@@ -122,7 +122,7 @@ class TestFactoredModel:
         probs = rng.dirichlet(np.ones(8)) if kind == "random" else cause_model.one_hot_probs("trust")
         tokens = ("w1", "w4", "w2")
         grad = m.zeros_like()
-        cause_model.loss_and_grads(m, table.rows(tokens), probs[None, :], 1, False, None, grad)
+        bilstm_mlp.loss_and_grads(m, table.rows(tokens), probs[None, :], 1, False, None, grad)
         # d(loss)/d(last output) through the head, as bilstm_mlp.backward has it
         prob = core.sigmoid(float(kron_logits(m, tokens, probs)[0]))
         z1 = core.linear(m.fc1, np.concatenate(
@@ -147,8 +147,8 @@ class TestFactoredModel:
         grad = m.zeros_like()
         grad.flat[:] = np.nan  # every entry must be written
         probs = cause_model.one_hot_probs("sadness")  # index 5
-        cause_model.loss_and_grads(m, table.rows(("w0", "w1")), probs[None, :], 0,
-                                   True, np.random.default_rng(1), grad)
+        bilstm_mlp.loss_and_grads(m, table.rows(("w0", "w1")), probs[None, :], 0,
+                                  True, np.random.default_rng(1), grad)
         for g in (grad.bilstm.forward, grad.bilstm.backward):
             blocks = g.w_x.reshape(16, 8, 5)
             assert np.all(np.isfinite(blocks[:, 5])) and np.any(blocks[:, 5])
@@ -157,13 +157,13 @@ class TestFactoredModel:
     def test_trainer_holds_d_wide_inputs(self, monkeypatch):
         table, examples = separable_cause_setup(dim=10)
         held = []
-        real = cause_model.loss_and_grads
+        real = bilstm_mlp.loss_and_grads
 
         def spy(m, rows, weights, *args):
             held.append((rows.shape[1], weights.shape))
             return real(m, rows, weights, *args)
 
-        monkeypatch.setattr(cause_model, "loss_and_grads", spy)
+        monkeypatch.setattr(bilstm_mlp, "loss_and_grads", spy)
         cause_model.train_cause(examples, table, np.random.default_rng(0), epochs=1, hidden=4)
         assert held and set(held) == {(10, (1, 8))}
 
@@ -306,8 +306,8 @@ class TestSerialization:
         table = random_table(rng, 4, 3)
         model = cause_model.CauseScorer.init(table, rng, hidden=4, mid=5)
         path = tmp_path / "cause.bin"
-        cause_model.save_cause_model(model, path)
-        loaded = cause_model.load_cause_model(path, table)
+        bilstm_mlp.save(model, path)
+        loaded = bilstm_mlp.load(cause_model.CauseScorer, path, table)
         assert np.array_equal(model.flat, loaded.flat)
         probs = uniform_probs()
         assert (score_clause(model, ("w0", "w2"), probs)
@@ -318,9 +318,9 @@ class TestSerialization:
         table = random_table(rng, 4, 3)
         emo = emotion_model.EmotionClassifier.init(table, rng, hidden=4, mid=5)
         path = tmp_path / "emotion.bin"
-        emotion_model.save_emotion_model(emo, path)
+        bilstm_mlp.save(emo, path)
         with pytest.raises(ValueError, match="not a cause model"):
-            cause_model.load_cause_model(path, table)
+            bilstm_mlp.load(cause_model.CauseScorer, path, table)
 
 
 class TestInvariants:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from emocause import emotion_model
+from emocause import bilstm_mlp
 from emocause.cli import main
 from emocause.corpus import load_corpus, save_corpus
 from emocause.embeddings import load_word_embeddings
@@ -181,13 +181,13 @@ class TestTrainingCli:
 
     def test_non_finite_loss_exits_two(self, chain, tmp_path, monkeypatch, capsys):
         _workdir, cfg = chain
-        real = emotion_model.loss_and_grads
+        real = bilstm_mlp.loss_and_grads
 
         def nan_loss(*args, **kwargs):
             real(*args, **kwargs)
             return float("nan")
 
-        monkeypatch.setattr(emotion_model, "loss_and_grads", nan_loss)
+        monkeypatch.setattr(bilstm_mlp, "loss_and_grads", nan_loss)
         code = main(["train-emotion", "--corpus", cfg.corpus_path,
                      "--parses", cfg.parses_path, "--embeddings", cfg.aware_path,
                      "--output", str(tmp_path / "m.bin"),
@@ -195,6 +195,16 @@ class TestTrainingCli:
         assert code == 2
         assert "epoch 1" in capsys.readouterr().err
         assert not (tmp_path / "m.bin").exists()
+
+    def test_malformed_corpus_field_exits_two(self, chain, tmp_path, capsys):
+        _workdir, cfg = chain
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"review_id": "r0", "product_id": "p0", "stars": 3,
+                                      "text": "ok", "parse_ids": 5}) + "\n", encoding="utf-8")
+        code = main(["train-emotion", "--corpus", str(corpus), "--parses", cfg.parses_path,
+                     "--embeddings", cfg.aware_path, "--output", str(tmp_path / "m.bin")])
+        assert code == 2
+        assert f"{corpus}:1: parse_ids must be a list of strings" in capsys.readouterr().err
 
 
 class TestScoreClauses:

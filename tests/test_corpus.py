@@ -53,6 +53,26 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match="stars"):
             load_corpus(p)
 
+    @pytest.mark.parametrize("key,value,message", [
+        ("stars", True, "stars must be an integer"),
+        ("parse_ids", "r0.0", "parse_ids must be a list of strings"),
+        ("parse_ids", 5, "parse_ids must be a list of strings"),
+        ("parse_ids", ["r0.0", 1], "parse_ids must be a list of strings"),
+        ("review_id", 7, "review_id must be a string"),
+        ("text", None, "text must be a string"),
+        ("gold_cause", {"sentence_index": 0, "start": "1", "end": 2}, "malformed gold_cause"),
+        ("gold_cause", {"sentence_index": 0, "start": 1.5, "end": 2}, "malformed gold_cause"),
+        ("gold_cause", [0, 1, 2], "malformed gold_cause"),
+    ], ids=["stars-bool", "parse-ids-string", "parse-ids-number", "parse-id-number",
+            "review-id-number", "text-null", "cause-string", "cause-float", "cause-list"])
+    def test_wrong_field_type_names_line(self, tmp_path, key, value, message):
+        obj = {**valid_obj(0), "gold_emotion": "joy",
+               "gold_cause": {"sentence_index": 0, "start": 1, "end": 2}}
+        obj[key] = value
+        p = write_lines(tmp_path / "c.jsonl", [valid_obj(1), obj])
+        with pytest.raises(DataError, match=rf"c\.jsonl:2: {message}"):
+            load_corpus(p)
+
     def test_missing_field_reports_line(self, tmp_path):
         obj = valid_obj(0)
         del obj["text"]
@@ -86,7 +106,7 @@ class TestRecordInvariants:
             record(0, gold_emotion="meh", gold_cause=GoldCause(0, 0, 1))
 
     def test_star_bounds(self):
-        for bad in (0, 6, 2.5):
+        for bad in (0, 6, 2.5, True):
             with pytest.raises(DataError):
                 record(0, stars=bad)
 

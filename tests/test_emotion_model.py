@@ -100,7 +100,7 @@ class TestTrainEmotion:
 
     def test_non_finite_loss_names_the_epoch(self, monkeypatch):
         table, examples = separable_emotion_setup()
-        real = emotion_model.loss_and_grads
+        real = bilstm_mlp.loss_and_grads
         steps = []
 
         def nan_in_epoch_two(*args, **kwargs):
@@ -108,7 +108,7 @@ class TestTrainEmotion:
             steps.append(loss)
             return float("nan") if len(steps) > len(examples) else loss
 
-        monkeypatch.setattr(emotion_model, "loss_and_grads", nan_in_epoch_two)
+        monkeypatch.setattr(bilstm_mlp, "loss_and_grads", nan_in_epoch_two)
         with pytest.raises(ValueError, match="epoch 2"):
             emotion_model.train_emotion(examples, table, np.random.default_rng(0),
                                         epochs=3, hidden=4)
@@ -126,13 +126,13 @@ class TestLossDecreaseProperty:
             rng = np.random.default_rng(seed)
             m = emotion_model.EmotionClassifier.init(table, rng, hidden=4, mid=5)
             cfg = core.SgdConfig()  # lr 0.003, momentum 0.9
-            grad = m.zeros_like()
+            grad, velocity = m.zeros_like(), np.zeros_like(m.flat)
             one = emotion_model.ONE_BLOCK
-            losses = [emotion_model.loss_and_grads(m, xs, one, 2, False, None, grad)]
+            losses = [bilstm_mlp.loss_and_grads(m, xs, one, 2, False, None, grad)]
             for _ in range(5):
-                emotion_model.loss_and_grads(m, xs, one, 2, True, rng, grad)
-                core.sgd_step(cfg, m.flat, grad.flat)
-                losses.append(emotion_model.loss_and_grads(m, xs, one, 2, False, None, grad))
+                bilstm_mlp.loss_and_grads(m, xs, one, 2, True, rng, grad)
+                core.sgd_step(cfg, m.flat, grad.flat, velocity)
+                losses.append(bilstm_mlp.loss_and_grads(m, xs, one, 2, False, None, grad))
             ok += all(b < a for a, b in zip(losses, losses[1:]))
         assert ok >= 19
 
@@ -140,8 +140,8 @@ class TestLossDecreaseProperty:
 class TestSerialization:
     def test_round_trip_bit_exact(self, toy_model, tmp_path):
         path = tmp_path / "emotion.bin"
-        emotion_model.save_emotion_model(toy_model, path)
-        loaded = emotion_model.load_emotion_model(path, toy_model.table)
+        bilstm_mlp.save(toy_model, path)
+        loaded = bilstm_mlp.load(emotion_model.EmotionClassifier, path, toy_model.table)
         assert np.array_equal(toy_model.flat, loaded.flat)
         out_a = forward_emotion(toy_model, ("w0", "w1"))
         out_b = forward_emotion(loaded, ("w0", "w1"))
@@ -151,11 +151,11 @@ class TestSerialization:
         path = tmp_path / "bad.bin"
         path.write_bytes(b"NOPE!" + b"\x00" * 64)
         with pytest.raises(ValueError, match="magic"):
-            emotion_model.load_emotion_model(path, toy_model.table)
+            bilstm_mlp.load(emotion_model.EmotionClassifier, path, toy_model.table)
 
     def test_failed_write_keeps_earlier_file(self, toy_model, tmp_path):
         path = tmp_path / "emotion.bin"
-        emotion_model.save_emotion_model(toy_model, path)
+        bilstm_mlp.save(toy_model, path)
         before = path.read_bytes()
         with pytest.raises(ValueError):
             # the header is written, then the payload cannot be converted
@@ -172,10 +172,10 @@ class TestSerialization:
     ], ids=["half-length", "one-value-short", "trailing-byte", "cut-in-descriptor"])
     def test_damaged_file_rejected(self, toy_model, tmp_path, damage, message):
         path = tmp_path / "emotion.bin"
-        emotion_model.save_emotion_model(toy_model, path)
+        bilstm_mlp.save(toy_model, path)
         path.write_bytes(damage(path.read_bytes()))
         with pytest.raises(ValueError, match=message):
-            emotion_model.load_emotion_model(path, toy_model.table)
+            bilstm_mlp.load(emotion_model.EmotionClassifier, path, toy_model.table)
 
 
 class TestInvariants:

@@ -240,14 +240,14 @@ class TestSgd:
     def test_one_step_to_zero(self):
         cfg = core.SgdConfig(learning_rate=1.0, momentum=0.0)
         theta = np.array([3.0, -2.0])
-        core.sgd_step(cfg, theta, theta.copy())
+        core.sgd_step(cfg, theta, theta.copy(), np.zeros(2))
         assert np.array_equal(theta, [0.0, 0.0])
 
     def test_zero_gradient_no_change(self):
         cfg = core.SgdConfig()
-        theta = np.array([1.0, 2.0])
+        theta, velocity = np.array([1.0, 2.0]), np.zeros(2)
         for _ in range(2):
-            core.sgd_step(cfg, theta, np.zeros(2))
+            core.sgd_step(cfg, theta, np.zeros(2), velocity)
         assert np.array_equal(theta, [1.0, 2.0])
 
     def test_two_step_hand_recursion(self):
@@ -256,9 +256,9 @@ class TestSgd:
         cfg = core.SgdConfig(learning_rate=lr, momentum=0.9)
         theta0 = np.array([1.0, -4.0])
         g = np.array([0.5, 2.0])
-        theta = theta0.copy()
-        core.sgd_step(cfg, theta, g.copy())
-        core.sgd_step(cfg, theta, g.copy())
+        theta, velocity = theta0.copy(), np.zeros(2)
+        core.sgd_step(cfg, theta, g.copy(), velocity)
+        core.sgd_step(cfg, theta, g.copy(), velocity)
         assert np.allclose(theta, theta0 - lr * g * (1.0 + 1.9), atol=1e-12)
 
     def test_two_steps_bit_exact(self):
@@ -268,13 +268,17 @@ class TestSgd:
         cfg = core.SgdConfig(learning_rate=lr, momentum=0.9)
         theta0 = np.array([1.0, -4.0, 0.3])
         g = np.array([0.5, 2.0, -7.1])
-        theta = theta0.copy()
-        core.sgd_step(cfg, theta, g.copy())
+        theta, velocity = theta0.copy(), np.zeros(3)
+        core.sgd_step(cfg, theta, g.copy(), velocity)
         theta1 = theta0 - lr * g
         assert np.array_equal(theta, theta1)
-        core.sgd_step(cfg, theta, g.copy())
+        core.sgd_step(cfg, theta, g.copy(), velocity)
         theta2 = theta1 - lr * (0.9 * g + g)
         assert np.array_equal(theta, theta2)
+
+    def test_velocity_of_another_shape_rejected(self):
+        with pytest.raises(ValueError, match="differ in shape"):
+            core.sgd_step(core.SgdConfig(), np.zeros(3), np.zeros(3), np.zeros(2))
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from emocause import cause_model, emotion_model, pipeline, synthetic
+from emocause import bilstm_mlp, cause_model, emotion_model, pipeline, synthetic
 from emocause.clustering import cosine_distance
 from emocause.corpus import load_corpus, save_corpus
 from emocause.pipeline import (PipelineConfig, ReviewSkipped,
@@ -112,8 +112,8 @@ class TestInferReview:
     def setup(self, trained):
         cfg, _ = trained
         _, aware = load_tables(cfg)
-        emo = emotion_model.load_emotion_model(cfg.emotion_model_path, aware)
-        causes = cause_model.load_cause_model(cfg.cause_model_path, aware)
+        emo = bilstm_mlp.load(emotion_model.EmotionClassifier, cfg.emotion_model_path, aware)
+        causes = bilstm_mlp.load(cause_model.CauseScorer, cfg.cause_model_path, aware)
         with open(cfg.parses_path, encoding="utf-8") as fh:
             sentences = index_sentences(fh.read() + OOV_PARSE)
         return load_corpus(cfg.corpus_path)[0], sentences, emo, causes
@@ -153,8 +153,8 @@ class TestChunkedInference:
     def setup(self, trained):
         cfg, _ = trained
         _, aware = load_tables(cfg)
-        emo = emotion_model.load_emotion_model(cfg.emotion_model_path, aware)
-        causes = cause_model.load_cause_model(cfg.cause_model_path, aware)
+        emo = bilstm_mlp.load(emotion_model.EmotionClassifier, cfg.emotion_model_path, aware)
+        causes = bilstm_mlp.load(cause_model.CauseScorer, cfg.cause_model_path, aware)
         with open(cfg.parses_path, encoding="utf-8") as fh:
             sentences = index_sentences(fh.read() + OOV_PARSE)
         records = load_corpus(cfg.corpus_path)[:12]
