@@ -18,10 +18,10 @@ subclasses BiLstmMlp to fix its number of input blocks, its output width
 and its ECPE1 kind code, and defines its head: head(logits, target) gives
 one sequence's loss and d(loss)/d(logits). Everything else is here, once
 for both models: the parameters, one flat float64 vector whose
-initialization, views, gradient and model file all follow one layout table
-(layout()); the forward and backward passes; the training step
-(loss_and_grads: forward, head, backward); the training loop; and save and
-load.
+initialization, views, momentum velocity and model file all follow one
+layout table (layout()); the forward and backward passes; the training
+step (loss_and_grads: forward, head, backward, adding the gradient into a
+vector cut like the parameters); the training loop; and save and load.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ import numpy as np
 
 from .embeddings import EmbeddingTable
 from .errors import DataError, OovError
-from .nn import core
+from .nn import core, kernels
 from .nn.serialize import load_container, save_container
 
 log = logging.getLogger(__name__)
@@ -79,18 +79,22 @@ def n_values(dims) -> int:
 
 def draw(dims, rng: core.Rng) -> np.ndarray:
     """A new flat vector: each tensor in layout order drawn uniformly from
-    +-1/sqrt(fan-in)."""
+    +-1/sqrt(fan-in). Each view is filled in place, with the same ops as
+    rng.uniform(-bound, bound) (low + (high - low) * random), so the
+    values are the same bits and no tensor-sized temporary is made."""
     flat = np.empty(n_values(dims))
     for _, _, view, fan_in in _cut(flat, dims):
         bound = 1.0 / np.sqrt(fan_in)
-        view[...] = rng.uniform(-bound, bound, size=view.shape)
+        rng.random(out=view)
+        view *= bound - -bound
+        view += -bound
     return flat
 
 
 @dataclass(eq=False)
 class Weights:
     """The network's tensors as views of one flat float64 vector. A model's
-    parameters and a training run's gradient both take this form."""
+    parameters and a training run's velocity both take this form."""
 
     flat: np.ndarray
     bilstm: core.BiLstm  # input_dim -> 2H
@@ -112,10 +116,12 @@ class Weights:
                    **fields)
 
     def zeros_like(self) -> "Weights":
-        """A zero vector cut the same way, e.g. the gradient of a training run."""
+        """A zero vector cut the same way, e.g. the velocity of a training
+        run. np.zeros, not np.zeros_like: the pages are zeroed lazily by
+        the system, where np.zeros_like writes every value."""
         dims = (self.bilstm.input_dim, self.bilstm.hidden_dim,
                 self.fc1.out_dim, self.fc2.out_dim)
-        return Weights.over(np.zeros_like(self.flat), dims)
+        return Weights.over(np.zeros(self.flat.size), dims)
 
 
 @dataclass(eq=False)
@@ -176,14 +182,15 @@ def logits(m: BiLstmMlp, sequences, weights) -> np.ndarray:
 
 def backward(m: BiLstmMlp, cache: ForwardCache, d_logits: np.ndarray,
              grad: Weights) -> None:
-    """Writes d(loss)/d(parameters) into grad, given d(loss)/d(logits), for
-    a forward pass over one sequence."""
+    """Adds d(loss)/d(parameters) into grad, given d(loss)/d(logits), for
+    a forward pass over one sequence. The weight gradients are outer
+    products, added a row block at a time like the kernels' products."""
     a1, h_drop = cache.a1[0], cache.h_drop[0]
-    np.outer(d_logits, a1, out=grad.fc2.weight)
-    grad.fc2.bias[...] = d_logits
-    dz1 = np.multiply(m.fc2.weight.T @ d_logits, core.elu_grad(cache.z1[0]),
-                      out=grad.fc1.bias)
-    np.outer(dz1, h_drop, out=grad.fc1.weight)
+    kernels._add_product(grad.fc2.weight, d_logits[:, None], a1[None, :])
+    grad.fc2.bias += d_logits
+    dz1 = (m.fc2.weight.T @ d_logits) * core.elu_grad(cache.z1[0])
+    kernels._add_product(grad.fc1.weight, dz1[:, None], h_drop[None, :])
+    grad.fc1.bias += dz1
     dh = m.fc1.weight.T @ dz1
     if cache.mask is not None:
         dh *= cache.mask[0]
@@ -193,9 +200,12 @@ def backward(m: BiLstmMlp, cache: ForwardCache, d_logits: np.ndarray,
 def loss_and_grads(m: BiLstmMlp, rows: np.ndarray, weights: np.ndarray, target,
                    train: bool, rng: core.Rng | None, grad: Weights) -> float:
     """The loss of one sequence under the model's head; its gradient is
-    written into grad. rows (T, d) are the sequence's word vectors and
-    weights (1, input_blocks) its block weights; train mode draws a dropout
-    mask from rng."""
+    added into grad, which is left as found where the gradient is zero by
+    construction (the input weight blocks of zero block weights). Training
+    passes the velocity, already scaled by the momentum; a gradient check
+    passes a fresh zero vector. rows (T, d) are the sequence's word vectors
+    and weights (1, input_blocks) its block weights; train mode draws a
+    dropout mask from rng."""
     cache = forward(m, rows, (len(rows),), weights, train, rng)
     loss, d_logits = m.head(cache.logits[0], target)
     backward(m, cache, d_logits, grad)
@@ -210,9 +220,12 @@ def train(cls, table: EmbeddingTable, examples, to_row, rng: core.Rng,
     them: the (T, d) vectors of the example's in-vocabulary tokens, its
     (1, input_blocks) block weights and its target; it raises OovError to
     skip the example (skips get one warning up front). The run holds one
-    gradient vector and one velocity vector, both shaped like the
-    parameters. Returns (model, per-epoch mean-loss trace); a non-finite
-    epoch loss stops training with a ValueError naming the epoch.
+    vector besides the parameters, the momentum velocity: each step's
+    backward pass adds its gradient into the velocity the last step left
+    scaled by the momentum, and core.sgd_step updates the parameters and
+    scales the velocity again, so no gradient vector is held. Returns
+    (model, per-epoch mean-loss trace); a non-finite epoch loss stops
+    training with a ValueError naming the epoch.
     """
     if not examples:
         raise ValueError("no training examples")
@@ -228,15 +241,14 @@ def train(cls, table: EmbeddingTable, examples, to_row, rng: core.Rng,
     if not held:
         raise DataError("every training example is out of vocabulary")
     model = cls.init(table, rng, hidden=hidden)
-    grad = model.zeros_like()
-    velocity = np.zeros_like(model.flat)
+    velocity = model.zeros_like()
     trace = []
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(held))
         total = 0.0
         for idx in order:
-            total += loss_and_grads(model, *held[idx], True, rng, grad)
-            core.sgd_step(cfg, model.flat, grad.flat, velocity)
+            total += loss_and_grads(model, *held[idx], True, rng, velocity)
+            core.sgd_step(cfg, model.flat, velocity.flat)
         mean = total / len(held)
         if not np.isfinite(mean):
             raise ValueError(f"epoch {epoch}: mean training loss is {mean}")

@@ -1,8 +1,11 @@
 """Gradient verification at toy scale, shared by the CLI and the test suite.
 
-Every check builds a small random instance, writes its analytic gradient
-into a flat vector cut like the flat parameter vector, and compares the
-two against central finite differences. Dropout is exercised
+Every check builds a small random instance, puts its analytic gradient
+into a fresh zero vector cut like the flat parameter vector, and compares
+the two against central finite differences. The linear-layer checks write
+the gradient by hand; the LSTM, Bi-LSTM and architecture checks run the
+backward passes, which add into the vector they are given, so starting
+from zero gives the gradient itself. Dropout is exercised
 with a mask held fixed across the finite-difference evaluations. The
 finite-difference losses run forward passes only: the architecture checks
 take the model's head loss on the forward pass's logits, and check the
@@ -24,8 +27,9 @@ TOY_MID = 5
 
 
 def _toy_weights(rng: np.random.Generator, dims):
-    """Random network weights and a zero gradient. A layer check uses one
-    part; the rest has analytic and numerical gradients of exactly zero."""
+    """Random network weights and a fresh zero gradient vector. A layer
+    check uses one part; the rest has analytic and numerical gradients of
+    exactly zero."""
     w = bilstm_mlp.Weights.over(bilstm_mlp.draw(dims, rng), dims)
     return w, w.zeros_like()
 

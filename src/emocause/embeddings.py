@@ -10,6 +10,7 @@ original vector. Words whose weights are all zero keep their raw vector.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,7 +118,11 @@ class SimilarityMatrix:
 
 def load_word_embeddings(path) -> EmbeddingTable:
     """Read a text-format embedding file: header "<count> <dim>", then one
-    "<word> <floats...>" row per line."""
+    "<word> <floats...>" row per line. The rows' floats are parsed into one
+    growing array('d'), viewed as the (V, d) table at the end, where the
+    finiteness and all-zero checks run once; an error names the file line
+    of the first bad row. The header's count is checked, never trusted to
+    size anything."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -128,8 +133,8 @@ def load_word_embeddings(path) -> EmbeddingTable:
             raise DataError(f"{path}: header must be '<count> <dim>'") from None
         if count < 0 or dim <= 0:
             raise DataError(f"{path}: bad header values {count} {dim}")
-        words = []
-        rows = []
+        words, linenos = [], []
+        values = array("d")  # every row's floats, one after another
         seen = set()
         for lineno, line in enumerate(fh, start=2):
             # the word2vec C tool ends every row with a space
@@ -144,18 +149,21 @@ def load_word_embeddings(path) -> EmbeddingTable:
                 raise DataError(f"{path}:{lineno}: duplicate word {word!r}")
             seen.add(word)
             try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+                values.extend(map(float, parts[1:]))
             except ValueError:
                 raise DataError(f"{path}:{lineno}: non-numeric value for {word!r}") from None
-            if not np.all(np.isfinite(vec)):
-                raise DataError(f"{path}:{lineno}: non-finite value for {word!r}")
-            if not np.any(vec):
-                raise DataError(f"{path}:{lineno}: all-zero vector for {word!r}")
             words.append(word)
-            rows.append(vec)
+            linenos.append(lineno)
+    vectors = np.frombuffer(values, dtype=np.float64).reshape(len(words), dim)
+    finite = np.all(np.isfinite(vectors), axis=1)
+    bad = ~(finite & np.any(vectors, axis=1))
+    if bad.any():
+        row = int(np.argmax(bad))
+        what = "all-zero vector" if finite[row] else "non-finite value"
+        raise DataError(f"{path}:{linenos[row]}: {what} for {words[row]!r}")
     if len(words) != count:
         raise DataError(f"{path}: header promises {count} rows, found {len(words)}")
-    return EmbeddingTable(words, np.array(rows) if rows else np.empty((0, dim)))
+    return EmbeddingTable(words, vectors)
 
 
 def save_word_embeddings(table: EmbeddingTable, path) -> None:

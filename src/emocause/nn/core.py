@@ -149,7 +149,7 @@ def bilstm_last_output(cache: BiLstmCache) -> np.ndarray:
 def bilstm_backward_last(m: BiLstm, cache: BiLstmCache, d_last: np.ndarray,
                          grad: BiLstm) -> None:
     """BPTT for one sequence when the loss touches only bilstm_last_output.
-    Writes the gradients into grad's arrays."""
+    Adds the gradients into grad's arrays."""
     if len(cache.lengths) != 1:
         raise ValueError("bilstm backward: one sequence at a time")
     T = cache.lengths[0]
@@ -248,12 +248,20 @@ class SgdConfig:
             raise ValueError("momentum must be in [0, 1)")
 
 
-def sgd_step(cfg: SgdConfig, theta: np.ndarray, grad: np.ndarray,
-             velocity: np.ndarray) -> None:
+def sgd_step(cfg: SgdConfig, theta: np.ndarray, velocity: np.ndarray) -> None:
     """Update the flat parameter vector theta and its velocity in place.
-    grad is spent: it is overwritten with the step."""
-    if velocity.shape != theta.shape or grad.shape != theta.shape:
-        raise ValueError("parameter, gradient and velocity vectors differ in shape")
-    velocity *= cfg.momentum
-    velocity += grad
-    theta -= np.multiply(velocity, cfg.learning_rate, out=grad)
+
+    No gradient vector is held: velocity comes in as mu*v + g, this step's
+    gradient g already added by the backward pass into the mu-scaled
+    velocity the last step left (zero before the first step). One pass
+    over cache-sized blocks runs theta -= lr*v, then v *= mu, ready for the
+    next step's gradient; the ops and their order are the recursion's, so
+    theta follows it bit for bit."""
+    if velocity.shape != theta.shape:
+        raise ValueError("parameter and velocity vectors differ in shape")
+    block = kernels.BLOCK
+    step = np.empty(min(block, theta.size))
+    for s in range(0, theta.size, block):
+        v = velocity[s:s + block]
+        theta[s:s + block] -= np.multiply(v, cfg.learning_rate, out=step[:v.size])
+        v *= cfg.momentum

@@ -13,11 +13,11 @@ loop as one matrix product (input-projection batching, Appleyard et al.
   and no padded step is computed. Training runs the same kernel with B = 1.
 - backward: one sequence at a time, on the B = 1 views of the forward
   outputs. The gate gradients of all steps are kept as one (T, 4H) array
-  dZ, and the input weight blocks' dZ.T @ (p_k xs), d_wh = dZ.T @
-  hs[:-1] and d_bias = dZ.sum(0) are each written into the caller's
-  array; only the recurrent product dZ[t] @ w_h runs per timestep.
-
-No array the size of a weight matrix is created inside a time loop.
+  dZ, and the input weight blocks' dZ.T @ (p_k xs), dZ.T @ hs[:-1] and
+  dZ.sum(0) are each added into the caller's array; only the recurrent
+  product dZ[t] @ w_h runs per timestep. The two weight products are
+  added a row block at a time (_add_product), so no array the size of a
+  weight matrix is created at all.
 
 Gate layout: the four gates are stacked row-wise in one matrix, in the
 order input | forget | cell | output, so w_h is (4H, H) and a direction's
@@ -27,6 +27,8 @@ input weights w_x are (4H, D). All arrays are C-contiguous float64.
 import bisect
 
 import numpy as np
+
+BLOCK = 1 << 14  # values per block of a blocked update: 128 KiB of float64
 
 
 def lstm_forward_seq(zx, w_h, lengths):
@@ -72,6 +74,15 @@ def lstm_forward_seq(zx, w_h, lengths):
     return hs, cs, zx, tanh_c
 
 
+def _add_product(target, a, b):
+    """target += a @ b, a row block of about BLOCK values of target at a
+    time, so the product is never held whole and each block of target is
+    still in cache when it is added to."""
+    rows = max(1, BLOCK // target.shape[1])
+    for r in range(0, target.shape[0], rows):
+        target[r:r + rows] += a[r:r + rows] @ b
+
+
 def lstm_backward_seq(w_x, w_h, xs, hs, cs, gates, tanh_c, d_h_out, d_wx, d_wh, d_bias,
                       block_weights=(1.0,)):
     """Backpropagate through time over one sequence, given d_h_out (T, H),
@@ -82,10 +93,12 @@ def lstm_backward_seq(w_x, w_h, xs, hs, cs, gates, tanh_c, d_h_out, d_wx, d_wh, 
     w_x (4H, D) is the weight matrix the sequence's (T, D) inputs xs were
     projected with. The parameter it came from is k = len(block_weights)
     blocks of that shape, w_x = sum_j block_weights[j] * block_j, so the
-    gradient of block j is dZ.T @ (block_weights[j] * xs), exactly zero for
-    a zero weight: d_wx (4H, k*D) is written block by block, with no
-    (T, k*D) input and no (4H, k*D) temporary. Also writes d_wh (4H, H) and d_bias (4H,). Input gradients
-    are not computed; the models feed frozen embeddings.
+    gradient of block j is dZ.T @ (block_weights[j] * xs). The gradients
+    are added into d_wx (4H, k*D), d_wh (4H, H) and d_bias (4H,), not
+    written: the caller passes the vector it accumulates into. Block j of
+    d_wx is not touched where block_weights[j] is zero, and no (T, k*D)
+    input or (4H, k*D) temporary is made. Input gradients are not
+    computed; the models feed frozen embeddings.
     """
     T = xs.shape[0]
     H = w_h.shape[1]
@@ -107,10 +120,8 @@ def lstm_backward_seq(w_x, w_h, xs, hs, cs, gates, tanh_c, d_h_out, d_wx, d_wh, 
         dh = dz[t].reshape(4 * H) @ w_h
     dz = dz.reshape(T, 4 * H)
     blocks = d_wx.reshape(4 * H, len(block_weights), xs.shape[1])
-    if not all(block_weights):
-        d_wx[...] = 0.0
     for j, weight in enumerate(block_weights):
         if weight:
-            np.matmul(dz.T, xs if weight == 1.0 else weight * xs, out=blocks[:, j])
-    np.matmul(dz.T, hs[:-1], out=d_wh)
-    dz.sum(0, out=d_bias)
+            _add_product(blocks[:, j], dz.T, xs if weight == 1.0 else weight * xs)
+    _add_product(d_wh, dz.T, hs[:-1])
+    d_bias += dz.sum(0)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -38,7 +40,7 @@ class TestFlatVector:
         assert_views_of(m, m.flat)
         before = (m.bilstm.forward.w_x.copy(), m.fc2.bias.copy())
         core.sgd_step(core.SgdConfig(learning_rate=1.0, momentum=0.0),
-                      m.flat, np.ones_like(m.flat), np.zeros_like(m.flat))
+                      m.flat, np.ones_like(m.flat))
         assert np.array_equal(m.bilstm.forward.w_x, before[0] - 1.0)
         assert np.array_equal(m.fc2.bias, before[1] - 1.0)
 
@@ -67,6 +69,34 @@ class TestFlatVector:
         assert np.array_equal(m.flat, np.concatenate([e.ravel() for e in expected]))
         for (name, a), e in zip(fields(m), expected):
             assert np.array_equal(a, e), name
+
+
+class TestGradientIsAdded:
+    """The training step adds its gradient into the vector it is given."""
+
+    def test_adding_twice_gives_twice_adding_once(self, model_cls, rng):
+        m = model_cls.init(random_table(rng, 5, 3), rng, hidden=4, mid=5)
+        rows = m.table.rows(("w0", "w3", "w1"))
+        weights = rng.dirichlet(np.ones(model_cls.input_blocks))[None, :]
+        once, twice = m.zeros_like(), m.zeros_like()
+        bilstm_mlp.loss_and_grads(m, rows, weights, 0, False, None, once)
+        for _ in range(2):
+            bilstm_mlp.loss_and_grads(m, rows, weights, 0, False, None, twice)
+        assert np.all(np.isfinite(once.flat)) and np.any(once.flat)
+        assert twice.flat.tobytes() == (2 * once.flat).tobytes()
+
+    def test_training_holds_one_vector_besides_the_model(self):
+        # at d = 64, H = 128 the parameters (5.4 MB) dwarf a step's other
+        # arrays; a held gradient vector would put the peak near 3x
+        table, examples = separable_cause_setup(dim=64)
+        tracemalloc.start()
+        try:
+            model, _ = cause_model.train_cause(examples, table, np.random.default_rng(0),
+                                               epochs=1, hidden=128)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.25 * model.flat.nbytes
 
 
 class TestModelFile:

@@ -135,24 +135,28 @@ class TestFactoredModel:
             xs = kron_scaled_inputs(words, probs, table)
             d_h_out = np.zeros((3, 4))
             d_h_out[-1] = d
-            expected = [np.empty_like(p.w_x), np.empty_like(p.w_h), np.empty_like(p.bias)]
+            expected = [np.zeros_like(p.w_x), np.zeros_like(p.w_h), np.zeros_like(p.bias)]
             kernels.lstm_backward_seq(p.w_x, p.w_h, xs, *reference_lstm_forward_seq(
                 p.w_x, p.w_h, p.bias, xs), d_h_out, *expected)
             for got, want in zip((g.w_x, g.w_h, g.bias), expected):
                 assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
-    def test_one_hot_leaves_other_blocks_exactly_zero(self, rng):
+    def test_one_hot_leaves_other_blocks_as_found(self, rng):
+        # the step adds into the vector it is given (in training, the
+        # velocity); a zero-weight block is not touched
         table = random_table(rng, 6, 5)
         m = cause_model.CauseScorer.init(table, rng, hidden=4, mid=5)
-        grad = m.zeros_like()
-        grad.flat[:] = np.nan  # every entry must be written
+        grad, found = m.zeros_like(), m.zeros_like()
+        grad.flat[:] = rng.normal(size=grad.flat.size)
+        found.flat[:] = grad.flat
         probs = cause_model.one_hot_probs("sadness")  # index 5
         bilstm_mlp.loss_and_grads(m, table.rows(("w0", "w1")), probs[None, :], 0,
                                   True, np.random.default_rng(1), grad)
-        for g in (grad.bilstm.forward, grad.bilstm.backward):
-            blocks = g.w_x.reshape(16, 8, 5)
-            assert np.all(np.isfinite(blocks[:, 5])) and np.any(blocks[:, 5])
-            assert np.all(np.delete(blocks, 5, axis=1) == 0.0)
+        for g, f in ((grad.bilstm.forward, found.bilstm.forward),
+                     (grad.bilstm.backward, found.bilstm.backward)):
+            blocks, before = g.w_x.reshape(16, 8, 5), f.w_x.reshape(16, 8, 5)
+            assert np.all(np.isfinite(blocks[:, 5])) and np.any(blocks[:, 5] != before[:, 5])
+            assert np.delete(blocks, 5, axis=1).tobytes() == np.delete(before, 5, axis=1).tobytes()
 
     def test_trainer_holds_d_wide_inputs(self, monkeypatch):
         table, examples = separable_cause_setup(dim=10)

@@ -5,7 +5,7 @@ import pytest
 
 from emocause import bilstm_mlp, checks
 from emocause.emotion_model import ONE_BLOCK
-from emocause.nn import core
+from emocause.nn import core, kernels
 from emocause.nn.gradcheck import max_relative_error, numerical_gradient
 
 from helpers import bilstm_forward, bilstm_outputs, dropout, lstm_cell, random_bilstm
@@ -237,17 +237,21 @@ class TestLosses:
 
 
 class TestSgd:
+    """sgd_step takes the velocity with this step's gradient already added
+    (as the backward pass leaves it), updates theta and scales the velocity
+    by the momentum for the next step."""
+
     def test_one_step_to_zero(self):
         cfg = core.SgdConfig(learning_rate=1.0, momentum=0.0)
         theta = np.array([3.0, -2.0])
-        core.sgd_step(cfg, theta, theta.copy(), np.zeros(2))
+        core.sgd_step(cfg, theta, theta.copy())
         assert np.array_equal(theta, [0.0, 0.0])
 
     def test_zero_gradient_no_change(self):
         cfg = core.SgdConfig()
         theta, velocity = np.array([1.0, 2.0]), np.zeros(2)
         for _ in range(2):
-            core.sgd_step(cfg, theta, np.zeros(2), velocity)
+            core.sgd_step(cfg, theta, velocity)
         assert np.array_equal(theta, [1.0, 2.0])
 
     def test_two_step_hand_recursion(self):
@@ -257,28 +261,47 @@ class TestSgd:
         theta0 = np.array([1.0, -4.0])
         g = np.array([0.5, 2.0])
         theta, velocity = theta0.copy(), np.zeros(2)
-        core.sgd_step(cfg, theta, g.copy(), velocity)
-        core.sgd_step(cfg, theta, g.copy(), velocity)
+        for _ in range(2):
+            velocity += g
+            core.sgd_step(cfg, theta, velocity)
         assert np.allclose(theta, theta0 - lr * g * (1.0 + 1.9), atol=1e-12)
 
     def test_two_steps_bit_exact(self):
-        # the step is written into the spent gradient buffer; theta must
-        # still follow the plain recursion bit for bit
+        # no gradient vector is held; theta must still follow the plain
+        # recursion bit for bit
         lr = 0.003
         cfg = core.SgdConfig(learning_rate=lr, momentum=0.9)
         theta0 = np.array([1.0, -4.0, 0.3])
         g = np.array([0.5, 2.0, -7.1])
         theta, velocity = theta0.copy(), np.zeros(3)
-        core.sgd_step(cfg, theta, g.copy(), velocity)
+        velocity += g
+        core.sgd_step(cfg, theta, velocity)
         theta1 = theta0 - lr * g
         assert np.array_equal(theta, theta1)
-        core.sgd_step(cfg, theta, g.copy(), velocity)
+        velocity += g
+        core.sgd_step(cfg, theta, velocity)
         theta2 = theta1 - lr * (0.9 * g + g)
         assert np.array_equal(theta, theta2)
 
+    def test_blocked_pass_is_the_plain_recursion(self, rng):
+        # three whole blocks and a short last one, over three steps
+        cfg = core.SgdConfig(learning_rate=0.003, momentum=0.9)
+        n = 3 * kernels.BLOCK + 7
+        theta0 = rng.normal(size=n)
+        grads = rng.normal(size=(3, n))
+        theta, velocity = theta0.copy(), np.zeros(n)
+        plain_theta, plain_v = theta0.copy(), np.zeros(n)
+        for g in grads:
+            velocity += g
+            core.sgd_step(cfg, theta, velocity)
+            plain_v = 0.9 * plain_v + g
+            plain_theta = plain_theta - 0.003 * plain_v
+            assert theta.tobytes() == plain_theta.tobytes()
+            assert velocity.tobytes() == (0.9 * plain_v).tobytes()
+
     def test_velocity_of_another_shape_rejected(self):
         with pytest.raises(ValueError, match="differ in shape"):
-            core.sgd_step(core.SgdConfig(), np.zeros(3), np.zeros(3), np.zeros(2))
+            core.sgd_step(core.SgdConfig(), np.zeros(3), np.zeros(2))
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):
