@@ -18,10 +18,12 @@ subclasses BiLstmMlp to fix its number of input blocks, its output width
 and its ECPE1 kind code, and defines its head: head(logits, target) gives
 one sequence's loss and d(loss)/d(logits). Everything else is here, once
 for both models: the parameters, one flat float64 vector whose
-initialization, views, momentum velocity and model file all follow one
-layout table (layout()); the forward and backward passes; the training
-step (loss_and_grads: forward, head, backward, adding the gradient into a
-vector cut like the parameters); the training loop; and save and load.
+initialization, views and model file all follow one layout table
+(layout()); the forward and backward passes; the training step
+(loss_and_grads: forward, head, backward, adding the gradient into a
+vector cut like the parameters); the training loop with its momentum
+(Momentum), which updates only the input weight blocks a step reads; and
+save and load.
 """
 
 from __future__ import annotations
@@ -45,36 +47,49 @@ DEFAULT_MID = 80
 DROPOUT_P = 0.5
 
 
-def layout(input_dim: int, hidden: int, mid: int, out: int) -> tuple:
-    """The network's tensors as (part, name, shape, init fan-in), in their
-    order in the flat parameter vector and the model file, for a Bi-LSTM
-    over input_dim-wide timesteps."""
+def layout(input_dim: int, hidden: int, mid: int, out: int, input_blocks: int = 1) -> tuple:
+    """The network's tensors as (part, name, shape, init fan-in, blocks), in
+    their order in the flat vector and the model file, for a Bi-LSTM over
+    input_dim-wide timesteps. blocks is the number of column blocks a
+    tensor is stored as, one after another (block-major; see _cut): each
+    direction's input weights are input_blocks (4H, input_dim /
+    input_blocks) blocks, every other tensor is one. The parameters and
+    their gradients use one block throughout (input_blocks = 1), so their
+    layout is the model file's; a training run's velocity gives its input
+    weights the model's input_blocks (Momentum)."""
     four_h = 4 * hidden
     return (
-        ("forward", "w_x", (four_h, input_dim), input_dim),
-        ("forward", "w_h", (four_h, hidden), hidden),
-        ("forward", "bias", (four_h,), hidden),
-        ("backward", "w_x", (four_h, input_dim), input_dim),
-        ("backward", "w_h", (four_h, hidden), hidden),
-        ("backward", "bias", (four_h,), hidden),
-        ("fc1", "weight", (mid, 2 * hidden), 2 * hidden),
-        ("fc1", "bias", (mid,), 2 * hidden),
-        ("fc2", "weight", (out, mid), mid),
-        ("fc2", "bias", (out,), mid),
+        ("forward", "w_x", (four_h, input_dim), input_dim, input_blocks),
+        ("forward", "w_h", (four_h, hidden), hidden, 1),
+        ("forward", "bias", (four_h,), hidden, 1),
+        ("backward", "w_x", (four_h, input_dim), input_dim, input_blocks),
+        ("backward", "w_h", (four_h, hidden), hidden, 1),
+        ("backward", "bias", (four_h,), hidden, 1),
+        ("fc1", "weight", (mid, 2 * hidden), 2 * hidden, 1),
+        ("fc1", "bias", (mid,), 2 * hidden, 1),
+        ("fc2", "weight", (out, mid), mid, 1),
+        ("fc2", "bias", (out,), mid, 1),
     )
 
 
 def _cut(flat: np.ndarray, dims):
-    """(part, name, view of flat, fan-in) for each row of layout(*dims)."""
+    """(part, name, view of flat, fan-in, blocks) for each row of
+    layout(*dims). A (rows, cols) tensor of b > 1 blocks is held as b
+    contiguous (rows, cols / b) blocks and viewed as (rows, b, cols / b)."""
     start = 0
-    for part, name, shape, fan_in in layout(*dims):
+    for part, name, shape, fan_in, blocks in layout(*dims):
         end = start + math.prod(shape)
-        yield part, name, flat[start:end].reshape(shape), fan_in
+        if blocks == 1:
+            view = flat[start:end].reshape(shape)
+        else:
+            rows, cols = shape
+            view = flat[start:end].reshape(blocks, rows, cols // blocks).transpose(1, 0, 2)
+        yield part, name, view, fan_in, blocks
         start = end
 
 
 def n_values(dims) -> int:
-    return sum(math.prod(shape) for _, _, shape, _ in layout(*dims))
+    return sum(math.prod(shape) for _, _, shape, _, _ in layout(*dims))
 
 
 def draw(dims, rng: core.Rng) -> np.ndarray:
@@ -83,7 +98,7 @@ def draw(dims, rng: core.Rng) -> np.ndarray:
     rng.uniform(-bound, bound) (low + (high - low) * random), so the
     values are the same bits and no tensor-sized temporary is made."""
     flat = np.empty(n_values(dims))
-    for _, _, view, fan_in in _cut(flat, dims):
+    for _, _, view, fan_in, _ in _cut(flat, dims):
         bound = 1.0 / np.sqrt(fan_in)
         rng.random(out=view)
         view *= bound - -bound
@@ -106,7 +121,7 @@ class Weights:
         """A cls over flat, which holds the n_values(dims) values of
         layout(*dims); fields gives any further fields."""
         parts = {}
-        for part, name, view, _ in _cut(flat, dims):
+        for part, name, view, _, _ in _cut(flat, dims):
             parts.setdefault(part, {})[name] = view
         return cls(flat=flat,
                    bilstm=core.BiLstm(core.LstmParams(**parts["forward"]),
@@ -115,13 +130,19 @@ class Weights:
                    fc2=core.LinearParams(**parts["fc2"]),
                    **fields)
 
-    def zeros_like(self) -> "Weights":
-        """A zero vector cut the same way, e.g. the velocity of a training
-        run. np.zeros, not np.zeros_like: the pages are zeroed lazily by
-        the system, where np.zeros_like writes every value."""
-        dims = (self.bilstm.input_dim, self.bilstm.hidden_dim,
+    @property
+    def dims(self) -> tuple:
+        """(input_dim, hidden, mid, out), as layout() takes them."""
+        return (self.bilstm.input_dim, self.bilstm.hidden_dim,
                 self.fc1.out_dim, self.fc2.out_dim)
-        return Weights.over(np.zeros(self.flat.size), dims)
+
+    def zeros_like(self, input_blocks: int = 1) -> "Weights":
+        """A zero vector cut the same way, e.g. a gradient; with
+        input_blocks > 1, its input weights are block-major (see layout),
+        as a training run's velocity is. np.zeros, not np.zeros_like: the
+        pages are zeroed lazily by the system, where np.zeros_like writes
+        every value, and a page never written is never held."""
+        return Weights.over(np.zeros(self.flat.size), self.dims + (input_blocks,))
 
 
 @dataclass(eq=False)
@@ -212,6 +233,88 @@ def loss_and_grads(m: BiLstmMlp, rows: np.ndarray, weights: np.ndarray, target,
     return loss
 
 
+class Momentum:
+    """A training run's momentum: its velocity, cut like the parameters
+    except that each input weight matrix is block-major (one contiguous
+    (4H, d) region per input block, layout()), and the lazy state of those
+    blocks.
+
+    A step gives a gradient to the input blocks its block weights read:
+    one per direction when they are one-hot (core.one_hot_block), as the
+    cause scorer's teacher-forced emotion is, and all of them otherwise.
+    On a block a step leaves idle, classical momentum has a closed form
+    (the sparse updates of Carpenter 2008 and Bottou 2012): over k idle
+    steps, theta -= lr*(1 + mu + ... + mu^(k-1))*v and v <- mu^k*v. So an
+    idle block keeps only that sum a and power s, a += s then s *= mu per
+    step, and is caught up, theta -= lr*a*v then v *= s, before a step
+    reads it and at the end of the run (finish). A block that has never
+    had a gradient holds a zero velocity and is never caught up or passed
+    over, so its velocity's pages are never touched. A model with one
+    input block, the emotion classifier, has nothing idle."""
+
+    def __init__(self, model: BiLstmMlp, cfg: core.SgdConfig):
+        k = model.input_blocks
+        self.cfg = cfg
+        self.velocity = model.zeros_like(k)
+        self.blocks = [([], []) for _ in range(k)]  # (parameter views, velocity views)
+        # the tensors of one block lie alike in both flat vectors: runs of
+        # them between the input weights are one view each
+        runs, start, end = [], 0, 0
+        for (_, _, theta, _, _), (_, _, v, _, blocks) in zip(
+                _cut(model.flat, model.dims), _cut(self.velocity.flat, model.dims + (k,))):
+            if blocks > 1:
+                runs.append((start, end))
+                for e, (thetas, vs) in enumerate(self.blocks):
+                    thetas.append(theta.reshape(v.shape)[:, e])
+                    vs.append(v[:, e])
+                start = end + theta.size
+            end += theta.size
+        runs = [(a, b) for a, b in runs + [(start, end)] if b > a]
+        self.dense = ([model.flat[a:b] for a, b in runs],
+                      [self.velocity.flat[a:b] for a, b in runs])
+        self.sums = [0.0] * k  # a
+        # s; 0 until a block's first gradient, so that a stays 0 and a block
+        # whose velocity is still zero is never caught up
+        self.powers = [0.0] * k
+        self.active = []
+
+    def begin_step(self, weights: np.ndarray) -> None:
+        """Catches up the input blocks a step with block weights (1, k)
+        reads and gives a gradient, and marks them active."""
+        j = core.one_hot_block(weights[0])
+        self.active = list(range(len(self.blocks))) if j is None else [j]
+        for e in self.active:
+            self._catch_up(e)
+            self.powers[e] = 1.0
+
+    def end_step(self) -> None:
+        """Once the step's gradient is in the velocity: one core.sgd_step
+        pass over every tensor but the input weights and over the active
+        blocks; every other block goes one more step idle."""
+        thetas, vs = list(self.dense[0]), list(self.dense[1])
+        for e in self.active:
+            thetas += self.blocks[e][0]
+            vs += self.blocks[e][1]
+        core.sgd_step(self.cfg, thetas, vs)
+        for e in range(len(self.blocks)):
+            if e not in self.active:
+                self.sums[e] += self.powers[e]
+                self.powers[e] *= self.cfg.momentum
+
+    def finish(self) -> None:
+        """Catches every block up, so the parameters are the plain
+        recursion's."""
+        for e in range(len(self.blocks)):
+            self._catch_up(e)
+
+    def _catch_up(self, e: int) -> None:
+        if self.sums[e]:
+            for theta, v in zip(*self.blocks[e]):
+                core._momentum_pass(theta, v, self.cfg.learning_rate * self.sums[e],
+                                    self.powers[e])
+            self.sums[e], self.powers[e] = 0.0, 1.0
+
+
 def train(cls, table: EmbeddingTable, examples, to_row, rng: core.Rng,
           epochs: int, cfg: core.SgdConfig, hidden: int, log_epochs: bool):
     """Batch-size-1 SGD with momentum over seeded shuffles of the examples.
@@ -220,12 +323,14 @@ def train(cls, table: EmbeddingTable, examples, to_row, rng: core.Rng,
     them: the (T, d) vectors of the example's in-vocabulary tokens, its
     (1, input_blocks) block weights and its target; it raises OovError to
     skip the example (skips get one warning up front). The run holds one
-    vector besides the parameters, the momentum velocity: each step's
-    backward pass adds its gradient into the velocity the last step left
-    scaled by the momentum, and core.sgd_step updates the parameters and
-    scales the velocity again, so no gradient vector is held. Returns
-    (model, per-epoch mean-loss trace); a non-finite epoch loss stops
-    training with a ValueError naming the epoch.
+    vector besides the parameters, the momentum velocity (Momentum): each
+    step's backward pass adds its gradient into the velocity the last step
+    left scaled by the momentum, and core.sgd_step updates the parameters
+    and scales the velocity again, so no gradient vector is held. Input
+    blocks a step leaves idle are updated lazily, and every block is
+    caught up before the model is returned. Returns (model, per-epoch
+    mean-loss trace); a non-finite epoch loss stops training with a
+    ValueError naming the epoch.
     """
     if not examples:
         raise ValueError("no training examples")
@@ -241,20 +346,23 @@ def train(cls, table: EmbeddingTable, examples, to_row, rng: core.Rng,
     if not held:
         raise DataError("every training example is out of vocabulary")
     model = cls.init(table, rng, hidden=hidden)
-    velocity = model.zeros_like()
+    momentum = Momentum(model, cfg)
     trace = []
     for epoch in range(1, epochs + 1):
         order = rng.permutation(len(held))
         total = 0.0
         for idx in order:
-            total += loss_and_grads(model, *held[idx], True, rng, velocity)
-            core.sgd_step(cfg, model.flat, velocity.flat)
+            rows, weights, target = held[idx]
+            momentum.begin_step(weights)
+            total += loss_and_grads(model, rows, weights, target, True, rng, momentum.velocity)
+            momentum.end_step()
         mean = total / len(held)
         if not np.isfinite(mean):
             raise ValueError(f"epoch {epoch}: mean training loss is {mean}")
         trace.append(mean)
         if log_epochs:
             print(f"epoch {epoch} loss {mean}")
+    momentum.finish()
     return model, trace
 
 

@@ -109,12 +109,6 @@ class SimilarityMatrix:
     emotion_words: tuple
     values: np.ndarray
 
-    def row(self, word: str) -> np.ndarray:
-        index = self.table.indices((word,))
-        if not index:
-            raise KeyError(f"word {word!r} not in similarity matrix")
-        return self.values[index[0]]
-
 
 def load_word_embeddings(path) -> EmbeddingTable:
     """Read a text-format embedding file: header "<count> <dim>", then one
@@ -237,14 +231,6 @@ def _top_k(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         sims[:, j] = values[rows, cols[:, j]]
         values[rows, cols[:, j]] = -np.inf
     return cols, sims
-
-
-def top_k_emotion_words(matrix: SimilarityMatrix, word: str,
-                        k: int = DEFAULT_TOP_K) -> list[tuple[str, float]]:
-    """The k most similar emotion words, descending; equal similarities are
-    ordered lexicographically by emotion word (the columns are sorted)."""
-    cols, sims = _top_k(matrix.row(word)[None, :].copy(), k)
-    return [(matrix.emotion_words[j], float(s)) for j, s in zip(cols[0], sims[0])]
 
 
 def build_emotion_aware_table(table: EmbeddingTable, lexicon: EmotionLexicon,

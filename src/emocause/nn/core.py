@@ -11,6 +11,7 @@ Everything is float64. Random state is a numpy Generator created with
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,7 @@ Rng = np.random.Generator
 class LstmParams:
     """One direction's LSTM weights, gates stacked row-wise as i|f|g|o."""
 
-    w_x: np.ndarray  # (4H, D)
+    w_x: np.ndarray  # (4H, D), or (4H, k, D / k) over k block-major blocks
     w_h: np.ndarray  # (4H, H)
     bias: np.ndarray  # (4H,)
 
@@ -34,7 +35,7 @@ class LstmParams:
 
     @property
     def input_dim(self) -> int:
-        return self.w_x.shape[1]
+        return self.w_x[0].size
 
 
 @dataclass
@@ -75,14 +76,22 @@ def bilstm_bytes(hidden: int, steps: int, batch: int) -> int:
     return 2 * 8 * 7 * hidden * (steps + 1) * batch
 
 
+def one_hot_block(p) -> int | None:
+    """The index of block weights p's one nonzero entry when that entry is
+    exactly 1.0, else None: the weights of a step that reads and updates a
+    single input weight block."""
+    nonzero = [j for j, x in enumerate(p) if x]
+    if len(nonzero) == 1 and p[nonzero[0]] == 1.0:
+        return nonzero[0]
+    return None
+
+
 def effective_weights(w_blocks: np.ndarray, p: list) -> np.ndarray:
     """sum_j p[j] * w_blocks[:, j], a new (4H, d) array; for a one-hot p,
     the one block itself (a view): the emotion model's single block and the
     cause scorer's teacher-forced training then copy nothing."""
-    nonzero = [j for j, x in enumerate(p) if x]
-    if len(nonzero) == 1 and p[nonzero[0]] == 1.0:
-        return w_blocks[:, nonzero[0]]
-    return np.matmul(p, w_blocks)
+    j = one_hot_block(p)
+    return np.matmul(p, w_blocks) if j is None else w_blocks[:, j]
 
 
 def bilstm_run(m: BiLstm, rows: np.ndarray, lengths, weights) -> BiLstmCache:
@@ -97,7 +106,8 @@ def bilstm_run(m: BiLstm, rows: np.ndarray, lengths, weights) -> BiLstmCache:
     consecutive sequences with equal weights and dropped after it. The
     projections are packed by decreasing length (ties keep their order)
     into the kernel's time-major array, the backward direction's with each
-    sequence reversed.
+    sequence reversed. A single sequence (a training step) is the packed
+    array already, so it is not sorted, mapped or scattered.
     """
     rows = np.ascontiguousarray(rows, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -110,26 +120,34 @@ def bilstm_run(m: BiLstm, rows: np.ndarray, lengths, weights) -> BiLstmCache:
     batch = len(lengths)
     if weights.ndim != 2 or weights.shape[0] != batch or weights.shape[1] * d != m.input_dim:
         raise ValueError(f"bilstm: input dim {weights.shape[1:]} x {d} != {m.input_dim}")
-    ends = list(itertools.accumulate(lengths))
-    spans = list(zip([0] + ends[:-1], ends))  # each sequence's rows
-    order = sorted(range(batch), key=lengths.__getitem__, reverse=True)  # stable
-    col = [0] * batch
-    for c, i in enumerate(order):
-        col[i] = c
-    rows_rev = np.concatenate([rows[a:b][::-1] for a, b in spans])
     w = weights.tolist()
-    firsts = [i for i in range(batch) if i == 0 or w[i] != w[i - 1]]
+    if batch == 1:
+        order, col = [0], [0]
+        rows_rev = rows[::-1].copy()
+    else:
+        ends = list(itertools.accumulate(lengths))
+        spans = list(zip([0] + ends[:-1], ends))  # each sequence's rows
+        order = sorted(range(batch), key=lengths.__getitem__, reverse=True)  # stable
+        col = [0] * batch
+        for c, i in enumerate(order):
+            col[i] = c
+        rows_rev = np.concatenate([rows[a:b][::-1] for a, b in spans])
+        firsts = [i for i in range(batch) if i == 0 or w[i] != w[i - 1]]
     runs, w_eff = [], []
     for p, xs in ((m.forward, rows), (m.backward, rows_rev)):
         four_h = p.w_h.shape[0]
         w_blocks = p.w_x.reshape(four_h, weights.shape[1], d)
-        zx = np.empty((lengths[order[0]], batch, four_h))  # the kernel reads no padding
-        for s, e in zip(firsts, firsts[1:] + [batch]):
-            w_run = effective_weights(w_blocks, w[s])
-            base = spans[s][0]
-            z = xs[base:spans[e - 1][1]] @ w_run.T + p.bias
-            for i in range(s, e):
-                zx[:lengths[i], col[i]] = z[spans[i][0] - base:spans[i][1] - base]
+        if batch == 1:
+            w_run = effective_weights(w_blocks, w[0])
+            zx = (xs @ w_run.T + p.bias)[:, None]
+        else:
+            zx = np.empty((lengths[order[0]], batch, four_h))  # the kernel reads no padding
+            for s, e in zip(firsts, firsts[1:] + [batch]):
+                w_run = effective_weights(w_blocks, w[s])
+                base = spans[s][0]
+                z = xs[base:spans[e - 1][1]] @ w_run.T + p.bias
+                for i in range(s, e):
+                    zx[:lengths[i], col[i]] = z[spans[i][0] - base:spans[i][1] - base]
         runs.append(kernels.lstm_forward_seq(zx, p.w_h, [lengths[i] for i in order]))
         w_eff.append(w_run)
     last = np.array([n * batch + c for n, c in zip(lengths, col)])
@@ -248,20 +266,34 @@ class SgdConfig:
             raise ValueError("momentum must be in [0, 1)")
 
 
-def sgd_step(cfg: SgdConfig, theta: np.ndarray, velocity: np.ndarray) -> None:
-    """Update the flat parameter vector theta and its velocity in place.
+def sgd_step(cfg: SgdConfig, theta, velocity) -> None:
+    """Update the parameters theta and their velocity in place.
 
     No gradient vector is held: velocity comes in as mu*v + g, this step's
     gradient g already added by the backward pass into the mu-scaled
-    velocity the last step left (zero before the first step). One pass
-    over cache-sized blocks runs theta -= lr*v, then v *= mu, ready for the
-    next step's gradient; the ops and their order are the recursion's, so
-    theta follows it bit for bit."""
-    if velocity.shape != theta.shape:
+    velocity the last step left (zero before the first step). theta and
+    velocity are one array each, or equal-length lists of arrays paired by
+    position; the pairs may be views of two vectors laid out differently
+    (a training run's velocity, bilstm_mlp.Momentum), and only the views
+    given are updated. One pass over cache-sized blocks runs
+    theta -= lr*v, then v *= mu, ready for the next step's gradient; the
+    ops and their order are the recursion's, so theta follows it bit for
+    bit."""
+    if isinstance(theta, np.ndarray):
+        theta, velocity = [theta], [velocity]
+    if len(theta) != len(velocity) or any(t.shape != v.shape for t, v in zip(theta, velocity)):
         raise ValueError("parameter and velocity vectors differ in shape")
-    block = kernels.BLOCK
-    step = np.empty(min(block, theta.size))
-    for s in range(0, theta.size, block):
-        v = velocity[s:s + block]
-        theta[s:s + block] -= np.multiply(v, cfg.learning_rate, out=step[:v.size])
-        v *= cfg.momentum
+    for t, v in zip(theta, velocity):
+        _momentum_pass(t, v, cfg.learning_rate, cfg.momentum)
+
+
+def _momentum_pass(theta: np.ndarray, velocity: np.ndarray, rate: float, decay: float) -> None:
+    """theta -= rate * velocity, then velocity *= decay, in place, a block
+    of about kernels.BLOCK values (whole rows of a 2-D array) at a time, so
+    each block of the velocity is still in cache for the second op."""
+    rows = max(1, kernels.BLOCK // math.prod(theta.shape[1:]))
+    step = np.empty((min(rows, len(theta)),) + theta.shape[1:])
+    for r in range(0, len(theta), rows):
+        v = velocity[r:r + rows]
+        theta[r:r + rows] -= np.multiply(v, rate, out=step[:len(v)])
+        v *= decay

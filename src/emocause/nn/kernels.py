@@ -94,8 +94,10 @@ def lstm_backward_seq(w_x, w_h, xs, hs, cs, gates, tanh_c, d_h_out, d_wx, d_wh, 
     projected with. The parameter it came from is k = len(block_weights)
     blocks of that shape, w_x = sum_j block_weights[j] * block_j, so the
     gradient of block j is dZ.T @ (block_weights[j] * xs). The gradients
-    are added into d_wx (4H, k*D), d_wh (4H, H) and d_bias (4H,), not
-    written: the caller passes the vector it accumulates into. Block j of
+    are added into d_wx (4H, k*D), or (4H, k, D) over k blocks stored
+    block-major (a training run's velocity), d_wh (4H, H) and d_bias
+    (4H,), not written: the caller passes the vector it accumulates into.
+    Block j of
     d_wx is not touched where block_weights[j] is zero, and no (T, k*D)
     input or (4H, k*D) temporary is made. Input gradients are not
     computed; the models feed frozen embeddings.

@@ -201,13 +201,22 @@ def _prepare(record, sentences: dict, emo, causes) -> _Review:
     return _Review(record, clauses, tokens, slots, distinct)
 
 
-def _chunk_bytes(chunk, emo, causes) -> int:
-    """Kernel bytes of the larger of the chunk's two forwards."""
-    clauses = [c for r in chunk for c in r.distinct]
-    return max(core.bilstm_bytes(emo.bilstm.hidden_dim, max(len(r.tokens) for r in chunk),
-                                 len(chunk)),
-               core.bilstm_bytes(causes.bilstm.hidden_dim, max(map(len, clauses)),
-                                 len(clauses)))
+def _sizes(review: _Review) -> tuple:
+    """(reviews, longest review, clauses, longest clause) of a chunk of just
+    this review, in tokens; _grown merges two such tuples."""
+    return 1, len(review.tokens), len(review.distinct), max(map(len, review.distinct))
+
+
+def _grown(a: tuple, b: tuple) -> tuple:
+    return a[0] + b[0], max(a[1], b[1]), a[2] + b[2], max(a[3], b[3])
+
+
+def _chunk_bytes(sizes: tuple, emo, causes) -> int:
+    """Kernel bytes of the larger of the two forwards of a chunk of the
+    given _sizes."""
+    reviews, longest, clauses, longest_clause = sizes
+    return max(core.bilstm_bytes(emo.bilstm.hidden_dim, longest, reviews),
+               core.bilstm_bytes(causes.bilstm.hidden_dim, longest_clause, clauses))
 
 
 def _infer_chunk(chunk, emo, causes) -> list:
@@ -229,19 +238,23 @@ def _infer_chunk(chunk, emo, causes) -> list:
 def infer_corpus(records, sentences: dict, emo, causes):
     """(record, ReviewInference) for each usable review, in corpus order,
     and the skipped reviews counted by reason. Usable reviews are inferred
-    in chunks of at most CHUNK_BYTES of kernel arrays."""
+    in chunks of at most CHUNK_BYTES of kernel arrays, a chunk's sizes kept
+    as running totals and maxima, so the accounting is linear in its
+    length."""
     results = []
     skipped = dict.fromkeys(SKIP_REASONS, 0)
-    chunk = []
+    chunk, sizes = [], None
     for record in records:
         try:
             review = _prepare(record, sentences, emo, causes)
         except ReviewSkipped as skip:
             skipped[skip.reason] += 1
             continue
-        if chunk and _chunk_bytes(chunk + [review], emo, causes) > CHUNK_BYTES:
+        own = _sizes(review)
+        sizes = _grown(sizes, own) if chunk else own
+        if chunk and _chunk_bytes(sizes, emo, causes) > CHUNK_BYTES:
             results += _infer_chunk(chunk, emo, causes)
-            chunk = []
+            chunk, sizes = [], own
         chunk.append(review)
     if chunk:
         results += _infer_chunk(chunk, emo, causes)

@@ -3,9 +3,10 @@ acceptance suite."""
 
 import numpy as np
 
-from emocause import bilstm_mlp, cause_model, emotion_model, pipeline
+from emocause import bilstm_mlp, cause_model, embeddings, emotion_model, pipeline
 from emocause.clustering import cosine_distance
-from emocause.embeddings import EMOTIONS, EmbeddingTable, build_similarity_matrix
+from emocause.embeddings import (DEFAULT_TOP_K, EMOTIONS, EmbeddingTable,
+                                 build_similarity_matrix)
 from emocause.errors import OovError
 from emocause.nn import core
 
@@ -36,6 +37,24 @@ def as_partition(clusters):
     return {frozenset(c) for c in clusters}
 
 
+def similarity_row(matrix, word: str) -> np.ndarray:
+    """A word's row of a SimilarityMatrix; KeyError for a word not in its
+    table."""
+    index = matrix.table.indices((word,))
+    if not index:
+        raise KeyError(f"word {word!r} not in similarity matrix")
+    return matrix.values[index[0]]
+
+
+def top_k_emotion_words(matrix, word: str, k: int = DEFAULT_TOP_K) -> list:
+    """A word's k most similar emotion words as (word, similarity),
+    descending, through the selection build_emotion_aware_table runs on
+    every row; equal similarities are ordered lexicographically by emotion
+    word (the columns are sorted)."""
+    cols, sims = embeddings._top_k(similarity_row(matrix, word)[None, :].copy(), k)
+    return [(matrix.emotion_words[j], float(s)) for j, s in zip(cols[0], sims[0])]
+
+
 def reference_emotion_aware_table(table, lexicon, k):
     """Per-word oracle for build_emotion_aware_table: sort each row of the
     similarity matrix by (-similarity, emotion word), weight the first k by
@@ -44,7 +63,7 @@ def reference_emotion_aware_table(table, lexicon, k):
     matrix = build_similarity_matrix(table, lexicon)
     out = np.array(table.vectors)
     for i, word in enumerate(table.words):
-        top = sorted(zip(matrix.emotion_words, matrix.row(word)),
+        top = sorted(zip(matrix.emotion_words, similarity_row(matrix, word)),
                      key=lambda pair: (-pair[1], pair[0]))[:k]
         weights = [max(float(sim), 0.0) * lexicon.max_intensity(ew) for ew, sim in top]
         total = sum(weights)

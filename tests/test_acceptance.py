@@ -17,13 +17,14 @@ from emocause.clustering import (ClauseVector, agglomerative_complete_link,
                                  cosine_distance, head_clause)
 from emocause.embeddings import (EmbeddingTable, EmotionLexicon,
                                  build_emotion_aware_table,
-                                 build_similarity_matrix, top_k_emotion_words)
+                                 build_similarity_matrix)
 from emocause.pipeline import run_pipeline
 
 import conftest
 from helpers import (as_partition, cause_accuracy, emotion_accuracy,
                      reference_complete_link, run_cli_chain,
-                     separable_cause_setup, separable_emotion_setup)
+                     separable_cause_setup, separable_emotion_setup,
+                     top_k_emotion_words)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

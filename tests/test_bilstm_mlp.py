@@ -5,7 +5,7 @@ import pytest
 
 from emocause import bilstm_mlp, cause_model, emotion_model
 from emocause.errors import DataError
-from emocause.nn import core, serialize
+from emocause.nn import core, kernels, serialize
 
 from conftest import random_table
 from helpers import score_clause, separable_cause_setup, separable_emotion_setup
@@ -171,9 +171,9 @@ def test_one_gradient_per_training_run_and_none_for_inference(monkeypatch, tmp_p
     made = []
     real = bilstm_mlp.Weights.zeros_like
 
-    def counted(self):
+    def counted(self, *args):
         made.append(self.flat.size)
-        return real(self)
+        return real(self, *args)
 
     monkeypatch.setattr(bilstm_mlp.Weights, "zeros_like", counted)
     rng = np.random.default_rng(0)
@@ -186,3 +186,170 @@ def test_one_gradient_per_training_run_and_none_for_inference(monkeypatch, tmp_p
     loaded = bilstm_mlp.load(cause_model.CauseScorer, tmp_path / "m.bin", table)
     score_clause(loaded, ("w0", "w1"), probs)
     assert made == [model.flat.size]
+
+
+class PlainMomentum:
+    """The oracle for bilstm_mlp.Momentum: the per-step recursion, one
+    core.sgd_step over the whole vector each step, with the velocity cut
+    like the parameters."""
+
+    def __init__(self, model, cfg):
+        self.model, self.cfg = model, cfg
+        self.velocity = model.zeros_like()
+
+    def begin_step(self, weights):
+        pass
+
+    def end_step(self):
+        core.sgd_step(self.cfg, self.model.flat, self.velocity.flat)
+
+    def finish(self):
+        pass
+
+
+# lazy catch-ups sum the idle steps' geometric series in another order than
+# the per-step recursion. Bound: no value may move by more than LAZY_RTOL of
+# the largest |theta| of its tensor; over 20 seeds of the random-sequence
+# test the largest move was 8.2e-16 of it
+LAZY_RTOL = 1e-13
+
+
+def assert_lazy_close(lazy, plain, blocks=range(8)):
+    """Every tensor, of the input weights only the given blocks."""
+    for (name, a), (_, b) in zip(fields(lazy), fields(plain)):
+        if name.endswith("w_x"):
+            a, b = (w.reshape(w.shape[0], 8, -1)[:, list(blocks)] for w in (a, b))
+        assert np.max(np.abs(a - b)) <= LAZY_RTOL * np.max(np.abs(b)), name
+
+
+def cause_examples(emotions, n_words=6, seed=0):
+    """One-hot cause examples over random words, example i teacher-forced
+    to emotions[i]."""
+    rng = np.random.default_rng(seed)
+    words = [f"w{i}" for i in range(n_words)]
+    return [cause_model.CauseTrainExample(
+                tuple(words[j] for j in rng.integers(n_words, size=int(rng.integers(1, 5)))),
+                cause_model.one_hot_probs(cause_model.EMOTIONS[e]), i % 2)
+            for i, e in enumerate(emotions)]
+
+
+def train_both(monkeypatch, examples, table, epochs=3, hidden=4, train=cause_model.train_cause):
+    """(lazy model, plain model): the same seeded run with bilstm_mlp's
+    Momentum and with PlainMomentum."""
+    lazy, _ = train(examples, table, np.random.default_rng(7), epochs=epochs, hidden=hidden)
+    monkeypatch.setattr(bilstm_mlp, "Momentum", PlainMomentum)
+    plain, _ = train(examples, table, np.random.default_rng(7), epochs=epochs, hidden=hidden)
+    monkeypatch.undo()
+    return lazy, plain
+
+
+class TestLazyMomentum:
+    """A training step updates only the input blocks it reads; the others
+    are caught up in closed form when next read and before train returns."""
+
+    def test_random_block_sequences_match_the_plain_recursion(self, monkeypatch):
+        table = random_table(np.random.default_rng(2), 6, 3)
+        for seed in range(4):
+            emotions = np.random.default_rng(seed).integers(0, 8, size=12)
+            lazy, plain = train_both(monkeypatch, cause_examples(emotions, seed=seed), table)
+            assert lazy.flat.tobytes() != plain.flat.tobytes()  # some block was idle
+            assert_lazy_close(lazy, plain)
+
+    def test_injected_gradients_match_the_plain_recursion_before_each_read(self, rng):
+        # random block sequences, dense steps among them, with random
+        # gradients added straight into the velocity: before each step, the
+        # blocks it reads and every other tensor are the recursion's
+        m = cause_model.CauseScorer.init(random_table(rng, 5, 3), rng, hidden=4, mid=5)
+        plain = cause_model.CauseScorer.over(m.flat.copy(), m.dims, table=m.table)
+        lazy_m, plain_m = bilstm_mlp.Momentum(m, core.SgdConfig()), PlainMomentum(plain, core.SgdConfig())
+        for step in range(40):
+            weights = np.zeros((1, 8))
+            if step % 9 == 8:
+                weights[0] = rng.dirichlet(np.ones(8))
+            else:
+                weights[0, rng.integers(3)] = 1.0
+            lazy_m.begin_step(weights)
+            read = np.flatnonzero(weights[0])
+            assert lazy_m.active == (list(read) if len(read) == 1 else list(range(8)))
+            assert_lazy_close(m, plain, lazy_m.active)
+            grad = m.zeros_like()
+            grad.flat[:] = rng.normal(size=grad.flat.size)
+            for w_x in (grad.bilstm.forward.w_x, grad.bilstm.backward.w_x):
+                w_x.reshape(w_x.shape[0], 8, -1)[:, weights[0] == 0] = 0.0
+            for (name, v), (_, g) in zip(fields(lazy_m.velocity), fields(grad)):
+                v += g.reshape(v.shape) if name.endswith("w_x") else g
+            plain_m.velocity.flat += grad.flat
+            lazy_m.end_step()
+            plain_m.end_step()
+        lazy_m.finish()
+        assert_lazy_close(m, plain)
+
+    def test_one_block_is_bit_exact(self, monkeypatch):
+        table = random_table(np.random.default_rng(2), 6, 3)
+        lazy, plain = train_both(monkeypatch, cause_examples([5] * 10), table)
+        assert lazy.flat.tobytes() == plain.flat.tobytes()
+        table, examples = separable_emotion_setup()
+        lazy, plain = train_both(monkeypatch, examples, table, hidden=8,
+                                 train=emotion_model.train_emotion)
+        assert lazy.flat.tobytes() == plain.flat.tobytes()
+
+    def test_never_active_block_is_never_written(self, monkeypatch):
+        # every write into the velocity's input weights goes through the
+        # kernels' row-block product or core's blocked pass
+        made, written = [], []
+        real_pass, real_product = core._momentum_pass, kernels._add_product
+
+        class Recorded(bilstm_mlp.Momentum):
+            def __init__(self, model, cfg):
+                super().__init__(model, cfg)
+                made.append(self)
+
+        def recorded_pass(theta, velocity, rate, decay):
+            written.append(velocity)
+            real_pass(theta, velocity, rate, decay)
+
+        def recorded_product(target, a, b):
+            written.append(target)
+            real_product(target, a, b)
+
+        monkeypatch.setattr(bilstm_mlp, "Momentum", Recorded)
+        monkeypatch.setattr(core, "_momentum_pass", recorded_pass)
+        monkeypatch.setattr(kernels, "_add_product", recorded_product)
+        table = random_table(np.random.default_rng(2), 6, 3)
+        cause_model.train_cause(cause_examples([1, 6, 1, 1, 6]), table,
+                                np.random.default_rng(0), epochs=3, hidden=4)
+        velocity = made[0].velocity.bilstm
+        for e in range(8):
+            blocks = [velocity.forward.w_x[:, e], velocity.backward.w_x[:, e]]
+            touched = any(np.shares_memory(w, b) for w in written for b in blocks)
+            assert touched == (e in (1, 6)), e
+            assert all(np.any(b) for b in blocks) == (e in (1, 6)), e
+
+    def test_parameters_are_caught_up_before_train_returns(self, rng):
+        m = cause_model.CauseScorer.init(random_table(rng, 5, 3), rng, hidden=4, mid=5)
+        rows = m.table.rows(("w0", "w2", "w1"))
+        plain = cause_model.CauseScorer.over(m.flat.copy(), m.dims, table=m.table)
+        lazy_m, plain_m = bilstm_mlp.Momentum(m, core.SgdConfig()), PlainMomentum(plain, core.SgdConfig())
+        for e in (0, 0, 4, 4, 4, 4):  # block 0 ends the run four steps behind
+            weights = np.zeros((1, 8))
+            weights[0, e] = 1.0
+            for model, mom in ((m, lazy_m), (plain, plain_m)):
+                mom.begin_step(weights)
+                bilstm_mlp.loss_and_grads(model, rows, weights, 1, False, None, mom.velocity)
+                mom.end_step()
+        behind = np.abs(m.flat - plain.flat)
+        assert np.max(behind) > 1e3 * LAZY_RTOL * np.max(np.abs(plain.flat))
+        lazy_m.finish()
+        assert_lazy_close(m, plain)
+
+    def test_dense_step_updates_every_block(self, rng):
+        m = cause_model.CauseScorer.init(random_table(rng, 5, 3), rng, hidden=4, mid=5)
+        rows = m.table.rows(("w0", "w2", "w1"))
+        lazy_m = bilstm_mlp.Momentum(m, core.SgdConfig())
+        for weights in (np.eye(8)[None, 2], rng.dirichlet(np.ones(8))[None, :]):
+            before = m.bilstm.forward.w_x.reshape(16, 8, 3).copy()
+            lazy_m.begin_step(weights)
+            bilstm_mlp.loss_and_grads(m, rows, weights, 1, False, None, lazy_m.velocity)
+            lazy_m.end_step()
+            changed = np.any(m.bilstm.forward.w_x.reshape(16, 8, 3) != before, axis=(0, 2))
+            assert changed.tolist() == [bool(w) for w in weights[0]]

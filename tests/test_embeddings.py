@@ -7,11 +7,11 @@ from emocause.embeddings import (DEFAULT_TOP_K, EMOTIONS, EmbeddingTable,
                                  EmotionLexicon, build_emotion_aware_table,
                                  build_similarity_matrix, cosine_similarity,
                                  load_emotion_lexicon, load_word_embeddings,
-                                 save_word_embeddings, top_k_emotion_words)
+                                 save_word_embeddings)
 from emocause.errors import DataError, OovError
 
 from conftest import random_table
-from helpers import reference_emotion_aware_table
+from helpers import reference_emotion_aware_table, top_k_emotion_words
 
 
 def write(path, text):

@@ -299,6 +299,24 @@ class TestSgd:
             assert theta.tobytes() == plain_theta.tobytes()
             assert velocity.tobytes() == (0.9 * plain_v).tobytes()
 
+    def test_paired_views_are_the_plain_recursion(self, rng):
+        # a vector cut into views paired with views of a differently laid
+        # out velocity: the velocity's rows of two column blocks are stored
+        # block-major, as a training run's input weights are
+        cfg = core.SgdConfig(learning_rate=0.003, momentum=0.9)
+        theta0 = rng.normal(size=(70, 2 * 300))
+        theta, velocity = theta0.copy(), np.zeros((2, 70, 300))
+        plain_theta, plain_v = theta0.copy(), np.zeros((70, 2 * 300))
+        for g in rng.normal(size=(3, 70, 2 * 300)):
+            velocity += g.reshape(70, 2, 300).transpose(1, 0, 2)
+            core.sgd_step(cfg, [theta[:, :300], theta[:, 300:]], [velocity[0], velocity[1]])
+            plain_v = 0.9 * plain_v + g
+            plain_theta = plain_theta - 0.003 * plain_v
+            assert theta.tobytes() == plain_theta.tobytes()
+            assert velocity.transpose(1, 0, 2).tobytes() == (0.9 * plain_v).tobytes()
+        with pytest.raises(ValueError, match="differ in shape"):
+            core.sgd_step(cfg, [theta[:, :300]], [velocity[0], velocity[1]])
+
     def test_velocity_of_another_shape_rejected(self):
         with pytest.raises(ValueError, match="differ in shape"):
             core.sgd_step(core.SgdConfig(), np.zeros(3), np.zeros(2))

@@ -1,10 +1,13 @@
 import json
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from emocause import bilstm_mlp, cause_model, emotion_model, pipeline, synthetic
 from emocause.clustering import cosine_distance
 from emocause.corpus import load_corpus, save_corpus
+from emocause.nn import core
 from emocause.pipeline import (PipelineConfig, ReviewSkipped,
                                build_cause_examples, build_emotion_examples,
                                index_sentences, infer_corpus, load_tables,
@@ -182,7 +185,8 @@ class TestChunkedInference:
     def test_chunk_size_changes_nothing(self, monkeypatch, setup):
         emo, causes = setup[2], setup[3]
         # the budget that just fits k reviews of the corpus, as infer_corpus counts
-        one = max(pipeline._chunk_bytes([r], emo, causes) for r in self.prepared(setup))
+        one = max(pipeline._chunk_bytes(pipeline._sizes(r), emo, causes)
+                  for r in self.prepared(setup))
         runs = {k: self.run(monkeypatch, setup, budget)
                 for k, budget in (("1", 1), ("2", 2 * one), ("3", 3 * one), ("all", 1 << 40))}
         found, skipped, sizes = runs["all"]
@@ -195,6 +199,42 @@ class TestChunkedInference:
             assert sum(sz) == 7
             assert s == skipped, k
             assert f == found, k
+
+    def test_boundaries_follow_the_whole_chunk_rule(self, monkeypatch):
+        # oracle: the rule the running sizes replaced, which recounted the
+        # whole chunk with the next review added, for every review; over
+        # reviews and clauses of random lengths, at every budget where a
+        # boundary can move
+        rng = np.random.default_rng(3)
+        reviews = [pipeline._Review(None, [], (0,) * int(rng.integers(1, 30)), [],
+                                    [(0,) * int(n) for n in rng.integers(1, 12, rng.integers(1, 5))])
+                   for _ in range(14)]
+        emo = SimpleNamespace(bilstm=SimpleNamespace(hidden_dim=16))
+        causes = SimpleNamespace(bilstm=SimpleNamespace(hidden_dim=24))
+
+        def whole_chunk_bytes(chunk):
+            clauses = [c for r in chunk for c in r.distinct]
+            return max(core.bilstm_bytes(16, max(len(r.tokens) for r in chunk), len(chunk)),
+                       core.bilstm_bytes(24, max(map(len, clauses)), len(clauses)))
+
+        monkeypatch.setattr(pipeline, "_prepare", lambda review, *_: review)
+        monkeypatch.setattr(pipeline, "_infer_chunk", lambda chunk, *_: [len(chunk)])
+        spans = [whole_chunk_bytes(reviews[a:b])
+                 for a in range(len(reviews)) for b in range(a + 2, len(reviews) + 1)]
+        budgets = sorted({b + delta for b in spans for delta in (-1, 0)})
+        patterns = set()
+        for budget in budgets:
+            monkeypatch.setattr(pipeline, "CHUNK_BYTES", budget)
+            expected, chunk = [], []
+            for review in reviews:
+                if chunk and whole_chunk_bytes(chunk + [review]) > budget:
+                    expected.append(len(chunk))
+                    chunk = []
+                chunk.append(review)
+            expected.append(len(chunk))
+            assert infer_corpus(reviews, {}, emo, causes)[0] == expected, budget
+            patterns.add(tuple(expected))
+        assert len(patterns) > 20
 
     def prepared(self, setup):
         records, sentences, emo, causes = setup
