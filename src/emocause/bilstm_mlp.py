@@ -7,11 +7,12 @@ scorer:
 
 A timestep's input is kron(p, v), input_blocks copies of the word vector v
 scaled by p: the emotion probabilities for the cause scorer, [1.0] for the
-emotion classifier. The Bi-LSTM projects v through the p-weighted sum of
-its input weight blocks instead, so that wide input is never built (see
-core.bilstm_run). "Last output" concatenates each direction's final hidden
-state, i.e. the forward state at the last token and the backward state at
-the first, so both summarize the whole sequence.
+emotion classifier. Each direction's input weights are stored as one
+(4H, d) block per entry of p, and the Bi-LSTM projects v through their
+p-weighted sum, so that wide input is never built (see core.bilstm_run).
+"Last output" concatenates each direction's final hidden state, i.e. the
+forward state at the last token and the backward state at the first, so
+both summarize the whole sequence.
 
 Inference runs many sequences per call; training runs one. A model
 subclasses BiLstmMlp to fix its number of input blocks, its output width
@@ -47,62 +48,59 @@ DEFAULT_MID = 80
 DROPOUT_P = 0.5
 
 
-def layout(input_dim: int, hidden: int, mid: int, out: int, input_blocks: int = 1) -> tuple:
-    """The network's tensors as (part, name, shape, init fan-in, blocks), in
-    their order in the flat vector and the model file, for a Bi-LSTM over
-    input_dim-wide timesteps. blocks is the number of column blocks a
-    tensor is stored as, one after another (block-major; see _cut): each
-    direction's input weights are input_blocks (4H, input_dim /
-    input_blocks) blocks, every other tensor is one. The parameters and
-    their gradients use one block throughout (input_blocks = 1), so their
-    layout is the model file's; a training run's velocity gives its input
-    weights the model's input_blocks (Momentum)."""
+def layout(blocks: int, dim: int, hidden: int, mid: int, out: int) -> tuple:
+    """The network's tensors as (part, name, shape, init fan-in), in their
+    order in the flat vector and the model file, for a Bi-LSTM whose
+    timestep input is kron(p, v), blocks copies of a dim-wide word vector.
+    Each direction's input weights are stored as blocks contiguous (4H,
+    dim) blocks, one per entry of p (block-major); their fan-in is the
+    width of that input, blocks * dim. The parameters, a gradient, a
+    training run's velocity and the model file all follow this layout."""
     four_h = 4 * hidden
     return (
-        ("forward", "w_x", (four_h, input_dim), input_dim, input_blocks),
-        ("forward", "w_h", (four_h, hidden), hidden, 1),
-        ("forward", "bias", (four_h,), hidden, 1),
-        ("backward", "w_x", (four_h, input_dim), input_dim, input_blocks),
-        ("backward", "w_h", (four_h, hidden), hidden, 1),
-        ("backward", "bias", (four_h,), hidden, 1),
-        ("fc1", "weight", (mid, 2 * hidden), 2 * hidden, 1),
-        ("fc1", "bias", (mid,), 2 * hidden, 1),
-        ("fc2", "weight", (out, mid), mid, 1),
-        ("fc2", "bias", (out,), mid, 1),
+        ("forward", "w_x", (blocks, four_h, dim), blocks * dim),
+        ("forward", "w_h", (four_h, hidden), hidden),
+        ("forward", "bias", (four_h,), hidden),
+        ("backward", "w_x", (blocks, four_h, dim), blocks * dim),
+        ("backward", "w_h", (four_h, hidden), hidden),
+        ("backward", "bias", (four_h,), hidden),
+        ("fc1", "weight", (mid, 2 * hidden), 2 * hidden),
+        ("fc1", "bias", (mid,), 2 * hidden),
+        ("fc2", "weight", (out, mid), mid),
+        ("fc2", "bias", (out,), mid),
     )
 
 
 def _cut(flat: np.ndarray, dims):
-    """(part, name, view of flat, fan-in, blocks) for each row of
-    layout(*dims). A (rows, cols) tensor of b > 1 blocks is held as b
-    contiguous (rows, cols / b) blocks and viewed as (rows, b, cols / b)."""
+    """(part, name, view of flat, fan-in) for each row of layout(*dims)."""
     start = 0
-    for part, name, shape, fan_in, blocks in layout(*dims):
+    for part, name, shape, fan_in in layout(*dims):
         end = start + math.prod(shape)
-        if blocks == 1:
-            view = flat[start:end].reshape(shape)
-        else:
-            rows, cols = shape
-            view = flat[start:end].reshape(blocks, rows, cols // blocks).transpose(1, 0, 2)
-        yield part, name, view, fan_in, blocks
+        yield part, name, flat[start:end].reshape(shape), fan_in
         start = end
 
 
 def n_values(dims) -> int:
-    return sum(math.prod(shape) for _, _, shape, _, _ in layout(*dims))
+    return sum(math.prod(shape) for _, _, shape, _ in layout(*dims))
 
 
 def draw(dims, rng: core.Rng) -> np.ndarray:
     """A new flat vector: each tensor in layout order drawn uniformly from
-    +-1/sqrt(fan-in). Each view is filled in place, with the same ops as
-    rng.uniform(-bound, bound) (low + (high - low) * random), so the
-    values are the same bits and no tensor-sized temporary is made."""
+    +-1/sqrt(fan-in), with the ops of rng.uniform(-bound, bound) (low +
+    (high - low) * random). An input weight tensor draws its values in
+    (gate row, block, column) order, the order of the (4H, blocks * dim)
+    matrix that multiplies kron(p, v), so a seed gives every weight the
+    value it had when that matrix was stored row by row. Each tensor is
+    filled a row block of about kernels.BLOCK values at a time, so no
+    tensor-sized temporary is made."""
     flat = np.empty(n_values(dims))
-    for _, _, view, fan_in, _ in _cut(flat, dims):
+    for _, _, view, fan_in in _cut(flat, dims):
         bound = 1.0 / np.sqrt(fan_in)
-        rng.random(out=view)
-        view *= bound - -bound
-        view += -bound
+        rows = view.transpose(1, 0, 2) if view.ndim == 3 else view
+        step = max(1, kernels.BLOCK // rows[0].size)
+        for r in range(0, len(rows), step):
+            block = rows[r:r + step]
+            block[...] = -bound + (bound - -bound) * rng.random(block.shape)
     return flat
 
 
@@ -112,7 +110,7 @@ class Weights:
     parameters and a training run's velocity both take this form."""
 
     flat: np.ndarray
-    bilstm: core.BiLstm  # input_dim -> 2H
+    bilstm: core.BiLstm  # kron(p, v) inputs -> 2H
     fc1: core.LinearParams  # 2H -> mid
     fc2: core.LinearParams  # mid -> out
 
@@ -121,7 +119,7 @@ class Weights:
         """A cls over flat, which holds the n_values(dims) values of
         layout(*dims); fields gives any further fields."""
         parts = {}
-        for part, name, view, _, _ in _cut(flat, dims):
+        for part, name, view, _ in _cut(flat, dims):
             parts.setdefault(part, {})[name] = view
         return cls(flat=flat,
                    bilstm=core.BiLstm(core.LstmParams(**parts["forward"]),
@@ -132,17 +130,16 @@ class Weights:
 
     @property
     def dims(self) -> tuple:
-        """(input_dim, hidden, mid, out), as layout() takes them."""
-        return (self.bilstm.input_dim, self.bilstm.hidden_dim,
-                self.fc1.out_dim, self.fc2.out_dim)
+        """(blocks, dim, hidden, mid, out), as layout() takes them."""
+        blocks, _, dim = self.bilstm.forward.w_x.shape
+        return (blocks, dim, self.bilstm.hidden_dim, self.fc1.out_dim, self.fc2.out_dim)
 
-    def zeros_like(self, input_blocks: int = 1) -> "Weights":
-        """A zero vector cut the same way, e.g. a gradient; with
-        input_blocks > 1, its input weights are block-major (see layout),
-        as a training run's velocity is. np.zeros, not np.zeros_like: the
-        pages are zeroed lazily by the system, where np.zeros_like writes
-        every value, and a page never written is never held."""
-        return Weights.over(np.zeros(self.flat.size), self.dims + (input_blocks,))
+    def zeros_like(self) -> "Weights":
+        """A zero vector cut the same way: a gradient, or a training run's
+        velocity. np.zeros, not np.zeros_like: the pages are zeroed lazily
+        by the system, where np.zeros_like writes every value, and a page
+        never written is never held."""
+        return Weights.over(np.zeros(self.flat.size), self.dims)
 
 
 @dataclass(eq=False)
@@ -161,7 +158,7 @@ class BiLstmMlp(Weights):
     @classmethod
     def init(cls, table: EmbeddingTable, rng: core.Rng, hidden: int,
              mid: int = DEFAULT_MID):
-        dims = (cls.input_blocks * table.dim, hidden, mid, cls.out_width)
+        dims = (cls.input_blocks, table.dim, hidden, mid, cls.out_width)
         return cls.over(draw(dims, rng), dims, table=table)
 
 
@@ -234,10 +231,8 @@ def loss_and_grads(m: BiLstmMlp, rows: np.ndarray, weights: np.ndarray, target,
 
 
 class Momentum:
-    """A training run's momentum: its velocity, cut like the parameters
-    except that each input weight matrix is block-major (one contiguous
-    (4H, d) region per input block, layout()), and the lazy state of those
-    blocks.
+    """A training run's momentum: its velocity, cut like the parameters,
+    and the lazy state of the input weight blocks.
 
     A step gives a gradient to the input blocks its block weights read:
     one per direction when they are one-hot (core.one_hot_block), as the
@@ -249,34 +244,36 @@ class Momentum:
     step, and is caught up, theta -= lr*a*v then v *= s, before a step
     reads it and at the end of the run (finish). A block that has never
     had a gradient holds a zero velocity and is never caught up or passed
-    over, so its velocity's pages are never touched. A model with one
-    input block, the emotion classifier, has nothing idle."""
+    over, so its velocity's pages are never touched.
+
+    Each region a step updates is one span (start, end) at the same
+    offsets in the parameters and the velocity: one direction's input
+    weight block (layout() stores the blocks block-major), or a tensor
+    between them. A step's spans are joined where they touch, so a model
+    with one input block, the emotion classifier, has nothing idle and is
+    updated in one pass."""
 
     def __init__(self, model: BiLstmMlp, cfg: core.SgdConfig):
         k = model.input_blocks
         self.cfg = cfg
-        self.velocity = model.zeros_like(k)
-        self.blocks = [([], []) for _ in range(k)]  # (parameter views, velocity views)
-        # the tensors of one block lie alike in both flat vectors: runs of
-        # them between the input weights are one view each
-        runs, start, end = [], 0, 0
-        for (_, _, theta, _, _), (_, _, v, _, blocks) in zip(
-                _cut(model.flat, model.dims), _cut(self.velocity.flat, model.dims + (k,))):
-            if blocks > 1:
-                runs.append((start, end))
-                for e, (thetas, vs) in enumerate(self.blocks):
-                    thetas.append(theta.reshape(v.shape)[:, e])
-                    vs.append(v[:, e])
-                start = end + theta.size
-            end += theta.size
-        runs = [(a, b) for a, b in runs + [(start, end)] if b > a]
-        self.dense = ([model.flat[a:b] for a, b in runs],
-                      [self.velocity.flat[a:b] for a, b in runs])
+        self.theta = model.flat
+        self.velocity = model.zeros_like()
+        self.blocks = [[] for _ in range(k)]  # per block, its span in each direction
+        dense, start = [], 0
+        for _, name, shape, _ in layout(*model.dims):
+            size = math.prod(shape)
+            if name == "w_x":
+                for e, spans in enumerate(self.blocks):
+                    spans.append((start + e * size // k, start + (e + 1) * size // k))
+            else:
+                dense.append((start, start + size))
+            start += size
+        self.dense = _joined(dense)
         self.sums = [0.0] * k  # a
         # s; 0 until a block's first gradient, so that a stays 0 and a block
         # whose velocity is still zero is never caught up
         self.powers = [0.0] * k
-        self.active = []
+        self.active, self.spans = [], []
 
     def begin_step(self, weights: np.ndarray) -> None:
         """Catches up the input blocks a step with block weights (1, k)
@@ -286,16 +283,14 @@ class Momentum:
         for e in self.active:
             self._catch_up(e)
             self.powers[e] = 1.0
+        self.spans = _joined(self.dense + [s for e in self.active for s in self.blocks[e]])
 
     def end_step(self) -> None:
         """Once the step's gradient is in the velocity: one core.sgd_step
-        pass over every tensor but the input weights and over the active
-        blocks; every other block goes one more step idle."""
-        thetas, vs = list(self.dense[0]), list(self.dense[1])
-        for e in self.active:
-            thetas += self.blocks[e][0]
-            vs += self.blocks[e][1]
-        core.sgd_step(self.cfg, thetas, vs)
+        pass over each span of the step, every tensor but the input weights
+        and the active blocks; every other block goes one more step idle."""
+        for a, b in self.spans:
+            core.sgd_step(self.cfg, self.theta[a:b], self.velocity.flat[a:b])
         for e in range(len(self.blocks)):
             if e not in self.active:
                 self.sums[e] += self.powers[e]
@@ -309,10 +304,21 @@ class Momentum:
 
     def _catch_up(self, e: int) -> None:
         if self.sums[e]:
-            for theta, v in zip(*self.blocks[e]):
-                core._momentum_pass(theta, v, self.cfg.learning_rate * self.sums[e],
-                                    self.powers[e])
+            for a, b in self.blocks[e]:
+                core._momentum_pass(self.theta[a:b], self.velocity.flat[a:b],
+                                    self.cfg.learning_rate * self.sums[e], self.powers[e])
             self.sums[e], self.powers[e] = 0.0, 1.0
+
+
+def _joined(spans) -> list:
+    """The (start, end) spans in order, those that touch joined into one."""
+    out = []
+    for a, b in sorted(spans):
+        if out and out[-1][1] == a:
+            out[-1] = (out[-1][0], b)
+        else:
+            out.append((a, b))
+    return out
 
 
 def train(cls, table: EmbeddingTable, examples, to_row, rng: core.Rng,
@@ -386,7 +392,7 @@ def load(cls, path, table: EmbeddingTable):
     if hidden <= 0 or mid <= 0:
         raise DataError(f"{path}: hidden and mid widths must be positive, "
                         f"file has {hidden} and {mid}")
-    dims = (cls.input_blocks * dim, hidden, mid, out)
+    dims = (cls.input_blocks, dim, hidden, mid, out)
     expected = n_values(dims)
     if payload.size != expected:
         raise DataError(f"{path}: payload holds {payload.size} values, expected {expected}")

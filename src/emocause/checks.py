@@ -36,7 +36,7 @@ def _toy_weights(rng: np.random.Generator, dims):
 
 def check_linear(seed: int, eps: float = DEFAULT_EPS) -> float:
     rng = np.random.default_rng(seed)
-    w, g = _toy_weights(rng, (1, 1, 4, 3))  # fc2 is the 4 -> 3 layer
+    w, g = _toy_weights(rng, (1, 1, 1, 4, 3))  # fc2 is the 4 -> 3 layer
     x = rng.normal(size=4)
     r = rng.normal(size=3)
 
@@ -50,7 +50,7 @@ def check_linear(seed: int, eps: float = DEFAULT_EPS) -> float:
 
 def check_linear_elu_logsoftmax_nll(seed: int, eps: float = DEFAULT_EPS) -> float:
     rng = np.random.default_rng(seed)
-    w, g = _toy_weights(rng, (1, 1, 4, 4))
+    w, g = _toy_weights(rng, (1, 1, 1, 4, 4))
     x = rng.normal(size=4)
     target = int(rng.integers(4))
 
@@ -72,7 +72,7 @@ def check_linear_elu_logsoftmax_nll(seed: int, eps: float = DEFAULT_EPS) -> floa
 
 def check_linear_sigmoid_bce(seed: int, eps: float = DEFAULT_EPS) -> float:
     rng = np.random.default_rng(seed)
-    w, g = _toy_weights(rng, (1, 1, 4, 1))
+    w, g = _toy_weights(rng, (1, 1, 1, 4, 1))
     x = rng.normal(size=4)
     y = int(rng.integers(2))
 
@@ -86,7 +86,7 @@ def check_linear_sigmoid_bce(seed: int, eps: float = DEFAULT_EPS) -> float:
 
 def check_dropout(seed: int, eps: float = DEFAULT_EPS) -> float:
     rng = np.random.default_rng(seed)
-    w, g = _toy_weights(rng, (1, 1, 5, 6))
+    w, g = _toy_weights(rng, (1, 1, 1, 5, 6))
     x = rng.normal(size=5)
     r = rng.normal(size=6)
     mask = core.dropout_mask(0.5, 6, rng)
@@ -104,25 +104,25 @@ def check_lstm(seed: int, eps: float = DEFAULT_EPS, hidden: int = 3,
     """Single-direction LSTM with loss touching every timestep's output,
     so the full backpropagation through time is exercised."""
     rng = np.random.default_rng(seed)
-    w, g = _toy_weights(rng, (TOY_DIM, hidden, 1, 1))
+    w, g = _toy_weights(rng, (1, TOY_DIM, hidden, 1, 1))
     p, gp = w.bilstm.forward, g.bilstm.forward
     xs = rng.normal(size=(steps, TOY_DIM))
     r = rng.normal(size=(steps, hidden))
 
     def run():
-        zx = (xs @ p.w_x.T + p.bias)[:, None, :]
+        zx = (xs @ p.w_x[0].T + p.bias)[:, None, :]
         return [a[:, 0] for a in kernels.lstm_forward_seq(zx, p.w_h, (steps,))]
 
     def loss():
         return float(np.sum(r * run()[0][1:]))
 
-    kernels.lstm_backward_seq(p.w_x, p.w_h, xs, *run(), r, gp.w_x, gp.w_h, gp.bias)
+    kernels.lstm_backward_seq(p.w_x[0], p.w_h, xs, *run(), r, gp.w_x, gp.w_h, gp.bias)
     return gradient_check(loss, w.flat, g.flat, eps=eps)
 
 
 def check_bilstm_last(seed: int, eps: float = DEFAULT_EPS) -> float:
     rng = np.random.default_rng(seed)
-    w, g = _toy_weights(rng, (TOY_DIM, TOY_HIDDEN, 1, 1))
+    w, g = _toy_weights(rng, (1, TOY_DIM, TOY_HIDDEN, 1, 1))
     xs = rng.normal(size=(5, TOY_DIM))
     r = rng.normal(size=2 * TOY_HIDDEN)
 

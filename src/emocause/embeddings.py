@@ -102,10 +102,9 @@ class EmotionLexicon:
 
 @dataclass(frozen=True)
 class SimilarityMatrix:
-    """Cosine similarities of every word of the table (rows, in table order)
+    """Cosine similarities of every word of a table (rows, in table order)
     against every emotion word that occurs in it (columns, sorted)."""
 
-    table: EmbeddingTable
     emotion_words: tuple
     values: np.ndarray
 
@@ -214,7 +213,7 @@ def build_similarity_matrix(table: EmbeddingTable, lexicon: EmotionLexicon) -> S
     if not emotion_words:
         raise DataError("no lexicon word occurs in the vocabulary")
     cols = _unit_rows(table.rows(emotion_words))
-    return SimilarityMatrix(table, emotion_words, _unit_rows(table.vectors) @ cols.T)
+    return SimilarityMatrix(emotion_words, _unit_rows(table.vectors) @ cols.T)
 
 
 def _top_k(values: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

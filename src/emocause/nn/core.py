@@ -25,7 +25,7 @@ Rng = np.random.Generator
 class LstmParams:
     """One direction's LSTM weights, gates stacked row-wise as i|f|g|o."""
 
-    w_x: np.ndarray  # (4H, D), or (4H, k, D / k) over k block-major blocks
+    w_x: np.ndarray  # (k, 4H, d): one block per entry of the block weights
     w_h: np.ndarray  # (4H, H)
     bias: np.ndarray  # (4H,)
 
@@ -33,19 +33,11 @@ class LstmParams:
     def hidden_dim(self) -> int:
         return self.w_h.shape[1]
 
-    @property
-    def input_dim(self) -> int:
-        return self.w_x[0].size
-
 
 @dataclass
 class BiLstm:
     forward: LstmParams
     backward: LstmParams
-
-    @property
-    def input_dim(self) -> int:
-        return self.forward.input_dim
 
     @property
     def hidden_dim(self) -> int:
@@ -86,22 +78,28 @@ def one_hot_block(p) -> int | None:
     return None
 
 
-def effective_weights(w_blocks: np.ndarray, p: list) -> np.ndarray:
-    """sum_j p[j] * w_blocks[:, j], a new (4H, d) array; for a one-hot p,
-    the one block itself (a view): the emotion model's single block and the
-    cause scorer's teacher-forced training then copy nothing."""
+def effective_weights(w_x: np.ndarray, p: list) -> np.ndarray:
+    """sum_j p[j] * w_x[j] over a direction's (k, 4H, d) input weight
+    blocks: a new (4H, d) array, one contraction of p with the (k, 4H*d)
+    view; for a one-hot p, the block w_x[j] itself (a view), so the emotion
+    model's single block and the cause scorer's teacher-forced training
+    copy nothing."""
     j = one_hot_block(p)
-    return np.matmul(p, w_blocks) if j is None else w_blocks[:, j]
+    if j is not None:
+        return w_x[j]
+    k, four_h, d = w_x.shape
+    return np.matmul(p, w_x.reshape(k, four_h * d)).reshape(four_h, d)
 
 
 def bilstm_run(m: BiLstm, rows: np.ndarray, lengths, weights) -> BiLstmCache:
     """Both directions over B sequences at once.
 
     rows (N, d) holds the sequences' timesteps one after another, lengths
-    (B,) their lengths and weights (B, k) their block weights, k * d =
-    input_dim. Sequence i's timestep input is kron(weights[i], row), but
-    that k*d-wide input is never built: since W_x kron(p, v) =
-    (sum_j p_j W_x^(j)) v, each direction projects the rows through
+    (B,) their lengths and weights (B, k) their block weights, one per
+    (4H, d) block W_x^(j) of each direction's input weights. Sequence i's
+    timestep input is kron(weights[i], row), but that k*d-wide input is
+    never built: since W_x kron(p, v) = (sum_j p_j W_x^(j)) v, each
+    direction projects the rows through
     W_eff = sum_j p_j W_x^(j) (effective_weights), formed once per run of
     consecutive sequences with equal weights and dropped after it. The
     projections are packed by decreasing length (ties keep their order)
@@ -118,8 +116,9 @@ def bilstm_run(m: BiLstm, rows: np.ndarray, lengths, weights) -> BiLstmCache:
     if n != sum(lengths):
         raise ValueError(f"bilstm: {n} rows for sequences of {sum(lengths)} steps")
     batch = len(lengths)
-    if weights.ndim != 2 or weights.shape[0] != batch or weights.shape[1] * d != m.input_dim:
-        raise ValueError(f"bilstm: input dim {weights.shape[1:]} x {d} != {m.input_dim}")
+    k, _, dim = m.forward.w_x.shape
+    if weights.shape != (batch, k) or d != dim:
+        raise ValueError(f"bilstm: input dim {weights.shape[1:]} x {d} != ({k},) x {dim}")
     w = weights.tolist()
     if batch == 1:
         order, col = [0], [0]
@@ -136,14 +135,13 @@ def bilstm_run(m: BiLstm, rows: np.ndarray, lengths, weights) -> BiLstmCache:
     runs, w_eff = [], []
     for p, xs in ((m.forward, rows), (m.backward, rows_rev)):
         four_h = p.w_h.shape[0]
-        w_blocks = p.w_x.reshape(four_h, weights.shape[1], d)
         if batch == 1:
-            w_run = effective_weights(w_blocks, w[0])
+            w_run = effective_weights(p.w_x, w[0])
             zx = (xs @ w_run.T + p.bias)[:, None]
         else:
             zx = np.empty((lengths[order[0]], batch, four_h))  # the kernel reads no padding
             for s, e in zip(firsts, firsts[1:] + [batch]):
-                w_run = effective_weights(w_blocks, w[s])
+                w_run = effective_weights(p.w_x, w[s])
                 base = spans[s][0]
                 z = xs[base:spans[e - 1][1]] @ w_run.T + p.bias
                 for i in range(s, e):
@@ -266,25 +264,19 @@ class SgdConfig:
             raise ValueError("momentum must be in [0, 1)")
 
 
-def sgd_step(cfg: SgdConfig, theta, velocity) -> None:
+def sgd_step(cfg: SgdConfig, theta: np.ndarray, velocity: np.ndarray) -> None:
     """Update the parameters theta and their velocity in place.
 
     No gradient vector is held: velocity comes in as mu*v + g, this step's
     gradient g already added by the backward pass into the mu-scaled
-    velocity the last step left (zero before the first step). theta and
-    velocity are one array each, or equal-length lists of arrays paired by
-    position; the pairs may be views of two vectors laid out differently
-    (a training run's velocity, bilstm_mlp.Momentum), and only the views
-    given are updated. One pass over cache-sized blocks runs
-    theta -= lr*v, then v *= mu, ready for the next step's gradient; the
-    ops and their order are the recursion's, so theta follows it bit for
-    bit."""
-    if isinstance(theta, np.ndarray):
-        theta, velocity = [theta], [velocity]
-    if len(theta) != len(velocity) or any(t.shape != v.shape for t, v in zip(theta, velocity)):
+    velocity the last step left (zero before the first step). One pass
+    over cache-sized blocks runs theta -= lr*v, then v *= mu, ready for the
+    next step's gradient; the ops and their order are the recursion's, so
+    theta follows it bit for bit. A training run passes each span of the
+    two flat vectors it updates (bilstm_mlp.Momentum)."""
+    if theta.shape != velocity.shape:
         raise ValueError("parameter and velocity vectors differ in shape")
-    for t, v in zip(theta, velocity):
-        _momentum_pass(t, v, cfg.learning_rate, cfg.momentum)
+    _momentum_pass(theta, velocity, cfg.learning_rate, cfg.momentum)
 
 
 def _momentum_pass(theta: np.ndarray, velocity: np.ndarray, rate: float, decay: float) -> None:

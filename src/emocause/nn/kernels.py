@@ -20,8 +20,9 @@ loop as one matrix product (input-projection batching, Appleyard et al.
   weight matrix is created at all.
 
 Gate layout: the four gates are stacked row-wise in one matrix, in the
-order input | forget | cell | output, so w_h is (4H, H) and a direction's
-input weights w_x are (4H, D). All arrays are C-contiguous float64.
+order input | forget | cell | output, so w_h is (4H, H) and each block of
+a direction's input weights is (4H, D). All arrays are C-contiguous
+float64.
 """
 
 import bisect
@@ -94,10 +95,8 @@ def lstm_backward_seq(w_x, w_h, xs, hs, cs, gates, tanh_c, d_h_out, d_wx, d_wh, 
     projected with. The parameter it came from is k = len(block_weights)
     blocks of that shape, w_x = sum_j block_weights[j] * block_j, so the
     gradient of block j is dZ.T @ (block_weights[j] * xs). The gradients
-    are added into d_wx (4H, k*D), or (4H, k, D) over k blocks stored
-    block-major (a training run's velocity), d_wh (4H, H) and d_bias
-    (4H,), not written: the caller passes the vector it accumulates into.
-    Block j of
+    are added into d_wx (k, 4H, D), d_wh (4H, H) and d_bias (4H,), not
+    written: the caller passes the vector it accumulates into. Block j of
     d_wx is not touched where block_weights[j] is zero, and no (T, k*D)
     input or (4H, k*D) temporary is made. Input gradients are not
     computed; the models feed frozen embeddings.
@@ -121,9 +120,8 @@ def lstm_backward_seq(w_x, w_h, xs, hs, cs, gates, tanh_c, d_h_out, d_wx, d_wh, 
         dc = dct * f[t]
         dh = dz[t].reshape(4 * H) @ w_h
     dz = dz.reshape(T, 4 * H)
-    blocks = d_wx.reshape(4 * H, len(block_weights), xs.shape[1])
     for j, weight in enumerate(block_weights):
         if weight:
-            _add_product(blocks[:, j], dz.T, xs if weight == 1.0 else weight * xs)
+            _add_product(d_wx[j], dz.T, xs if weight == 1.0 else weight * xs)
     _add_product(d_wh, dz.T, hs[:-1])
     d_bias += dz.sum(0)

@@ -9,7 +9,9 @@ Layout (all integers little-endian u32, all floats little-endian f64):
 
 The descriptor alone determines every tensor shape, through the model's
 layout table (bilstm_mlp.layout), so the payload carries no per-tensor
-headers. Kind codes: 1 = emotion classifier, 2 = cause scorer.
+headers. Kind codes: 1 = emotion classifier, 2 = cause scorer. A cause
+file written while the input weights were stored row-interleaved has the
+same header but another payload order; it must be retrained.
 
 A file is written to a temporary file in the target's directory and then
 renamed over the target, so a failed write leaves any earlier file intact.
@@ -56,12 +58,13 @@ def load_container(path) -> tuple[tuple[int, ...], np.ndarray]:
         if len(head) < 4:
             raise DataError(f"{path}: truncated descriptor")
         (n,) = struct.unpack("<I", head)
-        head = fh.read(4 * n)
-        if len(head) < 4 * n:
-            raise DataError(f"{path}: truncated descriptor")
-        descriptor = struct.unpack(f"<{n}I", head)
+        size = os.fstat(fh.fileno()).st_size
+        # the count is checked against the file before it sizes a read
+        if 4 * n > size - fh.tell():
+            raise DataError(f"{path}: truncated descriptor ({n} values do not fit in the file)")
+        descriptor = struct.unpack(f"<{n}I", fh.read(4 * n))
         # np.fromfile drops a trailing partial value, so check the size first
-        if (os.fstat(fh.fileno()).st_size - fh.tell()) % 8 != 0:
+        if (size - fh.tell()) % 8 != 0:
             raise DataError(f"{path}: payload is not a whole number of f64 values")
         payload = np.fromfile(fh, dtype="<f8")
     return descriptor, payload

@@ -147,7 +147,6 @@ class ReviewSkipped(Exception):
 @dataclass
 class ReviewInference:
     emotion: str
-    probs: np.ndarray
     clauses: list  # clauses.Clause, in review order
     scores: list  # per clause: cause score, or None if all out of vocabulary
     chosen: int  # index of the cause clause
@@ -226,11 +225,11 @@ def _infer_chunk(chunk, emo, causes) -> list:
     clause_probs = np.repeat(probs, [len(r.distinct) for r in chunk], axis=0)
     scores = cause_model.score(causes, clauses, clause_probs)
     results, start = [], 0
-    for r, review_log_probs, review_probs in zip(chunk, log_probs, probs):
+    for r, review_log_probs in zip(chunk, log_probs):
         chosen, review_scores = choose(r.slots, scores[start:start + len(r.distinct)])
         start += len(r.distinct)
         results.append((r.record, ReviewInference(
-            emotion=emo.labels[int(np.argmax(review_log_probs))], probs=review_probs,
+            emotion=emo.labels[int(np.argmax(review_log_probs))],
             clauses=r.clauses, scores=review_scores, chosen=chosen)))
     return results
 

@@ -37,21 +37,21 @@ def as_partition(clusters):
     return {frozenset(c) for c in clusters}
 
 
-def similarity_row(matrix, word: str) -> np.ndarray:
-    """A word's row of a SimilarityMatrix; KeyError for a word not in its
-    table."""
-    index = matrix.table.indices((word,))
+def similarity_row(matrix, table, word: str) -> np.ndarray:
+    """A word's row of the SimilarityMatrix built over table; KeyError for a
+    word not in the table."""
+    index = table.indices((word,))
     if not index:
         raise KeyError(f"word {word!r} not in similarity matrix")
     return matrix.values[index[0]]
 
 
-def top_k_emotion_words(matrix, word: str, k: int = DEFAULT_TOP_K) -> list:
+def top_k_emotion_words(matrix, table, word: str, k: int = DEFAULT_TOP_K) -> list:
     """A word's k most similar emotion words as (word, similarity),
     descending, through the selection build_emotion_aware_table runs on
     every row; equal similarities are ordered lexicographically by emotion
     word (the columns are sorted)."""
-    cols, sims = embeddings._top_k(similarity_row(matrix, word)[None, :].copy(), k)
+    cols, sims = embeddings._top_k(similarity_row(matrix, table, word)[None, :].copy(), k)
     return [(matrix.emotion_words[j], float(s)) for j, s in zip(cols[0], sims[0])]
 
 
@@ -63,7 +63,7 @@ def reference_emotion_aware_table(table, lexicon, k):
     matrix = build_similarity_matrix(table, lexicon)
     out = np.array(table.vectors)
     for i, word in enumerate(table.words):
-        top = sorted(zip(matrix.emotion_words, similarity_row(matrix, word)),
+        top = sorted(zip(matrix.emotion_words, similarity_row(matrix, table, word)),
                      key=lambda pair: (-pair[1], pair[0]))[:k]
         weights = [max(float(sim), 0.0) * lexicon.max_intensity(ew) for ew, sim in top]
         total = sum(weights)
@@ -72,6 +72,37 @@ def reference_emotion_aware_table(table, lexicon, k):
         blend = sum(w / total * table[ew] for (ew, _), w in zip(top, weights))
         out[i] = (table.vectors[i] + blend) / 2.0
     return out
+
+
+def kron_weights(w_x):
+    """A direction's input weights, stored as k (4H, d) blocks, as the
+    (4H, k*d) matrix that multiplies the paper's kron(p, v) input: row r
+    holds gate row r of every block, one block after another."""
+    k, four_h, d = w_x.shape
+    return w_x.transpose(1, 0, 2).reshape(four_h, k * d)
+
+
+def interleaved_draw(dims, rng):
+    """draw's values as it gave them when each input weight tensor was the
+    (4H, k*d) matrix of kron_weights, stored row by row, and every tensor
+    was filled whole in layout order: the oracle for the block-major draw.
+    Returns the tensors in layout order, input weights in that matrix
+    form."""
+    blocks, dim, hidden, mid, out = dims
+    four_h = 4 * hidden
+    shapes = ([((four_h, blocks * dim), blocks * dim), ((four_h, hidden), hidden),
+               ((four_h,), hidden)] * 2
+              + [((mid, 2 * hidden), 2 * hidden), ((mid,), 2 * hidden),
+                 ((out, mid), mid), ((out,), mid)])
+    tensors = []
+    for shape, fan_in in shapes:
+        bound = 1.0 / np.sqrt(fan_in)
+        view = np.empty(shape)
+        rng.random(out=view)
+        view *= bound - -bound
+        view += -bound
+        tensors.append(view)
+    return tensors
 
 
 def kron_scaled_inputs(tokens, probs, table):
@@ -112,7 +143,7 @@ def kron_logits(m, tokens, probs):
     reference kernel over the (T, 8d) Kronecker input and the full input
     weights, then the MLP, as the paper writes the model."""
     xs = kron_scaled_inputs(tokens, probs, m.table)
-    last = [reference_lstm_forward_seq(p.w_x, p.w_h, p.bias, seq)[0][-1]
+    last = [reference_lstm_forward_seq(kron_weights(p.w_x), p.w_h, p.bias, seq)[0][-1]
             for p, seq in ((m.bilstm.forward, xs), (m.bilstm.backward, xs[::-1]))]
     a1 = core.elu(core.linear(m.fc1, np.concatenate(last)))
     return core.linear(m.fc2, a1)
@@ -134,10 +165,11 @@ def lstm_cell(p, x, h, c):
     x = np.asarray(x, dtype=np.float64)
     h = np.asarray(h, dtype=np.float64)
     c = np.asarray(c, dtype=np.float64)
-    if x.shape != (p.input_dim,) or h.shape != (p.hidden_dim,) or c.shape != (p.hidden_dim,):
+    w_x = kron_weights(p.w_x)
+    if x.shape != w_x.shape[1:] or h.shape != (p.hidden_dim,) or c.shape != (p.hidden_dim,):
         raise ValueError("lstm_cell: state/input shapes do not match parameters")
     hidden = p.hidden_dim
-    z = p.w_x @ x + p.w_h @ h + p.bias
+    z = w_x @ x + p.w_h @ h + p.bias
     i = sigmoid_vec(z[:hidden])
     f = sigmoid_vec(z[hidden:2 * hidden])
     g = np.tanh(z[2 * hidden:3 * hidden])
@@ -147,9 +179,10 @@ def lstm_cell(p, x, h, c):
     return h_new, c_new
 
 
-def random_bilstm(rng, input_dim, hidden):
-    """A randomly initialised Bi-LSTM, cut from a network's flat vector."""
-    dims = (input_dim, hidden, 1, 1)
+def random_bilstm(rng, dim, hidden, blocks=1):
+    """A randomly initialised Bi-LSTM over blocks input blocks of width dim,
+    cut from a network's flat vector."""
+    dims = (blocks, dim, hidden, 1, 1)
     return bilstm_mlp.Weights.over(bilstm_mlp.draw(dims, rng), dims).bilstm
 
 

@@ -171,7 +171,7 @@ def test_criterion_6_embedding_construction_oracle():
                          float(unit(t[word]) @ unit(t[f"w{i}"])))
                         for i in range(k_emo)),
                        key=lambda p: (-p[1], p[0]))[:2]
-        got = top_k_emotion_words(matrix, word, 2)
+        got = top_k_emotion_words(matrix, t, word, 2)
         if [w for w, _ in got] != [w for w, _ in brute]:
             break
         if any(abs(a - b) > 1e-9 for (_, a), (_, b) in zip(got, brute)):

@@ -8,7 +8,8 @@ from emocause.errors import DataError
 from emocause.nn import core, kernels, serialize
 
 from conftest import random_table
-from helpers import score_clause, separable_cause_setup, separable_emotion_setup
+from helpers import (interleaved_draw, kron_weights, score_clause, separable_cause_setup,
+                     separable_emotion_setup)
 
 KINDS = {"emotion": emotion_model.EmotionClassifier, "cause": cause_model.CauseScorer}
 
@@ -66,9 +67,23 @@ class TestFlatVector:
                                  ((out, mid), mid), ((out,), mid)]):
             bound = 1.0 / np.sqrt(fan_in)
             expected.append(oracle.uniform(-bound, bound, size=shape))
-        assert np.array_equal(m.flat, np.concatenate([e.ravel() for e in expected]))
+        assert np.array_equal(m.flat, np.concatenate([a.ravel() for _, a in fields(m)]))
         for (name, a), e in zip(fields(m), expected):
-            assert np.array_equal(a, e), name
+            assert np.array_equal(kron_weights(a) if a.ndim == 3 else a, e), name
+
+    # the paper's cause sizes scaled down, the criterion-7 emotion model, a
+    # toy cause model, and input weight rows wider than a fill block
+    @pytest.mark.parametrize("dims", [(8, 40, 64, 5, 1), (1, 16, 32, 80, 8), (8, 3, 4, 5, 1),
+                                      (8, 2100, 1, 1, 1)])
+    def test_draw_matches_the_interleaved_stream(self, dims):
+        # every (gate row, block, column) of the block-major input weights,
+        # and every other tensor, has the interleaved draw's value bit for bit
+        flat = bilstm_mlp.draw(dims, np.random.default_rng(3))
+        oracle = interleaved_draw(dims, np.random.default_rng(3))
+        w = bilstm_mlp.Weights.over(flat, dims)
+        assert flat.size == sum(e.size for e in oracle)
+        for (name, a), e in zip(fields(w), oracle):
+            assert (kron_weights(a) if a.ndim == 3 else a).tobytes() == e.tobytes(), name
 
 
 class TestGradientIsAdded:
@@ -100,6 +115,23 @@ class TestGradientIsAdded:
 
 
 class TestModelFile:
+    def test_payload_order_is_the_documented_one(self, rng, tmp_path):
+        # README, "Model file layout": after the 29-byte header come the
+        # forward w_x's eight (4H x d) blocks, block j at values
+        # [j*4H*d, (j+1)*4H*d), then its w_h and bias; the backward
+        # direction's blocks follow at the same stride
+        d, h = 3, 4
+        m = cause_model.CauseScorer.init(random_table(rng, 5, d), rng, hidden=h, mid=5)
+        bilstm_mlp.save(m, tmp_path / "cause.bin")
+        payload = np.frombuffer((tmp_path / "cause.bin").read_bytes()[29:], dtype="<f8")
+        size = 4 * h * d
+        backward = 8 * size + 4 * h * h + 4 * h
+        for j, p in enumerate(np.eye(8)):
+            # block j is the one a one-hot p_j reads
+            for start, w_x in ((0, m.bilstm.forward.w_x), (backward, m.bilstm.backward.w_x)):
+                block = core.effective_weights(w_x, list(p))
+                assert payload[start + j * size:start + (j + 1) * size].tobytes() == block.tobytes()
+
     def test_save_load_save_is_byte_identical(self, model_cls, rng, tmp_path):
         table = random_table(rng, 5, 3)
         bilstm_mlp.save(model_cls.init(table, rng, hidden=4, mid=5), tmp_path / "a.bin")
@@ -135,7 +167,7 @@ class TestModelFile:
         # the payload has the size those widths give, so only a width is wrong
         table = random_table(rng, 5, 3)
         hidden, mid = (0, 5) if width == "hidden" else (4, 0)
-        dims = (model_cls.input_blocks * 3, hidden, mid, model_cls.out_width)
+        dims = (model_cls.input_blocks, 3, hidden, mid, model_cls.out_width)
         path = tmp_path / "m.bin"
         serialize.save_container(path, [model_cls.kind, 3, hidden, mid, model_cls.out_width],
                                  np.ones(bilstm_mlp.n_values(dims)))
@@ -218,7 +250,7 @@ def assert_lazy_close(lazy, plain, blocks=range(8)):
     """Every tensor, of the input weights only the given blocks."""
     for (name, a), (_, b) in zip(fields(lazy), fields(plain)):
         if name.endswith("w_x"):
-            a, b = (w.reshape(w.shape[0], 8, -1)[:, list(blocks)] for w in (a, b))
+            a, b = (w[list(blocks)] for w in (a, b))
         assert np.max(np.abs(a - b)) <= LAZY_RTOL * np.max(np.abs(b)), name
 
 
@@ -275,9 +307,8 @@ class TestLazyMomentum:
             grad = m.zeros_like()
             grad.flat[:] = rng.normal(size=grad.flat.size)
             for w_x in (grad.bilstm.forward.w_x, grad.bilstm.backward.w_x):
-                w_x.reshape(w_x.shape[0], 8, -1)[:, weights[0] == 0] = 0.0
-            for (name, v), (_, g) in zip(fields(lazy_m.velocity), fields(grad)):
-                v += g.reshape(v.shape) if name.endswith("w_x") else g
+                w_x[weights[0] == 0] = 0.0
+            lazy_m.velocity.flat += grad.flat
             plain_m.velocity.flat += grad.flat
             lazy_m.end_step()
             plain_m.end_step()
@@ -320,7 +351,7 @@ class TestLazyMomentum:
                                 np.random.default_rng(0), epochs=3, hidden=4)
         velocity = made[0].velocity.bilstm
         for e in range(8):
-            blocks = [velocity.forward.w_x[:, e], velocity.backward.w_x[:, e]]
+            blocks = [velocity.forward.w_x[e], velocity.backward.w_x[e]]
             touched = any(np.shares_memory(w, b) for w in written for b in blocks)
             assert touched == (e in (1, 6)), e
             assert all(np.any(b) for b in blocks) == (e in (1, 6)), e
@@ -347,9 +378,9 @@ class TestLazyMomentum:
         rows = m.table.rows(("w0", "w2", "w1"))
         lazy_m = bilstm_mlp.Momentum(m, core.SgdConfig())
         for weights in (np.eye(8)[None, 2], rng.dirichlet(np.ones(8))[None, :]):
-            before = m.bilstm.forward.w_x.reshape(16, 8, 3).copy()
+            before = m.bilstm.forward.w_x.copy()
             lazy_m.begin_step(weights)
             bilstm_mlp.loss_and_grads(m, rows, weights, 1, False, None, lazy_m.velocity)
             lazy_m.end_step()
-            changed = np.any(m.bilstm.forward.w_x.reshape(16, 8, 3) != before, axis=(0, 2))
+            changed = np.any(m.bilstm.forward.w_x != before, axis=(1, 2))
             assert changed.tolist() == [bool(w) for w in weights[0]]

@@ -7,8 +7,9 @@ from emocause.errors import OovError
 from emocause.nn import core, kernels
 
 from conftest import random_table
-from helpers import (cause_accuracy, kron_logits, kron_scaled_inputs, reference_lstm_forward_seq,
-                     score_clause, select_cause_clause, separable_cause_setup)
+from helpers import (cause_accuracy, kron_logits, kron_scaled_inputs, kron_weights,
+                     reference_lstm_forward_seq, score_clause, select_cause_clause,
+                     separable_cause_setup)
 
 
 def uniform_probs():
@@ -29,8 +30,8 @@ class TestEmotionScaledInputs:
     through W_eff = sum_k p_k W_x^(k) rather than W_x through kron(p, v)."""
 
     def blocks(self, rng, hidden, dim):
-        w_x = rng.normal(size=(4 * hidden, 8 * dim))
-        return w_x, w_x.reshape(4 * hidden, 8, dim)
+        w_blocks = rng.normal(size=(8, 4 * hidden, dim))
+        return kron_weights(w_blocks), w_blocks
 
     def effective(self, w_blocks, probs):
         return core.effective_weights(w_blocks, list(probs))
@@ -45,14 +46,14 @@ class TestEmotionScaledInputs:
     def test_uniform_gives_equal_blocks(self, rng):
         # equal blocks give that block back: the weights sum to one
         block = rng.normal(size=(8, 4))
-        w_blocks = np.repeat(block[:, None, :], 8, axis=1)
+        w_blocks = np.repeat(block[None], 8, axis=0)
         assert np.allclose(self.effective(w_blocks, uniform_probs()), block, atol=1e-12)
 
     def test_hand_values(self):
-        w_x = np.zeros((4, 16))
-        w_x[:, :4] = [[1.0, 2.0, 3.0, 4.0]] * 4  # blocks 0 and 1 of a d = 2 input
+        w_blocks = np.zeros((8, 4, 2))  # blocks of a d = 2 input
+        w_blocks[0], w_blocks[1] = [[1.0, 2.0]] * 4, [[3.0, 4.0]] * 4
         probs = np.array([0.6, 0.4, 0, 0, 0, 0, 0, 0], dtype=float)
-        w_eff = self.effective(w_x.reshape(4, 8, 2), probs)
+        w_eff = self.effective(w_blocks, probs)
         assert np.allclose(w_eff, [[0.6 * 1 + 0.4 * 3, 0.6 * 2 + 0.4 * 4]] * 4, atol=1e-12)
 
     def test_blocks_sum_to_vector(self, rng):
@@ -74,12 +75,12 @@ class TestEmotionScaledInputs:
         rng = np.random.default_rng(dim)
         table = EmbeddingTable([f"w{i}" for i in range(6)],
                                rng.integers(1, 5, size=(6, dim)) * rng.choice([-1.0, 1.0], size=(6, dim)))
-        w_x = rng.integers(-16, 17, size=(12, 8 * dim)) / 16.0
+        w_blocks = rng.integers(-16, 17, size=(8, 12, dim)) / 16.0
         probs = dyadic_probs(kind, rng)
         tokens = tuple(rng.choice(["w0", "w1", "w2", "w3", "w4", "w5", "zz", "yy"], size=12))
         rows = table.rows(tokens)
-        projected = rows @ self.effective(w_x.reshape(12, 8, dim), probs).T
-        expected = kron_scaled_inputs(tokens, probs, table) @ w_x.T
+        projected = rows @ self.effective(w_blocks, probs).T
+        expected = kron_scaled_inputs(tokens, probs, table) @ kron_weights(w_blocks).T
         assert projected.shape == expected.shape and projected.dtype == expected.dtype
         assert projected.tobytes() == expected.tobytes()
 
@@ -126,7 +127,7 @@ class TestFactoredModel:
         # d(loss)/d(last output) through the head, as bilstm_mlp.backward has it
         prob = core.sigmoid(float(kron_logits(m, tokens, probs)[0]))
         z1 = core.linear(m.fc1, np.concatenate(
-            [reference_lstm_forward_seq(p.w_x, p.w_h, p.bias, xs)[0][-1]
+            [reference_lstm_forward_seq(kron_weights(p.w_x), p.w_h, p.bias, xs)[0][-1]
              for p, xs in ((m.bilstm.forward, kron_scaled_inputs(tokens, probs, table)),
                            (m.bilstm.backward, kron_scaled_inputs(tokens[::-1], probs, table)))]))
         d_last = m.fc1.weight.T @ ((m.fc2.weight[0] * (prob - 1)) * core.elu_grad(z1))
@@ -135,10 +136,12 @@ class TestFactoredModel:
             xs = kron_scaled_inputs(words, probs, table)
             d_h_out = np.zeros((3, 4))
             d_h_out[-1] = d
-            expected = [np.zeros_like(p.w_x), np.zeros_like(p.w_h), np.zeros_like(p.bias)]
-            kernels.lstm_backward_seq(p.w_x, p.w_h, xs, *reference_lstm_forward_seq(
-                p.w_x, p.w_h, p.bias, xs), d_h_out, *expected)
-            for got, want in zip((g.w_x, g.w_h, g.bias), expected):
+            w_x = kron_weights(p.w_x)
+            expected = [np.zeros((1,) + w_x.shape), np.zeros_like(p.w_h), np.zeros_like(p.bias)]
+            kernels.lstm_backward_seq(w_x, p.w_h, xs, *reference_lstm_forward_seq(
+                w_x, p.w_h, p.bias, xs), d_h_out, *expected)
+            for got, want in zip((kron_weights(g.w_x), g.w_h, g.bias),
+                                 (expected[0][0],) + tuple(expected[1:])):
                 assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
 
     def test_one_hot_leaves_other_blocks_as_found(self, rng):
@@ -154,9 +157,9 @@ class TestFactoredModel:
                                   True, np.random.default_rng(1), grad)
         for g, f in ((grad.bilstm.forward, found.bilstm.forward),
                      (grad.bilstm.backward, found.bilstm.backward)):
-            blocks, before = g.w_x.reshape(16, 8, 5), f.w_x.reshape(16, 8, 5)
-            assert np.all(np.isfinite(blocks[:, 5])) and np.any(blocks[:, 5] != before[:, 5])
-            assert np.delete(blocks, 5, axis=1).tobytes() == np.delete(before, 5, axis=1).tobytes()
+            blocks, before = g.w_x, f.w_x
+            assert np.all(np.isfinite(blocks[5])) and np.any(blocks[5] != before[5])
+            assert np.delete(blocks, 5, axis=0).tobytes() == np.delete(before, 5, axis=0).tobytes()
 
     def test_trainer_holds_d_wide_inputs(self, monkeypatch):
         table, examples = separable_cause_setup(dim=10)
@@ -191,7 +194,7 @@ def marker_sensitive_scorer(table):
     maps tanh-accumulated marker counts to ~0.9 vs ~0.2."""
     m = cause_model.CauseScorer.init(table, np.random.default_rng(0), hidden=1, mid=1)
     m.flat[:] = 0.0
-    m.bilstm.forward.w_x[2, 0] = 10.0
+    m.bilstm.forward.w_x[0, 2, 0] = 10.0
     m.bilstm.forward.bias[:] = [20.0, 20.0, 0.0, 20.0]
     m.bilstm.backward.bias[:] = [-20.0, 0.0, 0.0, 0.0]
     m.fc1.weight[0, 0] = 1.0
@@ -337,5 +340,5 @@ class TestInvariants:
     def test_input_dim_is_eight_d(self, rng):
         table = random_table(rng, 3, 7)
         model = cause_model.CauseScorer.init(table, rng, hidden=4)
-        assert model.bilstm.input_dim == 56
+        assert kron_weights(model.bilstm.forward.w_x).shape == (16, 56)
         assert model.fc2.out_dim == 1

@@ -155,21 +155,21 @@ class TestTopK:
     def test_truncates_to_available(self):
         table = EmbeddingTable(["joyful", "other"], [[1.0, 0.0], [0.5, 0.5]])
         matrix = build_similarity_matrix(table, lexicon_for(["joyful"]))
-        assert len(top_k_emotion_words(matrix, "other", k=2)) == 1
+        assert len(top_k_emotion_words(matrix, table, "other", k=2)) == 1
 
     def test_lexicographic_tie_break(self):
         # b and c share a vector, so their similarities tie exactly
         table = EmbeddingTable(["w", "a", "b", "c"],
                                [[1.0, 0.0], [0.9, 0.1], [0.5, 0.5], [0.5, 0.5]])
         matrix = build_similarity_matrix(table, lexicon_for(["a", "b", "c"]))
-        top = top_k_emotion_words(matrix, "w", k=2)
+        top = top_k_emotion_words(matrix, table, "w", k=2)
         assert [w for w, _ in top] == ["a", "b"]
         assert top[0][1] > top[1][1]
 
     def test_self_is_top(self, rng):
         table = random_table(rng, 4, 5)
         matrix = build_similarity_matrix(table, lexicon_for(["w2", "w3"]))
-        top = top_k_emotion_words(matrix, "w2", k=2)
+        top = top_k_emotion_words(matrix, table, "w2", k=2)
         assert top[0][0] == "w2"
         assert top[0][1] == pytest.approx(1.0, abs=1e-6)
 
@@ -177,7 +177,7 @@ class TestTopK:
         table = random_table(rng, 3, 4)
         matrix = build_similarity_matrix(table, lexicon_for(["w0"]))
         with pytest.raises(KeyError):
-            top_k_emotion_words(matrix, "nope", k=2)
+            top_k_emotion_words(matrix, table, "nope", k=2)
 
     def test_matches_brute_force_scan(self, rng):
         # oracle: scan all emotion columns, sort by (-sim, word)
@@ -191,7 +191,7 @@ class TestTopK:
                 ((ew, cosine_similarity(table[word], table[ew]))
                  for ew in emotion_words),
                 key=lambda pair: (-pair[1], pair[0]))[:DEFAULT_TOP_K]
-            got = top_k_emotion_words(matrix, word, DEFAULT_TOP_K)
+            got = top_k_emotion_words(matrix, table, word, DEFAULT_TOP_K)
             assert [w for w, _ in got] == [w for w, _ in expected]
             for (_, s_got), (_, s_exp) in zip(got, expected):
                 assert s_got == pytest.approx(s_exp, abs=1e-12)

@@ -170,7 +170,11 @@ class TestSerialization:
         (lambda blob: blob + b"\x00", "not a whole number of f64 values"),
         # magic, the u32 count, then one and a half of the five descriptor values
         (lambda blob: blob[:len(MAGIC) + 4 + 6], "truncated descriptor"),
-    ], ids=["half-length", "one-value-short", "trailing-byte", "cut-in-descriptor"])
+        # a count of 2^32 - 1 in a 33-byte file: rejected before it sizes a read
+        (lambda blob: MAGIC + b"\xff" * 4 + blob[len(MAGIC) + 4:33],
+         r"truncated descriptor \(4294967295 values do not fit"),
+    ], ids=["half-length", "one-value-short", "trailing-byte", "cut-in-descriptor",
+            "huge-descriptor-count"])
     def test_damaged_file_rejected(self, toy_model, tmp_path, damage, message):
         path = tmp_path / "emotion.bin"
         bilstm_mlp.save(toy_model, path)

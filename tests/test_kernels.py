@@ -3,7 +3,7 @@ import pytest
 
 from emocause.nn import kernels
 
-from helpers import lstm_cell, random_bilstm, reference_lstm_forward_seq
+from helpers import kron_weights, lstm_cell, random_bilstm, reference_lstm_forward_seq
 
 SHAPES = pytest.mark.parametrize("steps,dim,hidden", [(6, 4, 3), (1, 4, 3), (5, 20, 2), (3, 7, 5)],
                                  ids=["T6-D4-H3", "T1", "D-over-4H", "T3-D7-H5"])
@@ -15,7 +15,7 @@ def packed(p, seqs):
     lengths = [len(s) for s in seqs]
     zx = np.zeros((lengths[0], len(seqs), p.w_h.shape[0]))
     for i, s in enumerate(seqs):
-        zx[:len(s), i] = s @ p.w_x.T + p.bias
+        zx[:len(s), i] = s @ kron_weights(p.w_x).T + p.bias
     return zx, lengths
 
 
@@ -52,7 +52,7 @@ class TestSequenceKernels:
         xs = rng.normal(size=(steps, dim))
         zx, lengths = packed(p, [xs])
         out = kernels.lstm_forward_seq(zx, p.w_h, lengths)
-        ref = reference_lstm_forward_seq(p.w_x, p.w_h, p.bias, xs)
+        ref = reference_lstm_forward_seq(kron_weights(p.w_x), p.w_h, p.bias, xs)
         for a, b in zip(out, ref):
             assert a[:, 0].tobytes() == b.tobytes()
 

@@ -126,7 +126,9 @@ class TestInferReview:
         result = infer_review(record, sentences, emo, causes)
         assert len(result.scores) == len(result.clauses) >= 2
         assert result.chosen == result.scores.index(max(result.scores))
-        assert result.emotion == emo.labels[int(result.probs.argmax())]
+        tokens = emo.table.indices(t for pid in record.parse_ids for t in sentences[pid].texts())
+        log_probs = emotion_model.classify(emo, [tokens])[0]
+        assert result.emotion == emo.labels[int(log_probs.argmax())]
 
     @pytest.mark.parametrize("parse_ids,reason", [(("ghost.0",), "missing_parse"),
                                                   (("zz.0",), "all_oov")])
