@@ -336,7 +336,7 @@ def train(cls, table: EmbeddingTable, examples, to_row, rng: core.Rng,
     blocks a step leaves idle are updated lazily, and every block is
     caught up before the model is returned. Returns (model, per-epoch
     mean-loss trace); a non-finite epoch loss stops training with a
-    ValueError naming the epoch.
+    DataError naming the epoch.
     """
     if not examples:
         raise ValueError("no training examples")
@@ -364,7 +364,7 @@ def train(cls, table: EmbeddingTable, examples, to_row, rng: core.Rng,
             momentum.end_step()
         mean = total / len(held)
         if not np.isfinite(mean):
-            raise ValueError(f"epoch {epoch}: mean training loss is {mean}")
+            raise DataError(f"epoch {epoch}: mean training loss is {mean}")
         trace.append(mean)
         if log_epochs:
             print(f"epoch {epoch} loss {mean}")

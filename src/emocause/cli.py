@@ -288,7 +288,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ValueError, OSError) as err:
+    # bad input only: any other exception is a fault of the program and
+    # propagates with its traceback
+    except (DataError, OSError, UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
 

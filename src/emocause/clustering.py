@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .embeddings import EmbeddingTable, cosine_similarity
+from .errors import DataError
 
 DEFAULT_THRESHOLD = 0.13
 MIN_CLUSTER_SIZE = 2
@@ -33,8 +34,8 @@ class ClauseVector:
             raise ValueError("clause vector must be 1-D")
         if not np.all(np.isfinite(values)):
             raise ValueError("clause vector has non-finite entries")
-        if not np.any(values):
-            raise ValueError("clause vector is all zeros")
+        if not np.any(values):  # the max-pool of vectors can be, e.g. (0, -1) and (-1, 0)
+            raise DataError(f"clause vector is all zeros for {self.clause_text!r}")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
 

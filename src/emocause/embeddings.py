@@ -161,11 +161,12 @@ def load_word_embeddings(path) -> EmbeddingTable:
 
 def save_word_embeddings(table: EmbeddingTable, path) -> None:
     """Write the same text format load_word_embeddings reads. Floats are
-    written with repr, so a save/load round trip is bit-exact."""
+    written with repr, so a save/load round trip is bit-exact; each row is
+    formatted from its Python floats (tolist), not from numpy scalars."""
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(table)} {table.dim}\n")
-        for word, vec in zip(table.words, table.vectors):
-            fh.write(word + " " + " ".join(repr(float(x)) for x in vec) + "\n")
+        for word, row in zip(table.words, table.vectors.tolist()):
+            fh.write(word + " " + " ".join(map(repr, row)) + "\n")
 
 
 def load_emotion_lexicon(path) -> EmotionLexicon:

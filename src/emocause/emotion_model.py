@@ -16,6 +16,7 @@ import numpy as np
 
 from . import bilstm_mlp
 from .embeddings import EMOTIONS, EmbeddingTable
+from .errors import DataError
 from .nn import core
 from .nn.serialize import KIND_EMOTION
 
@@ -50,8 +51,8 @@ class EmotionTrainExample:
     label: str
 
     def __post_init__(self):
-        if not self.tokens:
-            raise ValueError("example has no tokens")
+        if not self.tokens:  # a gold review with no parse_ids
+            raise DataError("example has no tokens")
         if self.label not in EMOTIONS:
             raise ValueError(f"unknown emotion label {self.label!r}")
 

@@ -6,5 +6,5 @@ class DataError(ValueError):
     """Malformed or inconsistent input (files, schemas, parses)."""
 
 
-class OovError(ValueError):
+class OovError(DataError):
     """Every token of the unit being embedded is out of vocabulary."""

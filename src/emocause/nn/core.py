@@ -48,17 +48,51 @@ class BiLstmCache:
     """Everything both directions recorded during a forward pass over B
     sequences packed by length."""
 
-    __slots__ = ("rows", "rows_rev", "weights", "lengths", "last", "w_eff", "fwd", "bwd")
+    __slots__ = ("xs", "weights", "lengths", "last", "w_h", "w_eff", "runs")
 
-    def __init__(self, rows, rows_rev, weights, lengths, last, w_eff, fwd, bwd):
-        self.rows = rows  # (N, d): the sequences' timesteps, one after another
-        self.rows_rev = rows_rev  # the same, each sequence reversed in place
+    def __init__(self, xs, weights, lengths, last, w_h, w_eff, runs):
+        self.xs = xs  # (2, N, d): the sequences' timesteps, one after another, per direction
         self.weights = weights  # (B, k) block weights, one row per sequence
         self.lengths = lengths  # B ints
-        self.last = last  # (B,) each sequence's last state, as a row of hs.reshape(-1, H)
+        # (steps, columns): sequence i's last state is hs[steps[i], columns[i]]
+        self.last = last
+        self.w_h = w_h  # (2, 4H, H) view of both directions' w_h for a paired run, else None
         self.w_eff = w_eff  # per direction, the last run's (4H, d) input weights
-        self.fwd = fwd  # (hs, cs, gates, tanh_c) of the left-to-right run
-        self.bwd = bwd  # same for the run over the reversed sequences
+        # the forward kernel's outputs (hs, cs, gates, tanh_c): one call's,
+        # with a direction axis, for a paired run, else one call's per direction
+        self.runs = runs
+
+    def direction(self, e: int) -> tuple:
+        """Direction e's (hs, cs, gates, tanh_c), each (T+1 or T, B, width)."""
+        if self.w_h is not None:
+            return tuple(a[:, e] for a in self.runs[0])
+        return self.runs[e]
+
+
+# The two directions run in one kernel call (D = 2) when their recurrent
+# weights together take at most this many bytes, else in one call each.
+# One step of the paired loop reads both matrices; while they fit in a
+# core's L2 cache together, the paired loop saves half the per-step numpy
+# calls, but when one fits and two do not, alternating them makes every
+# recurrent product read from the next cache level (README "LSTM kernels").
+PAIR_BYTES = 1 << 20
+
+
+def paired(hidden: int) -> bool:
+    """Whether both directions of a hidden-wide Bi-LSTM run in one call."""
+    return 2 * 4 * hidden * hidden * 8 <= PAIR_BYTES
+
+
+def directions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The (2, *a.shape) array of two equally shaped arrays, one per
+    direction. When both lie in one buffer, as a model's two directions do
+    in its flat vector, it is a strided view and copies nothing; else a
+    copy."""
+    if a.shape == b.shape and a.strides == b.strides and (
+            a is b or (a.base is not None and a.base is b.base)):
+        step = b.__array_interface__["data"][0] - a.__array_interface__["data"][0]
+        return np.lib.stride_tricks.as_strided(a, (2,) + a.shape, (step,) + a.strides)
+    return np.stack((a, b))
 
 
 def bilstm_bytes(hidden: int, steps: int, batch: int) -> int:
@@ -104,10 +138,11 @@ def bilstm_run(m: BiLstm, rows: np.ndarray, lengths, weights) -> BiLstmCache:
     consecutive sequences with equal weights and dropped after it. The
     projections are packed by decreasing length (ties keep their order)
     into the kernel's time-major array, the backward direction's with each
-    sequence reversed. A single sequence (a training step) is the packed
-    array already, so it is not sorted, mapped or scattered.
+    sequence reversed. A single sequence (a training step) is packed
+    without being sorted, mapped or scattered. Both directions then run in
+    one kernel call when paired(H), else in one call each.
     """
-    rows = np.ascontiguousarray(rows, dtype=np.float64)
+    rows = np.asarray(rows, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     lengths = [int(n) for n in lengths]
     if rows.ndim != 2 or not lengths or min(lengths) < 1:
@@ -120,9 +155,11 @@ def bilstm_run(m: BiLstm, rows: np.ndarray, lengths, weights) -> BiLstmCache:
     if weights.shape != (batch, k) or d != dim:
         raise ValueError(f"bilstm: input dim {weights.shape[1:]} x {d} != ({k},) x {dim}")
     w = weights.tolist()
+    xs = np.empty((2, n, d))
+    xs[0] = rows
     if batch == 1:
         order, col = [0], [0]
-        rows_rev = rows[::-1].copy()
+        xs[1] = rows[::-1]
     else:
         ends = list(itertools.accumulate(lengths))
         spans = list(zip([0] + ends[:-1], ends))  # each sequence's rows
@@ -130,55 +167,68 @@ def bilstm_run(m: BiLstm, rows: np.ndarray, lengths, weights) -> BiLstmCache:
         col = [0] * batch
         for c, i in enumerate(order):
             col[i] = c
-        rows_rev = np.concatenate([rows[a:b][::-1] for a, b in spans])
+        for a, b in spans:
+            xs[1, a:b] = rows[a:b][::-1]
         firsts = [i for i in range(batch) if i == 0 or w[i] != w[i - 1]]
-    runs, w_eff = [], []
-    for p, xs in ((m.forward, rows), (m.backward, rows_rev)):
-        four_h = p.w_h.shape[0]
+    hidden = m.hidden_dim
+    zx = np.empty((lengths[order[0]], 2, batch, 4 * hidden))  # the kernel reads no padding
+    w_eff = []
+    for e, p in enumerate((m.forward, m.backward)):
         if batch == 1:
             w_run = effective_weights(p.w_x, w[0])
-            zx = (xs @ w_run.T + p.bias)[:, None]
+            zx[:, e, 0] = xs[e] @ w_run.T + p.bias
         else:
-            zx = np.empty((lengths[order[0]], batch, four_h))  # the kernel reads no padding
-            for s, e in zip(firsts, firsts[1:] + [batch]):
+            for s, end in zip(firsts, firsts[1:] + [batch]):
                 w_run = effective_weights(p.w_x, w[s])
                 base = spans[s][0]
-                z = xs[base:spans[e - 1][1]] @ w_run.T + p.bias
-                for i in range(s, e):
-                    zx[:lengths[i], col[i]] = z[spans[i][0] - base:spans[i][1] - base]
-        runs.append(kernels.lstm_forward_seq(zx, p.w_h, [lengths[i] for i in order]))
+                z = xs[e, base:spans[end - 1][1]] @ w_run.T + p.bias
+                for i in range(s, end):
+                    zx[:lengths[i], e, col[i]] = z[spans[i][0] - base:spans[i][1] - base]
         w_eff.append(w_run)
-    last = np.array([n * batch + c for n, c in zip(lengths, col)])
-    return BiLstmCache(rows, rows_rev, weights, lengths, last, w_eff, *runs)
+    ordered = [lengths[i] for i in order]
+    if paired(hidden):
+        w_h = directions(m.forward.w_h, m.backward.w_h)
+        runs = [kernels.lstm_forward_seq(zx, w_h, ordered)]
+    else:
+        w_h = None
+        runs = [kernels.lstm_forward_seq(zx[:, e], p.w_h, ordered)
+                for e, p in enumerate((m.forward, m.backward))]
+    return BiLstmCache(xs, weights, lengths, (lengths, col), w_h, w_eff, runs)
 
 
 def bilstm_last_output(cache: BiLstmCache) -> np.ndarray:
     """(B, 2H): per sequence, concat(h_fwd at its final position, h_bwd at
     position 0) — each direction's state after it has consumed the whole
     sequence."""
-    hs_f, hs_b = cache.fwd[0], cache.bwd[0]
-    h = hs_f.shape[2]
-    return np.concatenate([hs_f.reshape(-1, h)[cache.last], hs_b.reshape(-1, h)[cache.last]],
-                          axis=1)
+    steps, cols = cache.last
+    if cache.w_h is not None:  # hs is (T+1, 2, B, H): both directions in one gather
+        return cache.runs[0][0][steps, :, cols].reshape(len(steps), -1)
+    return np.concatenate([hs[steps, cols] for hs, *_ in cache.runs], axis=1)
 
 
 def bilstm_backward_last(m: BiLstm, cache: BiLstmCache, d_last: np.ndarray,
                          grad: BiLstm) -> None:
     """BPTT for one sequence when the loss touches only bilstm_last_output.
-    Adds the gradients into grad's arrays."""
+    Adds the gradients into grad's arrays, both directions in one kernel
+    call when the forward pass paired them."""
     if len(cache.lengths) != 1:
         raise ValueError("bilstm backward: one sequence at a time")
     T = cache.lengths[0]
     h = m.hidden_dim
     weights = cache.weights[0].tolist()
-    for p, g, xs, w_eff, run, d in (
-            (m.forward, grad.forward, cache.rows, cache.w_eff[0], cache.fwd, d_last[:h]),
-            (m.backward, grad.backward, cache.rows_rev, cache.w_eff[1], cache.bwd, d_last[h:])):
-        d_h_out = np.zeros((T, h))
-        d_h_out[T - 1] = d
-        hs, cs, gates, tanh_c = run
-        kernels.lstm_backward_seq(w_eff, p.w_h, xs, hs[:, 0], cs[:, 0], gates[:, 0],
-                                  tanh_c[:, 0], d_h_out, g.w_x, g.w_h, g.bias, weights)
+    d_h_out = np.zeros((T, 2, h))
+    d_h_out[T - 1] = d_last.reshape(2, h)
+    grads = (grad.forward, grad.backward)
+    if cache.w_h is not None:
+        kernels.lstm_backward_seq(directions(*cache.w_eff), cache.w_h, cache.xs,
+                                  *(a[:, :, 0] for a in cache.runs[0]), d_h_out,
+                                  [g.w_x for g in grads], [g.w_h for g in grads],
+                                  [g.bias for g in grads], weights)
+        return
+    for e, (p, g) in enumerate(zip((m.forward, m.backward), grads)):
+        kernels.lstm_backward_seq(cache.w_eff[e], p.w_h, cache.xs[e],
+                                  *(a[:, 0] for a in cache.direction(e)), d_h_out[:, e],
+                                  g.w_x, g.w_h, g.bias, weights)
 
 
 @dataclass

@@ -2,26 +2,37 @@
 
 Every product that does not depend on the recurrence runs outside the time
 loop as one matrix product (input-projection batching, Appleyard et al.
-2016, arXiv:1604.01946), here extended across sequences:
+2016, arXiv:1604.01946), here extended across sequences and directions:
 
-- forward: batch-major over B sequences packed by length. The caller
-  hands in the input pre-activations of every step of every sequence as
-  one time-major (T, B, 4H) array; only the recurrent product
-  h[:n] @ w_h.T runs per timestep, one (n, H) @ (H, 4H) product over the
-  n sequences still running at that step. Sequences are sorted by
-  decreasing length, so those n are the first n rows: nothing is masked
-  and no padded step is computed. Training runs the same kernel with B = 1.
-- backward: one sequence at a time, on the B = 1 views of the forward
-  outputs. The gate gradients of all steps are kept as one (T, 4H) array
-  dZ, and the input weight blocks' dZ.T @ (p_k xs), dZ.T @ hs[:-1] and
-  dZ.sum(0) are each added into the caller's array; only the recurrent
-  product dZ[t] @ w_h runs per timestep. The two weight products are
-  added a row block at a time (_add_product), so no array the size of a
-  weight matrix is created at all.
+- forward: batch-major over B sequences packed by length, in D = 1 or 2
+  directions at once. The caller hands in the input pre-activations of
+  every step of every sequence in every direction as one time-major
+  (T, D, B, 4H) array; only the recurrent product runs per timestep, one
+  np.matmul of the (D, n, H) states of the n sequences still running at
+  that step with the (D, H, 4H) transposed recurrent weights. Sequences
+  are sorted by decreasing length, so those n are the first n rows:
+  nothing is masked and no padded step is computed. Training runs the
+  same kernel with B = 1.
+- backward: one sequence at a time, in D directions at once, on the
+  B = 1 views of the forward outputs. The gate gradients of all steps are
+  kept as one (D, T, 4H) array dZ, and per direction the input weight
+  blocks' dZ.T @ (p_k xs), dZ.T @ hs[:-1] and dZ.sum(0) are each added
+  into the caller's arrays; only the recurrent product, one np.matmul of
+  the (D, 1, 4H) gate gradients with the (D, 4H, H) recurrent weights,
+  runs per timestep. The two weight products are added a row block at a
+  time (_add_product), so no array the size of a weight matrix is created
+  at all.
+
+Each element's ops, and their order, are the same for D = 2 as for two
+D = 1 calls, and the batched product runs each direction's product as a
+D = 1 call would, so the outputs are the same bit for bit.
 
 Gate layout: the four gates are stacked row-wise in one matrix, in the
-order input | forget | cell | output, so w_h is (4H, H) and each block of
-a direction's input weights is (4H, D). All arrays are C-contiguous
+order input | forget | cell | output, so a direction's w_h is (4H, H) and
+each block of its input weights is (4H, D_in). Parameters and inputs put
+the direction axis first; arrays the time loop indexes by step put it
+right after the time axis. A call for one direction may leave the axis
+out of every argument, and its outputs then lack it too. All arrays are
 float64.
 """
 
@@ -33,45 +44,61 @@ BLOCK = 1 << 14  # values per block of a blocked update: 128 KiB of float64
 
 
 def lstm_forward_seq(zx, w_h, lengths):
-    """Run an LSTM left to right from zero state over B sequences at once.
+    """Run an LSTM left to right from zero state over B sequences at once,
+    in D directions at once.
 
-    zx is (T, B, 4H), time-major: zx[t, i] is sequence i's input
-    pre-activation at step t, bias included. lengths (B,) is sorted in
-    decreasing order with lengths[0] == T, so step t updates only the first
-    n_active[t] rows. zx is turned into the gate activations in place.
+    zx is (T, D, B, 4H), time-major: zx[t, e, i] is sequence i's input
+    pre-activation at step t in direction e, bias included, and w_h
+    (D, 4H, H) holds each direction's recurrent weights. lengths (B,) is
+    sorted in decreasing order with lengths[0] == T, so step t updates only
+    the first n_active[t] rows; every direction runs the same lengths. zx
+    is turned into the gate activations in place. For one direction, zx
+    may be (T, B, 4H) and w_h (4H, H).
 
-    Returns (hs, cs, gates, tanh_c): hs/cs are (T+1, B, H) with row 0 the
-    initial zero state, gates is zx, (T, B, 4H) post-activation in i|f|g|o
-    order, and tanh_c is (T, B, H); everything the backward pass needs.
-    Sequence i's last state is hs[lengths[i], i]; entries past a
-    sequence's end are not computed (zero in hs, cs and tanh_c, and zx's
-    own values in gates) and not read.
+    Returns (hs, cs, gates, tanh_c): hs/cs are (T+1, D, B, H) with row 0
+    the initial zero state, gates is zx, (T, D, B, 4H) post-activation in
+    i|f|g|o order, and tanh_c is (T, D, B, H); everything the backward
+    pass needs. Sequence i's last state in direction e is
+    hs[lengths[i], e, i]; entries past a sequence's end are not computed
+    (zero in hs, cs and tanh_c, and zx's own values in gates) and not read.
     """
-    T, B, four_h = zx.shape
-    H = w_h.shape[1]
+    if w_h.ndim == 2:
+        return tuple(a[:, 0] for a in _forward(zx[:, None], w_h[None], lengths))
+    return _forward(zx, w_h, lengths)
+
+
+def _forward(zx, w_h, lengths):
+    T, D, B, four_h = zx.shape
+    H = w_h.shape[2]
     neg = [-int(n) for n in lengths]  # ascending
     if len(neg) != B or neg[0] != -T or neg[-1] > -1 or neg != sorted(neg):
         raise ValueError("lstm: lengths must be >= 1, in decreasing order, the first equal to T")
     n_active = [bisect.bisect_left(neg, -t) for t in range(T)]  # lengths > t
-    hs = np.zeros((T + 1, B, H))
-    cs = np.zeros((T + 1, B, H))
-    tanh_c = np.zeros((T, B, H))
-    w_ht = w_h.T
-    acts = zx.reshape(T, B, 4, H).transpose(0, 2, 1, 3)  # gate-major views of zx
-    for t, n in enumerate(n_active):
-        z = zx[t, :n]
-        z += hs[t, :n] @ w_ht
-        act = acts[t, :, :n]
+    hs = np.zeros((T + 1, D, B, H))
+    cs = np.zeros((T + 1, D, B, H))
+    tanh_c = np.zeros((T, D, B, H))
+    w_ht = w_h.transpose(0, 2, 1)
+    acts = zx.reshape(T, D, B, 4, H).transpose(0, 3, 1, 2, 4)  # gate-major views of zx
+    h_prev, c_prev = hs[0], cs[0]
+    # each step's views come from iterating the arrays, and are cut to the
+    # n sequences still running only once some have ended
+    for z, act, h, c, tc, n in zip(zx, acts, hs[1:], cs[1:], tanh_c, n_active):
+        if n < B:
+            z, act, h, c, tc = z[:, :n], act[:, :, :n], h[:, :n], c[:, :n], tc[:, :n]
+            h_prev, c_prev = h_prev[:, :n], c_prev[:, :n]
+        z += np.matmul(h_prev, w_ht)
         i, f, g, o = act
         tanh_g = np.tanh(g)
-        np.exp(np.negative(act, act), act)
-        np.add(act, 1.0, act)
-        np.divide(1.0, act, act)
+        # the sigmoid of every gate, over z's rows rather than the gate
+        # views, then the cell gate's tanh put back
+        np.exp(np.negative(z, z), z)
+        np.add(z, 1.0, z)
+        np.divide(1.0, z, z)
         g[...] = tanh_g
-        c = cs[t + 1, :n]
-        np.multiply(f, cs[t, :n], c)
+        np.multiply(f, c_prev, c)
         c += i * g
-        np.multiply(o, np.tanh(c, tanh_c[t, :n]), hs[t + 1, :n])
+        np.multiply(o, np.tanh(c, tc), h)
+        h_prev, c_prev = h, c
     return hs, cs, zx, tanh_c
 
 
@@ -86,42 +113,59 @@ def _add_product(target, a, b):
 
 def lstm_backward_seq(w_x, w_h, xs, hs, cs, gates, tanh_c, d_h_out, d_wx, d_wh, d_bias,
                       block_weights=(1.0,)):
-    """Backpropagate through time over one sequence, given d_h_out (T, H),
-    the gradient of the loss w.r.t. each timestep's hidden output, and the
-    forward kernel's outputs for that sequence ((T+1, H), (T+1, H),
-    (T, 4H), (T, H)).
+    """Backpropagate through time over one sequence in D directions at
+    once, given d_h_out (T, D, H), the gradient of the loss w.r.t. each
+    timestep's hidden output, and the forward kernel's outputs for that
+    sequence ((T+1, D, H), (T+1, D, H), (T, D, 4H), (T, D, H)).
 
-    w_x (4H, D) is the weight matrix the sequence's (T, D) inputs xs were
-    projected with. The parameter it came from is k = len(block_weights)
-    blocks of that shape, w_x = sum_j block_weights[j] * block_j, so the
-    gradient of block j is dZ.T @ (block_weights[j] * xs). The gradients
-    are added into d_wx (k, 4H, D), d_wh (4H, H) and d_bias (4H,), not
-    written: the caller passes the vector it accumulates into. Block j of
-    d_wx is not touched where block_weights[j] is zero, and no (T, k*D)
-    input or (4H, k*D) temporary is made. Input gradients are not
-    computed; the models feed frozen embeddings.
+    w_x (D, 4H, D_in) holds each direction's weight matrix that its
+    (D, T, D_in) inputs xs were projected with, and w_h (D, 4H, H) its
+    recurrent weights. The parameter w_x came from is k =
+    len(block_weights) blocks of that shape, w_x = sum_j block_weights[j]
+    * block_j, so the gradient of block j is dZ.T @ (block_weights[j] *
+    xs). Direction e's gradients are added into d_wx[e] (k, 4H, D_in),
+    d_wh[e] (4H, H) and d_bias[e] (4H,), not written: the caller passes
+    the vectors it accumulates into, as arrays with a leading direction
+    axis or as sequences of D arrays. Block j of d_wx[e] is not touched
+    where block_weights[j] is zero, and no (T, k*D_in) input or
+    (4H, k*D_in) temporary is made. Input gradients are not computed; the
+    models feed frozen embeddings. For one direction, the direction axis
+    may be left out of every argument.
     """
-    T = xs.shape[0]
-    H = w_h.shape[1]
-    i, f, g, o = gates.reshape(T, 4, H).transpose(1, 0, 2)
+    if w_h.ndim == 2:
+        _backward(w_h[None], xs[None], hs[:, None], cs[:, None], gates[:, None],
+                  tanh_c[:, None], d_h_out[:, None], (d_wx,), (d_wh,), (d_bias,), block_weights)
+    else:
+        _backward(w_h, xs, hs, cs, gates, tanh_c, d_h_out, d_wx, d_wh, d_bias, block_weights)
+
+
+def _backward(w_h, xs, hs, cs, gates, tanh_c, d_h_out, d_wx, d_wh, d_bias, block_weights):
+    D, T = xs.shape[:2]
+    H = w_h.shape[2]
+    i, f, g, o = gates.reshape(T, D, 4, H).transpose(2, 0, 1, 3)
     # the local derivatives, which do not depend on the recurrence: d(c) by
     # the i, f and g pre-activations, d(h) by the o pre-activation, d(h)/d(c)
-    dc_dz_ifg = np.stack([g * i * (1.0 - i), cs[:-1] * f * (1.0 - f), i * (1.0 - g * g)], axis=1)
+    dc_dz_ifg = np.empty((T, D, 3, H))
+    np.multiply(g * i, 1.0 - i, out=dc_dz_ifg[:, :, 0])
+    np.multiply(cs[:-1] * f, 1.0 - f, out=dc_dz_ifg[:, :, 1])
+    np.multiply(i, 1.0 - g * g, out=dc_dz_ifg[:, :, 2])
     dh_dz_o = tanh_c * o * (1.0 - o)
     dh_dc = o * (1.0 - tanh_c * tanh_c)
-    dz = np.empty((T, 4, H))
-    dh = np.zeros(H)
-    dc = np.zeros(H)
+    dz = np.empty((D, T, 4, H))
+    dh = np.zeros((D, H))
+    dc = np.zeros((D, H))
     for t in range(T - 1, -1, -1):
         dht = d_h_out[t] + dh
         dct = dht * dh_dc[t] + dc
-        np.multiply(dc_dz_ifg[t], dct, out=dz[t, :3])
-        np.multiply(dh_dz_o[t], dht, out=dz[t, 3])
+        np.multiply(dc_dz_ifg[t], dct[:, None], out=dz[:, t, :3])
+        np.multiply(dh_dz_o[t], dht, out=dz[:, t, 3])
         dc = dct * f[t]
-        dh = dz[t].reshape(4 * H) @ w_h
-    dz = dz.reshape(T, 4 * H)
-    for j, weight in enumerate(block_weights):
-        if weight:
-            _add_product(d_wx[j], dz.T, xs if weight == 1.0 else weight * xs)
-    _add_product(d_wh, dz.T, hs[:-1])
-    d_bias += dz.sum(0)
+        dh = np.matmul(dz[:, t].reshape(D, 1, 4 * H), w_h).reshape(D, H)
+    dz = dz.reshape(D, T, 4 * H)
+    for e, (wx, wh, bias) in enumerate(zip(d_wx, d_wh, d_bias)):
+        dz_t = dz[e].T
+        for j, weight in enumerate(block_weights):
+            if weight:
+                _add_product(wx[j], dz_t, xs[e] if weight == 1.0 else weight * xs[e])
+        _add_product(wh, dz_t, hs[:-1, e])
+        bias += dz[e].sum(0)

@@ -189,8 +189,8 @@ def random_bilstm(rng, dim, hidden, blocks=1):
 def bilstm_outputs(cache):
     """Per-timestep outputs (T, 2H) of a one-sequence run: concat of both
     directions' states at each original position."""
-    hs_f = cache.fwd[0][1:, 0]
-    hs_b = cache.bwd[0][1:, 0][::-1]
+    hs_f = cache.direction(0)[0][1:, 0]
+    hs_b = cache.direction(1)[0][1:, 0][::-1]
     return np.concatenate([hs_f, hs_b], axis=1)
 
 

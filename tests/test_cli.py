@@ -7,6 +7,7 @@ from emocause import bilstm_mlp
 from emocause.cli import main
 from emocause.corpus import load_corpus, save_corpus
 from emocause.embeddings import load_word_embeddings
+from emocause.nn import kernels
 
 from helpers import run_cli_chain
 
@@ -205,6 +206,40 @@ class TestTrainingCli:
                      "--embeddings", cfg.aware_path, "--output", str(tmp_path / "m.bin")])
         assert code == 2
         assert f"{corpus}:1: parse_ids must be a list of strings" in capsys.readouterr().err
+
+    def test_program_fault_propagates(self, chain, tmp_path, monkeypatch):
+        # a ValueError from the code, not the input, is not a data error
+        _workdir, cfg = chain
+
+        def broken(*args):
+            raise ValueError("kernel shape bug")
+
+        monkeypatch.setattr(kernels, "lstm_forward_seq", broken)
+        with pytest.raises(ValueError, match="kernel shape bug"):
+            main(["train-emotion", "--corpus", cfg.corpus_path,
+                  "--parses", cfg.parses_path, "--embeddings", cfg.aware_path,
+                  "--output", str(tmp_path / "m.bin"), "--epochs", "1", "--hidden", "4"])
+
+    def test_gold_review_without_parses_exits_two(self, chain, tmp_path, capsys):
+        _workdir, cfg = chain
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({
+            "review_id": "r0", "product_id": "p0", "stars": 3, "text": "ok", "parse_ids": [],
+            "gold_emotion": "joy", "gold_cause": {"sentence_index": 0, "start": 1, "end": 1},
+        }) + "\n", encoding="utf-8")
+        code = main(["train-emotion", "--corpus", str(corpus), "--parses", cfg.parses_path,
+                     "--embeddings", cfg.aware_path, "--output", str(tmp_path / "m.bin")])
+        assert code == 2
+        assert "example has no tokens" in capsys.readouterr().err
+
+    def test_input_not_utf8_exits_two(self, chain, tmp_path, capsys):
+        _workdir, cfg = chain
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_bytes(b'{"review_id": "r\xff"}\n')
+        code = main(["train-emotion", "--corpus", str(corpus), "--parses", cfg.parses_path,
+                     "--embeddings", cfg.aware_path, "--output", str(tmp_path / "m.bin")])
+        assert code == 2
+        assert "utf-8" in capsys.readouterr().err
 
 
 class TestScoreClauses:

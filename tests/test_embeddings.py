@@ -73,6 +73,13 @@ class TestLoadWordEmbeddings:
         assert np.array_equal(loaded.vectors, table.vectors)
 
 
+    def test_saved_text_is_pinned(self, tmp_path):
+        table = EmbeddingTable(["up", "down"], [[0.1, -2.5e-07, 1e+16], [3.0, -0.0, 5e-324]])
+        p = tmp_path / "v.txt"
+        save_word_embeddings(table, p)
+        assert p.read_text(encoding="utf-8") == (
+            "2 3\nup 0.1 -2.5e-07 1e+16\ndown 3.0 -0.0 5e-324\n")
+
 class TestLoadEmotionLexicon:
     def test_single_row(self, tmp_path):
         p = write(tmp_path / "l.tsv", "furious\tanger\t0.964\n")

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from emocause.nn import kernels
+from emocause import bilstm_mlp
+from emocause.nn import core, kernels
 
 from helpers import kron_weights, lstm_cell, random_bilstm, reference_lstm_forward_seq
 
@@ -81,3 +82,61 @@ class TestSequenceKernels:
         p = random_bilstm(rng, 2, 2).forward
         with pytest.raises(ValueError, match="lengths"):
             kernels.lstm_forward_seq(np.zeros((3, 2, 8)), p.w_h, lengths)
+
+
+class TestDirectionAxis:
+    """One call with a direction axis (D = 2) gives both directions' outputs
+    and gradients byte for byte as two one-direction calls do."""
+
+    @staticmethod
+    def paired(m):
+        return core.directions(m.forward.w_h, m.backward.w_h)
+
+    @pytest.mark.parametrize("lengths", [[7], [7, 4, 4, 2, 1, 1]], ids=["B1", "B6-mixed"])
+    def test_forward_equals_two_calls(self, rng, lengths):
+        m = random_bilstm(rng, 5, 6)
+        zx = rng.normal(size=(lengths[0], 2, len(lengths), 24))
+        for i, n in enumerate(lengths):
+            zx[n:, :, i] = 0.0
+        apart = [kernels.lstm_forward_seq(zx[:, e].copy(), p.w_h, lengths)
+                 for e, p in enumerate((m.forward, m.backward))]
+        both = kernels.lstm_forward_seq(zx.copy(), self.paired(m), lengths)
+        for e in (0, 1):
+            for a, b in zip(both, apart[e]):
+                assert a[:, e].tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("block_weights", [[0.0, 1.0, 0.0], [0.2, 0.5, 0.3]],
+                             ids=["one-hot", "dense"])
+    def test_backward_equals_two_calls(self, rng, block_weights):
+        steps, dim, hidden = 6, 5, 4
+        m = random_bilstm(rng, dim, hidden, blocks=3)
+        w_eff = [core.effective_weights(p.w_x, block_weights) for p in (m.forward, m.backward)]
+        xs = rng.normal(size=(2, steps, dim))
+        zx = np.stack([xs[e] @ w_eff[e].T + p.bias for e, p in enumerate((m.forward, m.backward))],
+                      axis=1)[:, :, None]
+        run = [a[:, :, 0] for a in kernels.lstm_forward_seq(zx, self.paired(m), [steps])]
+        d_h_out = rng.normal(size=(steps, 2, hidden))
+        dims = (3, dim, hidden, 1, 1)
+        apart, both = (bilstm_mlp.Weights.over(np.zeros(bilstm_mlp.n_values(dims)), dims).bilstm
+                       for _ in range(2))
+        for e, (p, g) in enumerate(((m.forward, apart.forward), (m.backward, apart.backward))):
+            kernels.lstm_backward_seq(w_eff[e], p.w_h, xs[e], *(a[:, e] for a in run),
+                                      d_h_out[:, e], g.w_x, g.w_h, g.bias, block_weights)
+        grads = (both.forward, both.backward)
+        kernels.lstm_backward_seq(core.directions(*w_eff), self.paired(m), xs, *run, d_h_out,
+                                  [g.w_x for g in grads], [g.w_h for g in grads],
+                                  [g.bias for g in grads], block_weights)
+        for a, b in ((apart.forward, both.forward), (apart.backward, both.backward)):
+            for name in ("w_x", "w_h", "bias"):
+                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+                assert np.any(getattr(a, name))
+
+    def test_paired_weights_are_a_view_of_the_flat_vector(self, rng):
+        m = random_bilstm(rng, 3, 4)
+        w_h = self.paired(m)
+        assert w_h.shape == (2, 16, 4) and np.shares_memory(w_h, m.forward.w_h)
+        assert w_h[0].tobytes() == m.forward.w_h.tobytes()
+        assert w_h[1].tobytes() == m.backward.w_h.tobytes()
+        apart = core.directions(m.forward.w_h, m.forward.w_h.copy())  # two buffers: a copy
+        assert not np.shares_memory(apart, m.forward.w_h)
+        assert apart.tobytes() == np.stack([m.forward.w_h] * 2).tobytes()

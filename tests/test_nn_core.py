@@ -113,6 +113,33 @@ class TestBiLstm:
             assert np.allclose(last[i], core.bilstm_last_output(one)[0], rtol=1e-12, atol=1e-15)
             start += n
 
+    # 2 * 4H * H * 8 bytes is exactly core.PAIR_BYTES at H = 128
+    @pytest.mark.parametrize("hidden,calls", [(128, 1), (129, 2)], ids=["at-bound", "over"])
+    def test_one_kernel_call_for_both_directions_up_to_the_bound(self, rng, monkeypatch,
+                                                                   hidden, calls):
+        spied = {"lstm_forward_seq": [], "lstm_backward_seq": []}
+        for name, seen in spied.items():
+            real = getattr(kernels, name)
+            monkeypatch.setattr(kernels, name,
+                                lambda *a, _real=real, _seen=seen: _seen.append(a) or _real(*a))
+        m = random_bilstm(rng, 2, hidden)
+        cache = core.bilstm_run(m, rng.normal(size=(3, 2)), (3,), ONE_BLOCK)
+        grad = random_bilstm(rng, 2, hidden)
+        core.bilstm_backward_last(m, cache, rng.normal(size=2 * hidden), grad)
+        assert core.paired(hidden) == (calls == 1)
+        assert [len(seen) for seen in spied.values()] == [calls, calls]
+        assert core.bilstm_last_output(cache).shape == (1, 2 * hidden)
+
+    def test_paired_and_apart_runs_are_the_same_bytes(self, rng, monkeypatch):
+        m = random_bilstm(rng, 3, 5, blocks=2)
+        lengths = [2, 5, 1, 5, 3]
+        rows = rng.normal(size=(sum(lengths), 3))
+        weights = rng.dirichlet(np.ones(2), size=5)
+        paired = core.bilstm_last_output(core.bilstm_run(m, rows, lengths, weights))
+        monkeypatch.setattr(core, "PAIR_BYTES", 0)
+        apart = core.bilstm_last_output(core.bilstm_run(m, rows, lengths, weights))
+        assert paired.tobytes() == apart.tobytes()
+
     def test_rows_must_match_lengths_and_width(self, rng):
         m = random_bilstm(rng, 3, 2)
         with pytest.raises(ValueError, match="rows"):
@@ -341,6 +368,13 @@ class TestGradientChecks:
                              ids=[n for n, _ in checks.ARCHITECTURE_CHECKS])
     def test_architecture(self, name, check):
         assert check(0) < 1e-4
+
+    def test_bilstm_check_is_the_same_with_the_directions_apart(self, monkeypatch):
+        # the toy hidden size pairs the directions; a zero bound runs them apart
+        assert core.paired(checks.TOY_HIDDEN)
+        paired = [checks.check_bilstm_last(seed) for seed in range(5)]
+        monkeypatch.setattr(core, "PAIR_BYTES", 0)
+        assert [checks.check_bilstm_last(seed) for seed in range(5)] == paired
 
     # shape edges of the batched products: T=1 (one-row projection and dZ,
     # no recurrence) and D > 4H (TOY_DIM inputs into one hidden unit)
