@@ -66,6 +66,13 @@ embedding_dim = _checked(int, lambda v: v >= len(EMOTIONS),
 positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
                           "a finite number > 0")
 momentum = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")  # false for nan
+# The two directions' recurrent weights, 2 * 4H * H float64 values, take at
+# most half of the bytes numpy can index, which leaves the other half for
+# the input and output weights of any table narrower than 2**28 columns.
+# A larger H would make numpy refuse the parameter vector.
+MAX_HIDDEN = math.isqrt(np.iinfo(np.intp).max // 2 // (8 * 2 * 4))
+hidden_size = _checked(int, lambda v: 0 < v <= MAX_HIDDEN,
+                       f"a positive integer at most {MAX_HIDDEN}")
 
 
 def _add_seed(parser, help_text="rng seed (default: ECPE_SEED env var, else 0)"):
@@ -234,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--epochs", type=positive_int, default=model.DEFAULT_EPOCHS)
         p.add_argument("--lr", type=positive_float, default=0.003)
         p.add_argument("--momentum", type=momentum, default=0.9)
-        p.add_argument("--hidden", type=positive_int, default=model.DEFAULT_HIDDEN)
+        p.add_argument("--hidden", type=hidden_size, default=model.DEFAULT_HIDDEN)
         _add_seed(p)
         p.set_defaults(func=func)
 

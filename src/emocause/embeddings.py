@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, OovError
+from .nn.serialize import atomic_open
 
 EMOTIONS = ("anger", "anticipation", "disgust", "fear", "joy",
             "sadness", "surprise", "trust")
@@ -109,13 +110,55 @@ class SimilarityMatrix:
     values: np.ndarray
 
 
+# Rows converted per np.loadtxt call. The text held at once is this many
+# lines, besides the table's values: about 1.5 MB at d = 300 in repr form.
+BLOCK_LINES = 256
+
+# numpy's float reader strips these ASCII separators as whitespace, and
+# float() rejects them.
+_SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
+
+
+def _block_values(path, rests, words, linenos) -> np.ndarray:
+    """The (n, d) values of the last n = len(rests) rows read, whose value
+    text is rests. One np.loadtxt call converts the block in C. numpy's
+    float grammar is float()'s without `_` digit separators and non-ASCII
+    digits, and gives the same double for every token it accepts. So a
+    block that numpy rejects, or that holds one of _SEPARATORS, is
+    converted by float() value by value, which gives the block's values
+    or the error of its first bad row."""
+    if not any(sep in rest for rest in rests for sep in _SEPARATORS):
+        try:
+            return np.loadtxt(rests, dtype=np.float64, delimiter=" ", comments=None,
+                              quotechar=None, ndmin=2)
+        except ValueError:
+            pass
+    first = len(words) - len(rests)
+    values = []
+    for rest, word, lineno in zip(rests, words[first:], linenos[first:]):
+        try:
+            values.append(list(map(float, rest.split(" "))))
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: non-numeric value for {word!r}") from None
+    return np.array(values, dtype=np.float64)
+
+
+def _append_block(values: array, path, rests, words, linenos) -> None:
+    if rests:
+        values.frombytes(memoryview(_block_values(path, rests, words, linenos)).cast("B"))
+        rests.clear()
+
+
 def load_word_embeddings(path) -> EmbeddingTable:
     """Read a text-format embedding file: header "<count> <dim>", then one
-    "<word> <floats...>" row per line. The rows' floats are parsed into one
-    growing array('d'), viewed as the (V, d) table at the end, where the
-    finiteness and all-zero checks run once; an error names the file line
-    of the first bad row. The header's count is checked, never trusted to
-    size anything."""
+    "<word> <floats...>" row per line. Each line's word, width and
+    duplicate checks run as it is read; its value text is converted in
+    blocks of BLOCK_LINES rows (_block_values), appended to one growing
+    array('d'). The array is viewed as the (V, d) table at the end, where
+    the finiteness and all-zero checks run once. An error names the file
+    line of the first bad row: a block is converted before a later row's
+    width or duplicate error is raised. The header's count is checked,
+    never trusted to size anything."""
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().split()
         if len(header) != 2:
@@ -126,27 +169,29 @@ def load_word_embeddings(path) -> EmbeddingTable:
             raise DataError(f"{path}: header must be '<count> <dim>'") from None
         if count < 0 or dim <= 0:
             raise DataError(f"{path}: bad header values {count} {dim}")
-        words, linenos = [], []
-        values = array("d")  # every row's floats, one after another
+        words, linenos, rests = [], [], []  # rests: the pending block's value text
+        values = array("d")  # every converted row's floats, one after another
         seen = set()
         for lineno, line in enumerate(fh, start=2):
             # the word2vec C tool ends every row with a space
-            parts = line.rstrip().split(" ")
-            if parts == [""]:
+            line = line.rstrip()
+            if not line:
                 continue
-            word = parts[0]
-            if len(parts) - 1 != dim:
-                raise DataError(
-                    f"{path}:{lineno}: {len(parts) - 1} values for {word!r}, expected {dim}")
-            if word in seen:
+            word, _, rest = line.partition(" ")
+            width = line.count(" ")
+            if width != dim or word in seen:
+                _append_block(values, path, rests, words, linenos)
+                if width != dim:
+                    raise DataError(
+                        f"{path}:{lineno}: {width} values for {word!r}, expected {dim}")
                 raise DataError(f"{path}:{lineno}: duplicate word {word!r}")
             seen.add(word)
-            try:
-                values.extend(map(float, parts[1:]))
-            except ValueError:
-                raise DataError(f"{path}:{lineno}: non-numeric value for {word!r}") from None
             words.append(word)
             linenos.append(lineno)
+            rests.append(rest)
+            if len(rests) == BLOCK_LINES:
+                _append_block(values, path, rests, words, linenos)
+        _append_block(values, path, rests, words, linenos)
     vectors = np.frombuffer(values, dtype=np.float64).reshape(len(words), dim)
     finite = np.all(np.isfinite(vectors), axis=1)
     bad = ~(finite & np.any(vectors, axis=1))
@@ -162,8 +207,10 @@ def load_word_embeddings(path) -> EmbeddingTable:
 def save_word_embeddings(table: EmbeddingTable, path) -> None:
     """Write the same text format load_word_embeddings reads. Floats are
     written with repr, so a save/load round trip is bit-exact; each row is
-    formatted from its Python floats (tolist), not from numpy scalars."""
-    with open(path, "w", encoding="utf-8") as fh:
+    formatted from its Python floats (tolist), not from numpy scalars. The
+    text goes to a temporary file that replaces path once it is complete,
+    so a failed write leaves any earlier table intact."""
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         fh.write(f"{len(table)} {table.dim}\n")
         for word, row in zip(table.words, table.vectors.tolist()):
             fh.write(word + " " + " ".join(map(repr, row)) + "\n")

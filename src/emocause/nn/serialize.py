@@ -14,11 +14,13 @@ file written while the input weights were stored row-interleaved has the
 same header but another payload order; it must be retrained.
 
 A file is written to a temporary file in the target's directory and then
-renamed over the target, so a failed write leaves any earlier file intact.
+renamed over the target (atomic_open), so a failed write leaves any earlier
+file intact. The text embedding tables are written the same way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import struct
 
@@ -32,20 +34,29 @@ KIND_EMOTION = 1
 KIND_CAUSE = 2
 
 
-def save_container(path, descriptor: list[int], payload: np.ndarray) -> None:
+@contextlib.contextmanager
+def atomic_open(path, mode: str, **kwargs):
+    """open() a temporary file in path's directory for writing. When the
+    block ends cleanly the file is renamed over path; when it raises, the
+    file is removed. So a failed write leaves any earlier file intact."""
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<I", len(descriptor)))
-            for value in descriptor:
-                fh.write(struct.pack("<I", value))
-            np.asarray(payload, dtype="<f8").tofile(fh)
+        with open(tmp, mode, **kwargs) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def save_container(path, descriptor: list[int], payload: np.ndarray) -> None:
+    with atomic_open(path, "wb") as fh:
+        fh.write(MAGIC)
+        fh.write(struct.pack("<I", len(descriptor)))
+        for value in descriptor:
+            fh.write(struct.pack("<I", value))
+        np.asarray(payload, dtype="<f8").tofile(fh)
 
 
 def load_container(path) -> tuple[tuple[int, ...], np.ndarray]:

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from emocause import bilstm_mlp
+from emocause import bilstm_mlp, cli
 from emocause.cli import main
 from emocause.corpus import load_corpus, save_corpus
 from emocause.embeddings import load_word_embeddings
@@ -87,6 +87,18 @@ class TestExitCodes:
         assert main(argv) == 1
         err = capsys.readouterr().err
         assert "usage:" in err and f"{argv[-2]}: must be" in err
+
+    @pytest.mark.parametrize("hidden", ["1000000000", str(cli.MAX_HIDDEN + 1)])
+    def test_hidden_numpy_cannot_index_is_usage_error(self, hidden, capsys):
+        # rejected while parsing, so no parameter vector is ever allocated
+        assert main(["train-emotion", "--corpus", "c", "--parses", "p", "--embeddings", "e",
+                     "--output", "o", "--hidden", hidden]) == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--hidden: must be a positive integer at most" in err
+
+    def test_largest_hidden_parses(self):
+        args = cli.build_parser().parse_args(self.TRAIN + ["--hidden", str(cli.MAX_HIDDEN)])
+        assert args.hidden == cli.MAX_HIDDEN
 
     def test_data_error_exits_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.jsonl"

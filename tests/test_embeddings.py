@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from emocause import embeddings
 from emocause.embeddings import (DEFAULT_TOP_K, EMOTIONS, EmbeddingTable,
                                  EmotionLexicon, build_emotion_aware_table,
                                  build_similarity_matrix, cosine_similarity,
@@ -73,12 +74,189 @@ class TestLoadWordEmbeddings:
         assert np.array_equal(loaded.vectors, table.vectors)
 
 
+    def test_failed_save_leaves_the_earlier_table(self, tmp_path, rng, monkeypatch):
+        p = tmp_path / "v.txt"
+        save_word_embeddings(random_table(rng, 3, 4), p)
+        before = p.read_bytes()
+        written = 0
+
+        def failing_repr(value):  # fails after the first 8 KiB buffer is flushed
+            nonlocal written
+            written += 1
+            if written > 3000:
+                assert (tmp_path / "v.txt").read_bytes() == before
+                assert len(list(tmp_path.glob("v.txt.*.tmp"))) == 1
+                raise RuntimeError("formatting failed")
+            return repr(value)
+
+        monkeypatch.setattr(embeddings, "repr", failing_repr, raising=False)
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            save_word_embeddings(random_table(rng, 1000, 4), p)
+        assert p.read_bytes() == before
+        assert [f.name for f in tmp_path.iterdir()] == ["v.txt"]
+
     def test_saved_text_is_pinned(self, tmp_path):
         table = EmbeddingTable(["up", "down"], [[0.1, -2.5e-07, 1e+16], [3.0, -0.0, 5e-324]])
         p = tmp_path / "v.txt"
         save_word_embeddings(table, p)
         assert p.read_text(encoding="utf-8") == (
             "2 3\nup 0.1 -2.5e-07 1e+16\ndown 3.0 -0.0 5e-324\n")
+
+BLOCK = embeddings.BLOCK_LINES
+
+
+def row_text(rng, i, dim):
+    """Row i's value tokens in one of the spellings a table may use, with
+    the float() value of each token."""
+    kind = i % 4
+    if kind == 0:  # a saved table: shortest round-trip repr
+        values = rng.normal(size=dim) * 10.0 ** rng.integers(-20, 20, size=dim)
+        tokens = [repr(float(v)) for v in values]
+    elif kind == 1:  # a raw word2vec table: six decimals
+        tokens = [f"{v:.6f}" for v in rng.uniform(-9, 9, size=dim)]
+    elif kind == 2:  # 17 significant digits and the extremes
+        special = ["-0.0", "5e-324", "2.2250738585072e-308", "1e+300", "-1e+300",
+                   "1e-300", "-1e-300", "4.9406564584124654e-324"]
+        tokens = [special[j % len(special)] if j % 2 else f"{v:.16e}"
+                  for j, v in enumerate(rng.normal(size=dim))]
+    else:  # integers and short forms
+        tokens = [str(int(v)) if j % 2 else f"{v:.3g}"
+                  for j, v in enumerate(rng.integers(-50, 50, size=dim) + 0.5)]
+    return tokens, [float(t) for t in tokens]
+
+
+def write_rows(path, rows, dim, endings=("\n", " \n", "\r\n", " \r\n"), header=None):
+    """A table of (word, tokens) rows; row i ends with endings[i % len]:
+    newline or CRLF, with or without word2vec's trailing space."""
+    lines = [header or f"{len(rows)} {dim}\n"]
+    lines += [w + " " + " ".join(tokens) + endings[i % len(endings)]
+              for i, (w, tokens) in enumerate(rows)]
+    path.write_bytes("".join(lines).encode("utf-8"))
+    return path
+
+
+def plain_rows(n, dim=3):
+    return [(f"w{i}", [str(i + 1)] + ["0.5"] * (dim - 1)) for i in range(n)]
+
+
+class TestBlockedLoad:
+    """load_word_embeddings converts BLOCK_LINES rows at a time; values and
+    errors must not depend on where the block boundaries fall."""
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3])
+    def test_every_spelling_reads_as_float_does(self, tmp_path, rng, n):
+        dim = 9
+        rows, expected = [], []
+        for i in range(n):
+            tokens, values = row_text(rng, i, dim)
+            rows.append((f"w{i}", tokens))
+            expected.append(values)
+        table = load_word_embeddings(write_rows(tmp_path / "v.txt", rows, dim))
+        assert table.words == tuple(w for w, _ in rows)
+        assert table.vectors.tobytes() == np.array(expected).tobytes()
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1])
+    def test_round_trip_bit_exact_across_blocks(self, tmp_path, rng, n):
+        vectors = rng.normal(size=(n, 5)) * 10.0 ** rng.integers(-300, 300, size=(n, 5))
+        vectors[::7, 0] = -0.0
+        vectors[::11, 1] = 5e-324
+        table = EmbeddingTable([f"w{i}" for i in range(n)], vectors)
+        p = tmp_path / "v.txt"
+        save_word_embeddings(table, p)
+        assert load_word_embeddings(p).vectors.tobytes() == table.vectors.tobytes()
+
+    BAD_ROW = BLOCK + 5  # in the second block
+
+    @pytest.mark.parametrize("tokens, message", [
+        (["1", "2"], "2 values for 'bad', expected 3"),
+        (["1", "2", "x"], "non-numeric value for 'bad'"),
+        (["1", "nan", "2"], "non-finite value for 'bad'"),
+        (["0", "-0.0", "0e5"], "all-zero vector for 'bad'"),
+    ], ids=["width", "non-numeric", "non-finite", "all-zero"])
+    def test_row_error_past_the_first_block_names_its_line(self, tmp_path, tokens, message):
+        rows = plain_rows(BLOCK + 20)
+        rows[self.BAD_ROW] = ("bad", tokens)
+        p = write_rows(tmp_path / "v.txt", rows, 3)
+        # header is line 1, so row r is line r + 2
+        with pytest.raises(DataError, match=rf"v\.txt:{self.BAD_ROW + 2}: {message}$"):
+            load_word_embeddings(p)
+
+    def test_duplicate_past_the_first_block_names_its_line(self, tmp_path):
+        rows = plain_rows(BLOCK + 20)
+        rows[self.BAD_ROW] = ("w3", rows[self.BAD_ROW][1])
+        p = write_rows(tmp_path / "v.txt", rows, 3)
+        with pytest.raises(DataError, match=rf"v\.txt:{self.BAD_ROW + 2}: duplicate word 'w3'$"):
+            load_word_embeddings(p)
+
+    def test_blank_lines_count_in_line_numbers(self, tmp_path):
+        rows = plain_rows(BLOCK + 20)
+        rows[self.BAD_ROW] = ("bad", ["1", "2", "x"])
+        p = write_rows(tmp_path / "v.txt", rows, 3, endings=("\n", "\n\n", "\n \n"))
+        # a blank or space-only line follows each row r with r % 3 != 0
+        line = 2 + self.BAD_ROW + sum(i % 3 != 0 for i in range(self.BAD_ROW))
+        with pytest.raises(DataError, match=rf"v\.txt:{line}: non-numeric"):
+            load_word_embeddings(p)
+
+    def test_earliest_error_wins_within_a_block(self, tmp_path):
+        # the non-numeric row comes first, in the block the width error ends
+        rows = plain_rows(40)
+        rows[10] = ("early", ["1", "y", "2"])
+        rows[30] = ("late", ["1", "2"])
+        p = write_rows(tmp_path / "v.txt", rows, 3)
+        with pytest.raises(DataError, match=r"v\.txt:12: non-numeric value for 'early'$"):
+            load_word_embeddings(p)
+
+    @pytest.mark.parametrize("token", ["1,5", "", "0x1p3", "1e", "--1", "\x1c1"])
+    def test_non_numeric_value(self, tmp_path, token):
+        p = write_rows(tmp_path / "v.txt", [("a", ["1", "2"]), ("b", [token, "3"])], 2)
+        with pytest.raises(DataError, match=r"v\.txt:3: non-numeric value for 'b'$"):
+            load_word_embeddings(p)
+
+    @staticmethod
+    def spy_on_converters(monkeypatch):
+        """Counts of np.loadtxt calls and of values converted by float()."""
+        calls = {"loadtxt": 0, "float": 0}
+        loadtxt = np.loadtxt
+
+        def counted_loadtxt(*args, **kwargs):
+            calls["loadtxt"] += 1
+            return loadtxt(*args, **kwargs)
+
+        def counted_float(text):
+            calls["float"] += 1
+            return float(text)
+
+        monkeypatch.setattr(embeddings.np, "loadtxt", counted_loadtxt)
+        monkeypatch.setattr(embeddings, "float", counted_float, raising=False)
+        return calls
+
+    def test_one_loadtxt_call_per_block_and_no_float_call(self, tmp_path, monkeypatch):
+        p = write_rows(tmp_path / "v.txt", plain_rows(2 * BLOCK + 1), 3)
+        calls = self.spy_on_converters(monkeypatch)
+        load_word_embeddings(p)
+        assert calls == {"loadtxt": 3, "float": 0}
+
+    def test_only_the_rejected_block_is_read_by_float(self, tmp_path, monkeypatch):
+        rows = plain_rows(2 * BLOCK + 1)
+        rows[BLOCK + 1] = ("odd", ["1", "1_0", "2"])
+        p = write_rows(tmp_path / "v.txt", rows, 3)
+        calls = self.spy_on_converters(monkeypatch)
+        assert load_word_embeddings(p)["odd"].tolist() == [1.0, 10.0, 2.0]
+        assert calls == {"loadtxt": 3, "float": 3 * BLOCK}
+
+    @pytest.mark.parametrize("token, value", [
+        ("1_0", 10.0), ("2_5e-1_0", 2.5e-9), ("\u0661\u0662", 12.0), ("\uff13", 3.0),
+        ("1\t", 1.0), ("\xa07", 7.0),
+    ])
+    def test_spellings_only_float_accepts(self, tmp_path, token, value):
+        # numpy's reader rejects these; the block falls back to float()
+        rows = plain_rows(BLOCK + 3)
+        rows[BLOCK + 1] = ("odd", ["1", token, "2"])
+        table = load_word_embeddings(write_rows(tmp_path / "v.txt", rows, 3))
+        assert table["odd"].tolist() == [1.0, value, 2.0]
+        assert table.vectors.tobytes() == np.array(
+            [[float(t) for t in tokens] for _, tokens in rows]).tobytes()
+
 
 class TestLoadEmotionLexicon:
     def test_single_row(self, tmp_path):
