@@ -106,17 +106,17 @@ def check_lstm(seed: int, eps: float = DEFAULT_EPS, hidden: int = 3,
     rng = np.random.default_rng(seed)
     w, g = _toy_weights(rng, (1, TOY_DIM, hidden, 1, 1))
     p, gp = w.bilstm.forward, g.bilstm.forward
-    xs = rng.normal(size=(steps, TOY_DIM))
-    r = rng.normal(size=(steps, hidden))
+    xs = rng.normal(size=(1, steps, TOY_DIM))
+    r = rng.normal(size=(steps, 1, hidden))
 
-    def run():
-        zx = (xs @ p.w_x[0].T + p.bias)[:, None, :]
-        return [a[:, 0] for a in kernels.lstm_forward_seq(zx, p.w_h, (steps,))]
+    def run():  # one direction: D = 1, B = 1
+        zx = (xs[0] @ p.w_x[0].T + p.bias)[:, None, None]
+        return [a[:, :, 0] for a in kernels.lstm_forward_seq(zx, p.w_h[None], (steps,))]
 
     def loss():
         return float(np.sum(r * run()[0][1:]))
 
-    kernels.lstm_backward_seq(p.w_x[0], p.w_h, xs, *run(), r, gp.w_x, gp.w_h, gp.bias)
+    kernels.lstm_backward_seq(p.w_h[None], xs, *run(), r, [gp.w_x], [gp.w_h], [gp.bias], (1.0,))
     return gradient_check(loss, w.flat, g.flat, eps=eps)
 
 

@@ -49,6 +49,13 @@ class ReviewRecord:
             raise DataError("gold_emotion and gold_cause must be present together")
         if self.gold_emotion is not None and self.gold_emotion not in EMOTIONS:
             raise DataError(f"unknown gold emotion {self.gold_emotion!r}")
+        cause = self.gold_cause
+        if cause is not None and not 0 <= cause.sentence_index < len(self.parse_ids):
+            raise DataError(f"gold_cause sentence_index {cause.sentence_index} is not an index "
+                            f"into the {len(self.parse_ids)} parse_ids")
+        if cause is not None and not 0 <= cause.start <= cause.end:
+            raise DataError(f"gold_cause span {cause.start}..{cause.end} does not satisfy "
+                            "0 <= start <= end")
 
     def to_json_obj(self) -> dict:
         obj = {

@@ -48,25 +48,18 @@ class BiLstmCache:
     """Everything both directions recorded during a forward pass over B
     sequences packed by length."""
 
-    __slots__ = ("xs", "weights", "lengths", "last", "w_h", "w_eff", "runs")
+    __slots__ = ("xs", "weights", "lengths", "last", "runs")
 
-    def __init__(self, xs, weights, lengths, last, w_h, w_eff, runs):
+    def __init__(self, xs, weights, lengths, last, runs):
         self.xs = xs  # (2, N, d): the sequences' timesteps, one after another, per direction
         self.weights = weights  # (B, k) block weights, one row per sequence
         self.lengths = lengths  # B ints
-        # (steps, columns): sequence i's last state is hs[steps[i], columns[i]]
+        # (steps, columns): sequence i's last state is hs[steps[i], :, columns[i]]
         self.last = last
-        self.w_h = w_h  # (2, 4H, H) view of both directions' w_h for a paired run, else None
-        self.w_eff = w_eff  # per direction, the last run's (4H, d) input weights
-        # the forward kernel's outputs (hs, cs, gates, tanh_c): one call's,
-        # with a direction axis, for a paired run, else one call's per direction
+        # one (directions, w_h, outputs) per kernel call: the call's slice of
+        # the direction axis, its (D, 4H, H) recurrent weights and the forward
+        # kernel's (hs, cs, gates, tanh_c), each with the call's D axis
         self.runs = runs
-
-    def direction(self, e: int) -> tuple:
-        """Direction e's (hs, cs, gates, tanh_c), each (T+1 or T, B, width)."""
-        if self.w_h is not None:
-            return tuple(a[:, e] for a in self.runs[0])
-        return self.runs[e]
 
 
 # The two directions run in one kernel call (D = 2) when their recurrent
@@ -140,7 +133,8 @@ def bilstm_run(m: BiLstm, rows: np.ndarray, lengths, weights) -> BiLstmCache:
     into the kernel's time-major array, the backward direction's with each
     sequence reversed. A single sequence (a training step) is packed
     without being sorted, mapped or scattered. Both directions then run in
-    one kernel call when paired(H), else in one call each.
+    one kernel call (D = 2) when paired(H), else in one D = 1 call each;
+    every later step loops over the calls the cache records.
     """
     rows = np.asarray(rows, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -172,28 +166,23 @@ def bilstm_run(m: BiLstm, rows: np.ndarray, lengths, weights) -> BiLstmCache:
         firsts = [i for i in range(batch) if i == 0 or w[i] != w[i - 1]]
     hidden = m.hidden_dim
     zx = np.empty((lengths[order[0]], 2, batch, 4 * hidden))  # the kernel reads no padding
-    w_eff = []
     for e, p in enumerate((m.forward, m.backward)):
         if batch == 1:
-            w_run = effective_weights(p.w_x, w[0])
-            zx[:, e, 0] = xs[e] @ w_run.T + p.bias
+            zx[:, e, 0] = xs[e] @ effective_weights(p.w_x, w[0]).T + p.bias
         else:
             for s, end in zip(firsts, firsts[1:] + [batch]):
-                w_run = effective_weights(p.w_x, w[s])
                 base = spans[s][0]
-                z = xs[e, base:spans[end - 1][1]] @ w_run.T + p.bias
+                z = xs[e, base:spans[end - 1][1]] @ effective_weights(p.w_x, w[s]).T + p.bias
                 for i in range(s, end):
                     zx[:lengths[i], e, col[i]] = z[spans[i][0] - base:spans[i][1] - base]
-        w_eff.append(w_run)
     ordered = [lengths[i] for i in order]
     if paired(hidden):
-        w_h = directions(m.forward.w_h, m.backward.w_h)
-        runs = [kernels.lstm_forward_seq(zx, w_h, ordered)]
+        calls = [(slice(0, 2), directions(m.forward.w_h, m.backward.w_h))]
     else:
-        w_h = None
-        runs = [kernels.lstm_forward_seq(zx[:, e], p.w_h, ordered)
-                for e, p in enumerate((m.forward, m.backward))]
-    return BiLstmCache(xs, weights, lengths, (lengths, col), w_h, w_eff, runs)
+        calls = [(slice(e, e + 1), p.w_h[None]) for e, p in enumerate((m.forward, m.backward))]
+    runs = [(dirs, w_h, kernels.lstm_forward_seq(zx[:, dirs], w_h, ordered))
+            for dirs, w_h in calls]
+    return BiLstmCache(xs, weights, lengths, (lengths, col), runs)
 
 
 def bilstm_last_output(cache: BiLstmCache) -> np.ndarray:
@@ -201,16 +190,15 @@ def bilstm_last_output(cache: BiLstmCache) -> np.ndarray:
     position 0) — each direction's state after it has consumed the whole
     sequence."""
     steps, cols = cache.last
-    if cache.w_h is not None:  # hs is (T+1, 2, B, H): both directions in one gather
-        return cache.runs[0][0][steps, :, cols].reshape(len(steps), -1)
-    return np.concatenate([hs[steps, cols] for hs, *_ in cache.runs], axis=1)
+    return np.concatenate([hs[steps, :, cols].reshape(len(steps), -1)
+                           for _, _, (hs, *_) in cache.runs], axis=1)
 
 
 def bilstm_backward_last(m: BiLstm, cache: BiLstmCache, d_last: np.ndarray,
                          grad: BiLstm) -> None:
     """BPTT for one sequence when the loss touches only bilstm_last_output.
-    Adds the gradients into grad's arrays, both directions in one kernel
-    call when the forward pass paired them."""
+    Adds the gradients into grad's arrays, one kernel call per forward
+    call."""
     if len(cache.lengths) != 1:
         raise ValueError("bilstm backward: one sequence at a time")
     T = cache.lengths[0]
@@ -219,16 +207,11 @@ def bilstm_backward_last(m: BiLstm, cache: BiLstmCache, d_last: np.ndarray,
     d_h_out = np.zeros((T, 2, h))
     d_h_out[T - 1] = d_last.reshape(2, h)
     grads = (grad.forward, grad.backward)
-    if cache.w_h is not None:
-        kernels.lstm_backward_seq(directions(*cache.w_eff), cache.w_h, cache.xs,
-                                  *(a[:, :, 0] for a in cache.runs[0]), d_h_out,
-                                  [g.w_x for g in grads], [g.w_h for g in grads],
-                                  [g.bias for g in grads], weights)
-        return
-    for e, (p, g) in enumerate(zip((m.forward, m.backward), grads)):
-        kernels.lstm_backward_seq(cache.w_eff[e], p.w_h, cache.xs[e],
-                                  *(a[:, 0] for a in cache.direction(e)), d_h_out[:, e],
-                                  g.w_x, g.w_h, g.bias, weights)
+    for dirs, w_h, out in cache.runs:
+        kernels.lstm_backward_seq(w_h, cache.xs[dirs], *(a[:, :, 0] for a in out),
+                                  d_h_out[:, dirs], [g.w_x for g in grads[dirs]],
+                                  [g.w_h for g in grads[dirs]], [g.bias for g in grads[dirs]],
+                                  weights)
 
 
 @dataclass

@@ -31,9 +31,8 @@ Gate layout: the four gates are stacked row-wise in one matrix, in the
 order input | forget | cell | output, so a direction's w_h is (4H, H) and
 each block of its input weights is (4H, D_in). Parameters and inputs put
 the direction axis first; arrays the time loop indexes by step put it
-right after the time axis. A call for one direction may leave the axis
-out of every argument, and its outputs then lack it too. All arrays are
-float64.
+right after the time axis. Every argument carries the direction axis,
+so a call for one direction passes D = 1 views. All arrays are float64.
 """
 
 import bisect
@@ -52,8 +51,7 @@ def lstm_forward_seq(zx, w_h, lengths):
     (D, 4H, H) holds each direction's recurrent weights. lengths (B,) is
     sorted in decreasing order with lengths[0] == T, so step t updates only
     the first n_active[t] rows; every direction runs the same lengths. zx
-    is turned into the gate activations in place. For one direction, zx
-    may be (T, B, 4H) and w_h (4H, H).
+    is turned into the gate activations in place.
 
     Returns (hs, cs, gates, tanh_c): hs/cs are (T+1, D, B, H) with row 0
     the initial zero state, gates is zx, (T, D, B, 4H) post-activation in
@@ -62,12 +60,6 @@ def lstm_forward_seq(zx, w_h, lengths):
     hs[lengths[i], e, i]; entries past a sequence's end are not computed
     (zero in hs, cs and tanh_c, and zx's own values in gates) and not read.
     """
-    if w_h.ndim == 2:
-        return tuple(a[:, 0] for a in _forward(zx[:, None], w_h[None], lengths))
-    return _forward(zx, w_h, lengths)
-
-
-def _forward(zx, w_h, lengths):
     T, D, B, four_h = zx.shape
     H = w_h.shape[2]
     neg = [-int(n) for n in lengths]  # ascending
@@ -111,35 +103,25 @@ def _add_product(target, a, b):
         target[r:r + rows] += a[r:r + rows] @ b
 
 
-def lstm_backward_seq(w_x, w_h, xs, hs, cs, gates, tanh_c, d_h_out, d_wx, d_wh, d_bias,
-                      block_weights=(1.0,)):
+def lstm_backward_seq(w_h, xs, hs, cs, gates, tanh_c, d_h_out, d_wx, d_wh, d_bias,
+                      block_weights):
     """Backpropagate through time over one sequence in D directions at
     once, given d_h_out (T, D, H), the gradient of the loss w.r.t. each
     timestep's hidden output, and the forward kernel's outputs for that
     sequence ((T+1, D, H), (T+1, D, H), (T, D, 4H), (T, D, H)).
 
-    w_x (D, 4H, D_in) holds each direction's weight matrix that its
-    (D, T, D_in) inputs xs were projected with, and w_h (D, 4H, H) its
-    recurrent weights. The parameter w_x came from is k =
-    len(block_weights) blocks of that shape, w_x = sum_j block_weights[j]
-    * block_j, so the gradient of block j is dZ.T @ (block_weights[j] *
+    w_h (D, 4H, H) holds each direction's recurrent weights and xs
+    (D, T, D_in) its inputs. They were projected with the weights
+    sum_j block_weights[j] * block_j of k = len(block_weights) (4H, D_in)
+    input blocks, so the gradient of block j is dZ.T @ (block_weights[j] *
     xs). Direction e's gradients are added into d_wx[e] (k, 4H, D_in),
     d_wh[e] (4H, H) and d_bias[e] (4H,), not written: the caller passes
     the vectors it accumulates into, as arrays with a leading direction
     axis or as sequences of D arrays. Block j of d_wx[e] is not touched
     where block_weights[j] is zero, and no (T, k*D_in) input or
     (4H, k*D_in) temporary is made. Input gradients are not computed; the
-    models feed frozen embeddings. For one direction, the direction axis
-    may be left out of every argument.
+    models feed frozen embeddings.
     """
-    if w_h.ndim == 2:
-        _backward(w_h[None], xs[None], hs[:, None], cs[:, None], gates[:, None],
-                  tanh_c[:, None], d_h_out[:, None], (d_wx,), (d_wh,), (d_bias,), block_weights)
-    else:
-        _backward(w_h, xs, hs, cs, gates, tanh_c, d_h_out, d_wx, d_wh, d_bias, block_weights)
-
-
-def _backward(w_h, xs, hs, cs, gates, tanh_c, d_h_out, d_wx, d_wh, d_bias, block_weights):
     D, T = xs.shape[:2]
     H = w_h.shape[2]
     i, f, g, o = gates.reshape(T, D, 4, H).transpose(2, 0, 1, 3)

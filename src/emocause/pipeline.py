@@ -78,7 +78,13 @@ class SummaryReport:
 
 
 def index_sentences(conllu_text: str) -> dict:
-    return {s.sent_id: s for s in parse_conllu(conllu_text)}
+    """The parsed sentences keyed by sent_id, which must not repeat."""
+    index = {}
+    for s in parse_conllu(conllu_text):
+        if s.sent_id in index:
+            raise DataError(f"parses: sent_id {s.sent_id!r} occurs twice")
+        index[s.sent_id] = s
+    return index
 
 
 def load_reviews(corpus_path, parses_path):

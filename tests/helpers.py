@@ -1,6 +1,8 @@
 """Shared builders and oracles used by both the module tests and the
 acceptance suite."""
 
+import dataclasses
+
 import numpy as np
 
 from emocause import bilstm_mlp, cause_model, embeddings, emotion_model, pipeline
@@ -9,6 +11,13 @@ from emocause.embeddings import (DEFAULT_TOP_K, EMOTIONS, EmbeddingTable,
                                  build_similarity_matrix)
 from emocause.errors import OovError
 from emocause.nn import core
+
+
+def with_parses(record, parse_ids):
+    """record read from other parses, as inference sees it: its gold labels
+    are dropped, since their cause span indexes the sentences it had."""
+    return dataclasses.replace(record, parse_ids=tuple(parse_ids), gold_emotion=None,
+                               gold_cause=None)
 
 
 def reference_complete_link(vectors, threshold):
@@ -189,9 +198,8 @@ def random_bilstm(rng, dim, hidden, blocks=1):
 def bilstm_outputs(cache):
     """Per-timestep outputs (T, 2H) of a one-sequence run: concat of both
     directions' states at each original position."""
-    hs_f = cache.direction(0)[0][1:, 0]
-    hs_b = cache.direction(1)[0][1:, 0][::-1]
-    return np.concatenate([hs_f, hs_b], axis=1)
+    hs = np.concatenate([out[0][1:, :, 0] for _, _, out in cache.runs], axis=1)  # (T, 2, H)
+    return np.concatenate([hs[:, 0], hs[::-1, 1]], axis=1)
 
 
 def bilstm_forward(m, seq):

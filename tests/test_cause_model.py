@@ -138,8 +138,9 @@ class TestFactoredModel:
             d_h_out[-1] = d
             w_x = kron_weights(p.w_x)
             expected = [np.zeros((1,) + w_x.shape), np.zeros_like(p.w_h), np.zeros_like(p.bias)]
-            kernels.lstm_backward_seq(w_x, p.w_h, xs, *reference_lstm_forward_seq(
-                w_x, p.w_h, p.bias, xs), d_h_out, *expected)
+            run = reference_lstm_forward_seq(w_x, p.w_h, p.bias, xs)
+            kernels.lstm_backward_seq(p.w_h[None], xs[None], *(a[:, None] for a in run),
+                                      d_h_out[:, None], *([a] for a in expected), (1.0,))
             for got, want in zip((kron_weights(g.w_x), g.w_h, g.bias),
                                  (expected[0][0],) + tuple(expected[1:])):
                 assert np.allclose(got, want, rtol=1e-12, atol=1e-15)

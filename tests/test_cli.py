@@ -9,7 +9,7 @@ from emocause.corpus import load_corpus, save_corpus
 from emocause.embeddings import load_word_embeddings
 from emocause.nn import kernels
 
-from helpers import run_cli_chain
+from helpers import run_cli_chain, with_parses
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -241,8 +241,9 @@ class TestTrainingCli:
         }) + "\n", encoding="utf-8")
         code = main(["train-emotion", "--corpus", str(corpus), "--parses", cfg.parses_path,
                      "--embeddings", cfg.aware_path, "--output", str(tmp_path / "m.bin")])
-        assert code == 2
-        assert "example has no tokens" in capsys.readouterr().err
+        assert code == 2  # its gold_cause indexes a sentence it does not have
+        assert (f"{corpus}:1: gold_cause sentence_index 0 is not an index into the 0 parse_ids"
+                in capsys.readouterr().err)
 
     def test_input_not_utf8_exits_two(self, chain, tmp_path, capsys):
         _workdir, cfg = chain
@@ -279,8 +280,7 @@ class TestScoreClauses:
     def test_reports_missing_parse_reviews(self, chain, tmp_path, capsys):
         _workdir, cfg = chain
         records = load_corpus(cfg.corpus_path)
-        ghosts = [type(r)(**{**r.__dict__, "parse_ids": ("ghost.0",)})
-                  for r in records[:3]]
+        ghosts = [with_parses(r, ("ghost.0",)) for r in records[:3]]
         corpus = tmp_path / "partial.jsonl"
         save_corpus(ghosts + records[3:], corpus)
         out = tmp_path / "scores.jsonl"

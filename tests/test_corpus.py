@@ -63,8 +63,19 @@ class TestLoadCorpus:
         ("gold_cause", {"sentence_index": 0, "start": "1", "end": 2}, "malformed gold_cause"),
         ("gold_cause", {"sentence_index": 0, "start": 1.5, "end": 2}, "malformed gold_cause"),
         ("gold_cause", [0, 1, 2], "malformed gold_cause"),
+        # a span that contradicts its own record: no clause could ever match it
+        ("gold_cause", {"sentence_index": 7, "start": 5, "end": 2},
+         "gold_cause sentence_index 7 is not an index into the 1 parse_ids"),
+        ("gold_cause", {"sentence_index": -1, "start": 1, "end": 2},
+         "gold_cause sentence_index -1 is not an index"),
+        ("gold_cause", {"sentence_index": 0, "start": 5, "end": 2},
+         r"gold_cause span 5\.\.2 does not satisfy"),
+        ("gold_cause", {"sentence_index": 0, "start": -1, "end": 2},
+         r"gold_cause span -1\.\.2 does not satisfy"),
     ], ids=["stars-bool", "parse-ids-string", "parse-ids-number", "parse-id-number",
-            "review-id-number", "text-null", "cause-string", "cause-float", "cause-list"])
+            "review-id-number", "text-null", "cause-string", "cause-float", "cause-list",
+            "cause-sentence-past-end", "cause-sentence-negative", "cause-start-after-end",
+            "cause-start-negative"])
     def test_wrong_field_type_names_line(self, tmp_path, key, value, message):
         obj = {**valid_obj(0), "gold_emotion": "joy",
                "gold_cause": {"sentence_index": 0, "start": 1, "end": 2}}

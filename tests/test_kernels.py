@@ -11,12 +11,13 @@ SHAPES = pytest.mark.parametrize("steps,dim,hidden", [(6, 4, 3), (1, 4, 3), (5, 
 
 
 def packed(p, seqs):
-    """The kernel's time-major input pre-activations for seqs, which are
-    sorted by decreasing length, and their lengths."""
+    """The kernel's time-major (T, 1, B, 4H) input pre-activations of one
+    direction for seqs, which are sorted by decreasing length, and their
+    lengths."""
     lengths = [len(s) for s in seqs]
-    zx = np.zeros((lengths[0], len(seqs), p.w_h.shape[0]))
+    zx = np.zeros((lengths[0], 1, len(seqs), p.w_h.shape[0]))
     for i, s in enumerate(seqs):
-        zx[:len(s), i] = s @ kron_weights(p.w_x).T + p.bias
+        zx[:len(s), 0, i] = s @ kron_weights(p.w_x).T + p.bias
     return zx, lengths
 
 
@@ -40,11 +41,11 @@ class TestSequenceKernels:
         p = random_bilstm(rng, dim, hidden).forward
         xs = rng.normal(size=(steps, dim))
         zx, lengths = packed(p, [xs])
-        hs, cs, _, _ = kernels.lstm_forward_seq(zx, p.w_h, lengths)
-        assert hs.shape == cs.shape == (steps + 1, 1, hidden)
+        hs, cs, _, _ = kernels.lstm_forward_seq(zx, p.w_h[None], lengths)
+        assert hs.shape == cs.shape == (steps + 1, 1, 1, hidden)
         h, c = cell_loop(p, xs)
-        assert np.allclose(hs[:, 0], h, atol=1e-12)
-        assert np.allclose(cs[:, 0], c, atol=1e-12)
+        assert np.allclose(hs[:, 0, 0], h, atol=1e-12)
+        assert np.allclose(cs[:, 0, 0], c, atol=1e-12)
 
     @SHAPES
     def test_one_sequence_bit_identical_to_reference(self, rng, steps, dim, hidden):
@@ -52,10 +53,10 @@ class TestSequenceKernels:
         p = random_bilstm(rng, dim, hidden).forward
         xs = rng.normal(size=(steps, dim))
         zx, lengths = packed(p, [xs])
-        out = kernels.lstm_forward_seq(zx, p.w_h, lengths)
+        out = kernels.lstm_forward_seq(zx, p.w_h[None], lengths)
         ref = reference_lstm_forward_seq(kron_weights(p.w_x), p.w_h, p.bias, xs)
         for a, b in zip(out, ref):
-            assert a[:, 0].tobytes() == b.tobytes()
+            assert a[:, 0, 0].tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("lengths", [[7, 4, 4, 2, 1, 1], [5, 5, 5], [1], [6, 6, 3, 3]],
                              ids=["mixed", "equal", "B1", "duplicated"])
@@ -65,7 +66,8 @@ class TestSequenceKernels:
         if lengths == [6, 6, 3, 3]:  # two pairs of identical sequences
             seqs[1], seqs[3] = seqs[0], seqs[2]
         zx, _ = packed(p, seqs)
-        hs, cs, gates, tanh_c = kernels.lstm_forward_seq(zx, p.w_h, lengths)
+        hs, cs, gates, tanh_c = (a[:, 0] for a in kernels.lstm_forward_seq(zx, p.w_h[None],
+                                                                              lengths))
         assert hs.shape == (lengths[0] + 1, len(lengths), 4)
         assert gates.shape == (lengths[0], len(lengths), 16)
         for i, xs in enumerate(seqs):
@@ -81,12 +83,12 @@ class TestSequenceKernels:
     def test_bad_lengths_rejected(self, rng, lengths):
         p = random_bilstm(rng, 2, 2).forward
         with pytest.raises(ValueError, match="lengths"):
-            kernels.lstm_forward_seq(np.zeros((3, 2, 8)), p.w_h, lengths)
+            kernels.lstm_forward_seq(np.zeros((3, 1, 2, 8)), p.w_h[None], lengths)
 
 
 class TestDirectionAxis:
-    """One call with a direction axis (D = 2) gives both directions' outputs
-    and gradients byte for byte as two one-direction calls do."""
+    """One D = 2 call gives both directions' outputs and gradients byte for
+    byte as two D = 1 calls do."""
 
     @staticmethod
     def paired(m):
@@ -98,12 +100,12 @@ class TestDirectionAxis:
         zx = rng.normal(size=(lengths[0], 2, len(lengths), 24))
         for i, n in enumerate(lengths):
             zx[n:, :, i] = 0.0
-        apart = [kernels.lstm_forward_seq(zx[:, e].copy(), p.w_h, lengths)
+        apart = [kernels.lstm_forward_seq(zx[:, e:e + 1].copy(), p.w_h[None], lengths)
                  for e, p in enumerate((m.forward, m.backward))]
         both = kernels.lstm_forward_seq(zx.copy(), self.paired(m), lengths)
         for e in (0, 1):
             for a, b in zip(both, apart[e]):
-                assert a[:, e].tobytes() == b.tobytes()
+                assert a[:, e:e + 1].tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("block_weights", [[0.0, 1.0, 0.0], [0.2, 0.5, 0.3]],
                              ids=["one-hot", "dense"])
@@ -120,12 +122,12 @@ class TestDirectionAxis:
         apart, both = (bilstm_mlp.Weights.over(np.zeros(bilstm_mlp.n_values(dims)), dims).bilstm
                        for _ in range(2))
         for e, (p, g) in enumerate(((m.forward, apart.forward), (m.backward, apart.backward))):
-            kernels.lstm_backward_seq(w_eff[e], p.w_h, xs[e], *(a[:, e] for a in run),
-                                      d_h_out[:, e], g.w_x, g.w_h, g.bias, block_weights)
+            kernels.lstm_backward_seq(p.w_h[None], xs[e:e + 1], *(a[:, e:e + 1] for a in run),
+                                      d_h_out[:, e:e + 1], [g.w_x], [g.w_h], [g.bias],
+                                      block_weights)
         grads = (both.forward, both.backward)
-        kernels.lstm_backward_seq(core.directions(*w_eff), self.paired(m), xs, *run, d_h_out,
-                                  [g.w_x for g in grads], [g.w_h for g in grads],
-                                  [g.bias for g in grads], block_weights)
+        kernels.lstm_backward_seq(self.paired(m), xs, *run, d_h_out, [g.w_x for g in grads],
+                                  [g.w_h for g in grads], [g.bias for g in grads], block_weights)
         for a, b in ((apart.forward, both.forward), (apart.backward, both.backward)):
             for name in ("w_x", "w_h", "bias"):
                 assert getattr(a, name).tobytes() == getattr(b, name).tobytes()

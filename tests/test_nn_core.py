@@ -128,6 +128,9 @@ class TestBiLstm:
         core.bilstm_backward_last(m, cache, rng.normal(size=2 * hidden), grad)
         assert core.paired(hidden) == (calls == 1)
         assert [len(seen) for seen in spied.values()] == [calls, calls]
+        # every call carries the direction axis: D = 2 at the bound, D = 1 over it
+        w_h = [a[1] for a in spied["lstm_forward_seq"]] + [a[0] for a in spied["lstm_backward_seq"]]
+        assert [a.shape for a in w_h] == [(2 // calls, 4 * hidden, hidden)] * (2 * calls)
         assert core.bilstm_last_output(cache).shape == (1, 2 * hidden)
 
     def test_paired_and_apart_runs_are_the_same_bytes(self, rng, monkeypatch):

@@ -7,13 +7,14 @@ import pytest
 from emocause import bilstm_mlp, cause_model, emotion_model, pipeline, synthetic
 from emocause.clustering import cosine_distance
 from emocause.corpus import load_corpus, save_corpus
+from emocause.errors import DataError
 from emocause.nn import core
 from emocause.pipeline import (PipelineConfig, ReviewSkipped,
                                build_cause_examples, build_emotion_examples,
                                index_sentences, infer_corpus, load_tables,
                                run_pipeline)
 
-from helpers import infer_review, run_cli_chain
+from helpers import infer_review, run_cli_chain, with_parses
 
 
 @pytest.fixture(scope="module")
@@ -85,9 +86,7 @@ class TestRunPipeline:
     def test_missing_parses_skip_reviews(self, trained, tmp_path):
         cfg, _ = trained
         records = load_corpus(cfg.corpus_path)[:4]
-        renamed = [type(records[0])(**{**r.__dict__,
-                                       "parse_ids": ("ghost.0",)})
-                   for r in records[:2]] + list(records[2:])
+        renamed = [with_parses(r, ("ghost.0",)) for r in records[:2]] + list(records[2:])
         partial = tmp_path / "partial.jsonl"
         save_corpus(renamed, partial)
         cfg2 = PipelineConfig(**{**cfg.__dict__, "corpus_path": str(partial)})
@@ -134,7 +133,7 @@ class TestInferReview:
                                                   (("zz.0",), "all_oov")])
     def test_skip_reasons(self, setup, parse_ids, reason):
         record, sentences, emo, causes = setup
-        record = type(record)(**{**record.__dict__, "parse_ids": parse_ids})
+        record = with_parses(record, parse_ids)
         with pytest.raises(ReviewSkipped) as info:
             infer_review(record, sentences, emo, causes)
         assert info.value.reason == reason
@@ -165,8 +164,7 @@ class TestChunkedInference:
         records = load_corpus(cfg.corpus_path)[:12]
         # skipped reviews first, last, side by side and between usable ones
         bad = {0: ("ghost.0",), 3: ("zz.0",), 4: ("ghost.1",), 8: ("zz.0",), 11: ("ghost.2",)}
-        records = [type(r)(**{**r.__dict__, "parse_ids": bad[i]}) if i in bad else r
-                   for i, r in enumerate(records)]
+        records = [with_parses(r, bad[i]) if i in bad else r for i, r in enumerate(records)]
         return records, sentences, emo, causes
 
     def run(self, monkeypatch, setup, budget):
@@ -266,6 +264,17 @@ class TestChunkedInference:
         twice = infer_review(doubled, sentences, emo, causes)
         assert twice.scores[:n] == twice.scores[n:]
         assert twice.chosen < n
+
+
+class TestIndexSentences:
+    def test_repeated_sent_id_is_a_data_error(self):
+        # the second r1.0 would replace the first, and a sentence be lost
+        text = ("# sent_id = r1.0\n1\tI\tI\tPRON\t_\t_\t2\tnsubj\t_\t_\n"
+                "2\tlove\tlove\tVERB\t_\t_\t0\troot\t_\t_\n\n"
+                "# sent_id = r1.0\n1\tI\tI\tPRON\t_\t_\t2\tnsubj\t_\t_\n"
+                "2\thate\thate\tVERB\t_\t_\t0\troot\t_\t_\n\n")
+        with pytest.raises(DataError, match="sent_id 'r1.0' occurs twice"):
+            index_sentences(text)
 
 
 class TestReportRendering:

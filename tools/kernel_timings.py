@@ -52,7 +52,6 @@ class Case:
         self.params = (self.m.forward, self.m.backward)
         self.grads = (self.grad.forward, self.grad.backward)
         self.w_h = core.directions(self.m.forward.w_h, self.m.backward.w_h)
-        self.w_x = core.directions(self.m.forward.w_x[0], self.m.backward.w_x[0])
         self.lengths = [steps] * batch
         self.zx = rng.uniform(-1, 1, size=(steps, 2, batch, 4 * hidden))
         self.xs = rng.normal(size=(2, steps, dim))
@@ -60,24 +59,25 @@ class Case:
         # the forward outputs the backward reads, for sequence 0
         out = kernels.lstm_forward_seq(self.zx.copy(), self.w_h, self.lengths)
         self.run = [a[:, :, 0].copy() for a in out]
-        self.runs = [[a[:, e].copy() for a in self.run] for e in (0, 1)]
+        self.runs = [[a[:, e:e + 1].copy() for a in self.run] for e in (0, 1)]
 
     def forward_paired(self):
         kernels.lstm_forward_seq(self.zx, self.w_h, self.lengths)
 
     def forward_apart(self):
         for e, p in enumerate(self.params):
-            kernels.lstm_forward_seq(self.zx[:, e], p.w_h, self.lengths)
+            kernels.lstm_forward_seq(self.zx[:, e:e + 1], p.w_h[None], self.lengths)
 
     def backward_paired(self):
-        kernels.lstm_backward_seq(self.w_x, self.w_h, self.xs, *self.run, self.d_h_out,
+        kernels.lstm_backward_seq(self.w_h, self.xs, *self.run, self.d_h_out,
                                   [g.w_x for g in self.grads], [g.w_h for g in self.grads],
-                                  [g.bias for g in self.grads])
+                                  [g.bias for g in self.grads], (1.0,))
 
     def backward_apart(self):
         for e, (p, g) in enumerate(zip(self.params, self.grads)):
-            kernels.lstm_backward_seq(p.w_x[0], p.w_h, self.xs[e], *self.runs[e],
-                                      self.d_h_out[:, e], g.w_x, g.w_h, g.bias)
+            kernels.lstm_backward_seq(p.w_h[None], self.xs[e:e + 1], *self.runs[e],
+                                      self.d_h_out[:, e:e + 1], [g.w_x], [g.w_h], [g.bias],
+                                      (1.0,))
 
 
 def calls_per_batch(fn) -> int:
