@@ -32,6 +32,7 @@ class Sentence:
     tokens: tuple
     review_id: str = ""
     sent_index: int = 0
+    id_text: str = ""  # the "# sent_id" comment's id, when it named one
 
     def __post_init__(self):
         n = len(self.tokens)
@@ -64,7 +65,9 @@ class Sentence:
 
     @property
     def sent_id(self) -> str:
-        return f"{self.review_id}.{self.sent_index}"
+        """The id as the parses spell it (r1.00 stays r1.00), else
+        "<review_id>.<sent_index>"."""
+        return self.id_text or f"{self.review_id}.{self.sent_index}"
 
     def texts(self) -> list[str]:
         return [t.text for t in self.tokens]
@@ -91,20 +94,22 @@ class Clause:
 def parse_conllu(text: str) -> list[Sentence]:
     """Parse CoNLL-U text into sentences with 0-based reindexed tokens.
 
-    Comment lines are honored for "# sent_id = <review_id>.<n>"; multiword
-    token ranges (1-2) and empty nodes (1.1) are skipped. HEAD=0 marks the
-    root, which is stored pointing at itself.
+    Comment lines are honored for "# sent_id = <review_id>.<n>", n in
+    ASCII digits; the sentence keeps the id as written (Sentence.sent_id).
+    Another id is taken as the review id, with the sentence's position as
+    its index. Multiword token ranges (1-2) and empty nodes (1.1) are
+    skipped. HEAD=0 marks the root, which is stored pointing at itself.
     """
     sentences = []
     rows: list[tuple[int, str, str, int, str]] = []
-    review_id = ""
+    review_id = id_text = ""
     sent_index: int | None = None
     default_index = 0
 
     def flush():
-        nonlocal rows, review_id, sent_index, default_index
+        nonlocal rows, review_id, sent_index, id_text, default_index
         if not rows:
-            review_id, sent_index = "", None
+            review_id, sent_index, id_text = "", None, ""
             return
         ids = [r[0] for r in rows]
         if ids != list(range(1, len(rows) + 1)):
@@ -117,9 +122,10 @@ def parse_conllu(text: str) -> list[Sentence]:
             tokens.append(Token(index=idx, text=form, upos=upos,
                                 head=idx if head == 0 else head - 1, deprel=deprel))
         index = sent_index if sent_index is not None else default_index
-        sentences.append(Sentence(tuple(tokens), review_id=review_id, sent_index=index))
+        sentences.append(Sentence(tuple(tokens), review_id=review_id, sent_index=index,
+                                  id_text=id_text))
         default_index += 1
-        rows, review_id, sent_index = [], "", None
+        rows, review_id, sent_index, id_text = [], "", None, ""
 
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.rstrip()
@@ -131,10 +137,10 @@ def parse_conllu(text: str) -> list[Sentence]:
             if comment.startswith("sent_id") and "=" in comment:
                 sid = comment.split("=", 1)[1].strip()
                 base, _, suffix = sid.rpartition(".")
-                if base and suffix.isdigit():
-                    review_id, sent_index = base, int(suffix)
+                if base and suffix.isascii() and suffix.isdigit():
+                    review_id, sent_index, id_text = base, int(suffix), sid
                 else:
-                    review_id, sent_index = sid, None
+                    review_id, sent_index, id_text = sid, None, ""
             continue
         cols = line.split("\t")
         if len(cols) != 10:

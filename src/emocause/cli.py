@@ -24,6 +24,7 @@ from .embeddings import (EMOTIONS, build_emotion_aware_table, load_emotion_lexic
                          load_word_embeddings, save_word_embeddings)
 from .errors import DataError
 from .nn import core
+from .nn.serialize import atomic_open
 
 GRADIENT_TOLERANCE = 1e-4
 
@@ -80,8 +81,10 @@ def _add_seed(parser, help_text="rng seed (default: ECPE_SEED env var, else 0)")
 
 
 def _write_or_print(text: str, path: str | None):
+    """Write text to path through a temporary file renamed over it, so a
+    failed write leaves any earlier file intact; print it when path is None."""
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
+        with atomic_open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -173,12 +176,10 @@ def cmd_summarize(args) -> int:
     report = pipeline.run_pipeline(cfg)
     _write_or_print(report.to_json(), args.output)
     if args.text_output:
-        with open(args.text_output, "w", encoding="utf-8") as fh:
-            fh.write(report.to_text())
+        _write_or_print(report.to_text(), args.text_output)
     if args.dump_2d:
-        with open(args.dump_2d, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(pipeline.dump_projection(report),
-                                sort_keys=True, indent=2) + "\n")
+        _write_or_print(json.dumps(pipeline.dump_projection(report),
+                                   sort_keys=True, indent=2) + "\n", args.dump_2d)
     return 0
 
 

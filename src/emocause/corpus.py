@@ -117,8 +117,12 @@ def load_corpus(path) -> list[ReviewRecord]:
                 continue
             try:
                 obj = json.loads(line)
-            except json.JSONDecodeError as err:
-                raise DataError(f"{path}:{lineno}: invalid JSON ({err.msg})") from None
+            except (ValueError, RecursionError) as err:
+                # besides malformed JSON (JSONDecodeError, a ValueError): an
+                # integer past Python's digit limit, nesting past the
+                # recursion limit
+                why = err.msg if isinstance(err, json.JSONDecodeError) else str(err)
+                raise DataError(f"{path}:{lineno}: invalid JSON ({why})") from None
             if not isinstance(obj, dict):
                 raise DataError(f"{path}:{lineno}: record must be a JSON object")
             record = _record_from_obj(obj, f"{path}:{lineno}")

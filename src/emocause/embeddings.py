@@ -10,13 +10,17 @@ original vector. Words whose weights are all zero keep their raw vector.
 
 from __future__ import annotations
 
+import hashlib
+import os
+import struct
 from array import array
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import DataError, OovError
-from .nn.serialize import atomic_open
+from .nn.serialize import KIND_TABLE, atomic_open, load_container, save_container
 
 EMOTIONS = ("anger", "anticipation", "disgust", "fear", "joy",
             "sadness", "surprise", "trust")
@@ -149,6 +153,35 @@ def _append_block(values: array, path, rests, words, linenos) -> None:
         rests.clear()
 
 
+def sidecar_path(path) -> str:
+    """Where save_word_embeddings puts the binary copy of the table at path."""
+    return os.fspath(path) + ".ecpe"
+
+
+def _sidecar_values(path, text) -> np.ndarray | None:
+    """The values of path's sidecar as a (V, d) array when the sidecar
+    loads, is of kind KIND_TABLE, holds V x d values and records the
+    SHA-256 of text's bytes; None otherwise, since a sidecar is a copy
+    that may be missing or stale. text is the table file, open in binary
+    mode at its start; it is hashed in one streaming pass, then rewound."""
+    try:
+        descriptor, payload = load_container(sidecar_path(path))
+    except (OSError, DataError):
+        return None
+    if len(descriptor) != 11 or descriptor[0] != KIND_TABLE:
+        return None
+    rows, dim = descriptor[1:3]
+    if payload.size != rows * dim:
+        return None
+    digest = hashlib.sha256()
+    for block in iter(lambda: text.read(1 << 20), b""):
+        digest.update(block)
+    text.seek(0)
+    if digest.digest() != struct.pack("<8I", *descriptor[3:]):
+        return None
+    return payload.reshape(rows, dim)
+
+
 def load_word_embeddings(path) -> EmbeddingTable:
     """Read a text-format embedding file: header "<count> <dim>", then one
     "<word> <floats...>" row per line. Each line's word, width and
@@ -158,8 +191,14 @@ def load_word_embeddings(path) -> EmbeddingTable:
     the finiteness and all-zero checks run once. An error names the file
     line of the first bad row: a block is converted before a later row's
     width or duplicate error is raised. The header's count is checked,
-    never trusted to size anything."""
+    never trusted to size anything.
+
+    When the table has a sidecar (sidecar_path) that save_word_embeddings
+    wrote for these exact bytes, with the header's count and dim, its
+    values are taken instead and no text is converted; every other check
+    runs as above."""
     with open(path, encoding="utf-8") as fh:
+        saved = _sidecar_values(path, fh.buffer)
         header = fh.readline().split()
         if len(header) != 2:
             raise DataError(f"{path}: header must be '<count> <dim>'")
@@ -169,6 +208,8 @@ def load_word_embeddings(path) -> EmbeddingTable:
             raise DataError(f"{path}: header must be '<count> <dim>'") from None
         if count < 0 or dim <= 0:
             raise DataError(f"{path}: bad header values {count} {dim}")
+        if saved is not None and saved.shape != (count, dim):
+            saved = None
         words, linenos, rests = [], [], []  # rests: the pending block's value text
         values = array("d")  # every converted row's floats, one after another
         seen = set()
@@ -188,11 +229,17 @@ def load_word_embeddings(path) -> EmbeddingTable:
             seen.add(word)
             words.append(word)
             linenos.append(lineno)
-            rests.append(rest)
-            if len(rests) == BLOCK_LINES:
-                _append_block(values, path, rests, words, linenos)
+            if saved is None:
+                rests.append(rest)
+                if len(rests) == BLOCK_LINES:
+                    _append_block(values, path, rests, words, linenos)
         _append_block(values, path, rests, words, linenos)
-    vectors = np.frombuffer(values, dtype=np.float64).reshape(len(words), dim)
+    if saved is None:
+        vectors = np.frombuffer(values, dtype=np.float64).reshape(len(words), dim)
+    elif len(words) == count:
+        vectors = saved
+    else:  # save_word_embeddings writes as many rows as the header says
+        raise DataError(f"{path}: header promises {count} rows, found {len(words)}")
     finite = np.all(np.isfinite(vectors), axis=1)
     bad = ~(finite & np.any(vectors, axis=1))
     if bad.any():
@@ -209,11 +256,25 @@ def save_word_embeddings(table: EmbeddingTable, path) -> None:
     written with repr, so a save/load round trip is bit-exact; each row is
     formatted from its Python floats (tolist), not from numpy scalars. The
     text goes to a temporary file that replaces path once it is complete,
-    so a failed write leaves any earlier table intact."""
-    with atomic_open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{len(table)} {table.dim}\n")
-        for word, row in zip(table.words, table.vectors.tolist()):
-            fh.write(word + " " + " ".join(map(repr, row)) + "\n")
+    so a failed write leaves any earlier table intact.
+
+    Then the sidecar (sidecar_path) is written the same way: an ECPE1
+    container of kind KIND_TABLE whose descriptor is [KIND_TABLE, V, d,
+    the SHA-256 of the text's bytes as 8 u32 words] and whose payload is
+    the (V, d) values. The hash is taken from the bytes as they are
+    written. A sidecar whose hash does not match its text is ignored, so
+    a failure between the two writes leaves a table that still loads."""
+    digest = hashlib.sha256()
+    rows = ((word + " " + " ".join(map(repr, row)) + "\n")
+            for word, row in zip(table.words, table.vectors.tolist()))
+    with atomic_open(path, "wb") as fh:
+        for line in chain([f"{len(table)} {table.dim}\n"], rows):
+            data = line.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+    save_container(sidecar_path(path),
+                   [KIND_TABLE, len(table), table.dim, *struct.unpack("<8I", digest.digest())],
+                   table.vectors)
 
 
 def load_emotion_lexicon(path) -> EmotionLexicon:

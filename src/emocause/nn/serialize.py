@@ -1,4 +1,4 @@
-"""Flat binary container for trained model parameters.
+"""Flat binary container for trained model parameters and table sidecars.
 
 Layout (all integers little-endian u32, all floats little-endian f64):
 
@@ -9,9 +9,12 @@ Layout (all integers little-endian u32, all floats little-endian f64):
 
 The descriptor alone determines every tensor shape, through the model's
 layout table (bilstm_mlp.layout), so the payload carries no per-tensor
-headers. Kind codes: 1 = emotion classifier, 2 = cause scorer. A cause
-file written while the input weights were stored row-interleaved has the
-same header but another payload order; it must be retrained.
+headers. Kind codes: 1 = emotion classifier, 2 = cause scorer,
+3 = embedding-table sidecar (descriptor [3, V, d, the SHA-256 of the text
+table as 8 u32 words], payload the (V, d) values row by row; see
+embeddings.save_word_embeddings). A cause file written while the input
+weights were stored row-interleaved has the same header but another
+payload order; it must be retrained.
 
 A file is written to a temporary file in the target's directory and then
 renamed over the target (atomic_open), so a failed write leaves any earlier
@@ -32,6 +35,7 @@ MAGIC = b"ECPE1"
 
 KIND_EMOTION = 1
 KIND_CAUSE = 2
+KIND_TABLE = 3
 
 
 @contextlib.contextmanager

@@ -87,6 +87,20 @@ class TestParseConllu:
         s = parse_conllu(text)[0]
         assert s.review_id == "r0042" and s.sent_index == 3
 
+    @pytest.mark.parametrize("sid, review_id, sent_index, sent_id", [
+        ("r1.00", "r1", 0, "r1.00"),  # keyed as written, not as r1.0
+        ("r1.07", "r1", 7, "r1.07"),
+        # a suffix of non-ASCII digits is no index: int() would fail on ²
+        ("r1.\u00b2", "r1.\u00b2", 0, "r1.\u00b2.0"),
+        ("r1.\u0663", "r1.\u0663", 0, "r1.\u0663.0"),
+        ("plain", "plain", 0, "plain.0"),
+    ])
+    def test_sent_id_spellings(self, sid, review_id, sent_index, sent_id):
+        text = (f"# sent_id = {sid}\n"
+                "1\tok\tok\tVERB\t_\t_\t0\troot\t_\t_\n")
+        s = parse_conllu(text)[0]
+        assert (s.review_id, s.sent_index, s.sent_id) == (review_id, sent_index, sent_id)
+
 
 class TestFindRoot:
     def test_two_token(self):

@@ -245,6 +245,15 @@ class TestTrainingCli:
         assert (f"{corpus}:1: gold_cause sentence_index 0 is not an index into the 0 parse_ids"
                 in capsys.readouterr().err)
 
+    def test_deeply_nested_corpus_line_exits_two(self, chain, tmp_path, capsys):
+        _workdir, cfg = chain
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("[" * 100_000 + "\n", encoding="utf-8")
+        code = main(["train-emotion", "--corpus", str(corpus), "--parses", cfg.parses_path,
+                     "--embeddings", cfg.aware_path, "--output", str(tmp_path / "m.bin")])
+        assert code == 2
+        assert f"{corpus}:1: invalid JSON" in capsys.readouterr().err
+
     def test_input_not_utf8_exits_two(self, chain, tmp_path, capsys):
         _workdir, cfg = chain
         corpus = tmp_path / "corpus.jsonl"
@@ -318,6 +327,18 @@ class TestSummarize:
         for group in proj:
             for point in group["points"]:
                 assert set(point) == {"review_id", "clause_text", "x", "y"}
+
+
+class TestReportWrites:
+    def test_failed_write_leaves_the_earlier_report(self, tmp_path):
+        out = tmp_path / "report.json"
+        out.write_text("earlier report\n", encoding="utf-8")
+        # a lone surrogate cannot be encoded, so the write fails past its
+        # first buffer
+        with pytest.raises(UnicodeEncodeError):
+            cli._write_or_print("x" * 100_000 + "\udc80", str(out))
+        assert out.read_text(encoding="utf-8") == "earlier report\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
 
 class TestGradientCheckCommand:

@@ -97,6 +97,16 @@ class TestLoadCorpus:
         with pytest.raises(DataError, match=":2"):
             load_corpus(p)
 
+    @pytest.mark.parametrize("line", [
+        "[" * 100_000,  # json.loads raises RecursionError
+        '{"review_id": "r0", "stars": ' + "7" * 5000 + "}",  # past the 4300-digit limit
+    ], ids=["deep-nesting", "huge-integer"])
+    def test_any_json_failure_names_the_line(self, tmp_path, line):
+        p = tmp_path / "c.jsonl"
+        p.write_text(json.dumps(valid_obj(0)) + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=r"c\.jsonl:2: invalid JSON"):
+            load_corpus(p)
+
     def test_round_trip(self, tmp_path):
         records = [record(0), record(1, gold_emotion="fear",
                                      gold_cause=GoldCause(0, 2, 5), stars=1)]

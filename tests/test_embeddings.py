@@ -1,4 +1,7 @@
+import hashlib
 import math
+import os
+import struct
 
 import numpy as np
 import pytest
@@ -8,8 +11,9 @@ from emocause.embeddings import (DEFAULT_TOP_K, EMOTIONS, EmbeddingTable,
                                  EmotionLexicon, build_emotion_aware_table,
                                  build_similarity_matrix, cosine_similarity,
                                  load_emotion_lexicon, load_word_embeddings,
-                                 save_word_embeddings)
+                                 save_word_embeddings, sidecar_path)
 from emocause.errors import DataError, OovError
+from emocause.nn.serialize import KIND_TABLE, load_container, save_container
 
 from conftest import random_table
 from helpers import reference_emotion_aware_table, top_k_emotion_words
@@ -78,6 +82,7 @@ class TestLoadWordEmbeddings:
         p = tmp_path / "v.txt"
         save_word_embeddings(random_table(rng, 3, 4), p)
         before = p.read_bytes()
+        sidecar_before = (tmp_path / "v.txt.ecpe").read_bytes()
         written = 0
 
         def failing_repr(value):  # fails after the first 8 KiB buffer is flushed
@@ -93,7 +98,8 @@ class TestLoadWordEmbeddings:
         with pytest.raises(RuntimeError, match="formatting failed"):
             save_word_embeddings(random_table(rng, 1000, 4), p)
         assert p.read_bytes() == before
-        assert [f.name for f in tmp_path.iterdir()] == ["v.txt"]
+        assert (tmp_path / "v.txt.ecpe").read_bytes() == sidecar_before
+        assert sorted(f.name for f in tmp_path.iterdir()) == ["v.txt", "v.txt.ecpe"]
 
     def test_saved_text_is_pinned(self, tmp_path):
         table = EmbeddingTable(["up", "down"], [[0.1, -2.5e-07, 1e+16], [3.0, -0.0, 5e-324]])
@@ -123,6 +129,15 @@ def row_text(rng, i, dim):
         tokens = [str(int(v)) if j % 2 else f"{v:.3g}"
                   for j, v in enumerate(rng.integers(-50, 50, size=dim) + 0.5)]
     return tokens, [float(t) for t in tokens]
+
+
+def awkward_table(rng, n, dim=5):
+    """n rows of values over the whole exponent range, with -0.0 and the
+    smallest subnormal."""
+    vectors = rng.normal(size=(n, dim)) * 10.0 ** rng.integers(-300, 300, size=(n, dim))
+    vectors[::7, 0] = -0.0
+    vectors[::11, 1] = 5e-324
+    return EmbeddingTable([f"w{i}" for i in range(n)], vectors)
 
 
 def write_rows(path, rows, dim, endings=("\n", " \n", "\r\n", " \r\n"), header=None):
@@ -157,12 +172,10 @@ class TestBlockedLoad:
 
     @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1])
     def test_round_trip_bit_exact_across_blocks(self, tmp_path, rng, n):
-        vectors = rng.normal(size=(n, 5)) * 10.0 ** rng.integers(-300, 300, size=(n, 5))
-        vectors[::7, 0] = -0.0
-        vectors[::11, 1] = 5e-324
-        table = EmbeddingTable([f"w{i}" for i in range(n)], vectors)
+        table = awkward_table(rng, n)
         p = tmp_path / "v.txt"
         save_word_embeddings(table, p)
+        os.unlink(sidecar_path(p))  # read the values from the text
         assert load_word_embeddings(p).vectors.tobytes() == table.vectors.tobytes()
 
     BAD_ROW = BLOCK + 5  # in the second block
@@ -256,6 +269,107 @@ class TestBlockedLoad:
         assert table["odd"].tolist() == [1.0, value, 2.0]
         assert table.vectors.tobytes() == np.array(
             [[float(t) for t in tokens] for _, tokens in rows]).tobytes()
+
+
+def sidecar_words(path):
+    """The SHA-256 of path's bytes as the 8 u32 words a sidecar stores."""
+    return list(struct.unpack("<8I", hashlib.sha256(path.read_bytes()).digest()))
+
+
+def spy_on_block_values(monkeypatch):
+    calls = []
+    convert = embeddings._block_values
+
+    def counted(path, rests, words, linenos):
+        calls.append(len(rests))
+        return convert(path, rests, words, linenos)
+
+    monkeypatch.setattr(embeddings, "_block_values", counted)
+    return calls
+
+
+class TestSidecar:
+    """save_word_embeddings writes an exact binary copy next to the text,
+    which load_word_embeddings uses only while it matches the text."""
+
+    def test_layout_is_the_documented_one(self, tmp_path, rng):
+        table = random_table(rng, 6, 4)
+        p = tmp_path / "v.txt"
+        save_word_embeddings(table, p)
+        assert sidecar_path(p) == str(tmp_path / "v.txt.ecpe")
+        descriptor, payload = load_container(sidecar_path(p))
+        assert list(descriptor) == [KIND_TABLE, 6, 4] + sidecar_words(p)
+        assert payload.tobytes() == table.vectors.tobytes()
+
+    def test_load_with_sidecar_equals_load_without(self, tmp_path, rng):
+        table = awkward_table(rng, 2 * BLOCK + 3)
+        p = tmp_path / "v.txt"
+        save_word_embeddings(table, p)
+        fast = load_word_embeddings(p)
+        os.unlink(sidecar_path(p))
+        slow = load_word_embeddings(p)
+        assert fast.words == slow.words == table.words
+        assert fast.vectors.tobytes() == slow.vectors.tobytes() == table.vectors.tobytes()
+
+    def test_a_hit_converts_no_text(self, tmp_path, rng, monkeypatch):
+        p = tmp_path / "v.txt"
+        save_word_embeddings(random_table(rng, 2 * BLOCK + 1, 3), p)
+        calls = spy_on_block_values(monkeypatch)
+        load_word_embeddings(p)
+        assert calls == []
+        os.unlink(sidecar_path(p))
+        load_word_embeddings(p)
+        assert calls == [BLOCK, BLOCK, 1]
+
+    def test_a_stale_sidecar_is_ignored(self, tmp_path, rng):
+        p = tmp_path / "v.txt"
+        save_word_embeddings(random_table(rng, 4, 3), p)
+        lines = p.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[3] = "w2 7.5 0.25 1.0\n"
+        p.write_text("".join(lines), encoding="utf-8")
+        assert load_word_embeddings(p)["w2"].tolist() == [7.5, 0.25, 1.0]
+
+    @pytest.mark.parametrize("fault", ["truncated", "magic", "kind", "rows", "dim", "size"])
+    def test_a_sidecar_that_does_not_fit_is_ignored(self, tmp_path, rng, monkeypatch, fault):
+        # each bad sidecar holds the text's hash but other values, so
+        # using it would show
+        table = random_table(rng, 4, 6)
+        p = tmp_path / "v.txt"
+        save_word_embeddings(table, p)
+        kind, rows, dim, values = KIND_TABLE, 4, 6, 2.0 * table.vectors
+        if fault == "kind":
+            kind = 1
+        elif fault == "rows":
+            rows, values = 3, values[:3]
+        elif fault == "dim":
+            dim, values = 5, values.ravel()[:20]
+        elif fault == "size":
+            values = np.append(values, 1.0)
+        save_container(sidecar_path(p), [kind, rows, dim] + sidecar_words(p), values)
+        sidecar = tmp_path / "v.txt.ecpe"
+        if fault == "truncated":
+            sidecar.write_bytes(sidecar.read_bytes()[:-12])
+        elif fault == "magic":
+            sidecar.write_bytes(b"not a table")
+        calls = spy_on_block_values(monkeypatch)
+        loaded = load_word_embeddings(p)
+        assert calls == [4]
+        assert loaded.vectors.tobytes() == table.vectors.tobytes()
+
+    def test_a_saved_nan_still_names_its_line(self, tmp_path, monkeypatch):
+        p = tmp_path / "v.txt"
+        save_word_embeddings(EmbeddingTable(["a", "b"], [[1.0, 2.0], [3.0, math.nan]]), p)
+        calls = spy_on_block_values(monkeypatch)
+        with pytest.raises(DataError, match=r"v\.txt:3: non-finite value for 'b'$"):
+            load_word_embeddings(p)
+        assert calls == []
+
+    def test_line_checks_run_on_a_hit(self, tmp_path):
+        # a word holding a space is saved as written and read as one value too many
+        p = tmp_path / "v.txt"
+        save_word_embeddings(EmbeddingTable(["a", "b c"], [[1.0, 2.0], [3.0, 4.0]]), p)
+        with pytest.raises(DataError, match=r"v\.txt:3: 3 values for 'b', expected 2$"):
+            load_word_embeddings(p)
 
 
 class TestLoadEmotionLexicon:

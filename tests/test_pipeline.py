@@ -276,6 +276,16 @@ class TestIndexSentences:
         with pytest.raises(DataError, match="sent_id 'r1.0' occurs twice"):
             index_sentences(text)
 
+    def test_ids_are_keyed_as_written(self):
+        # r1.0 and r1.00 are two ids; neither is renamed
+        text = ("# sent_id = r1.00\n1\tI\tI\tPRON\t_\t_\t2\tnsubj\t_\t_\n"
+                "2\tlove\tlove\tVERB\t_\t_\t0\troot\t_\t_\n\n"
+                "# sent_id = r1.0\n1\tI\tI\tPRON\t_\t_\t2\tnsubj\t_\t_\n"
+                "2\thate\thate\tVERB\t_\t_\t0\troot\t_\t_\n\n")
+        index = index_sentences(text)
+        assert sorted(index) == ["r1.0", "r1.00"]
+        assert index["r1.00"].texts() == ["I", "love"]
+
 
 class TestReportRendering:
     def test_json_is_sorted_and_parseable(self, trained):
