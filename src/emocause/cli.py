@@ -5,6 +5,11 @@ score-clauses, summarize, gen-synthetic, gradient-check. Exit codes:
 0 success, 1 usage error (or a failed gradient check), 2 data error.
 The ECPE_SEED environment variable supplies the default for --seed;
 an explicit flag wins.
+
+Each stage of the method runs as its own process, so this module imports
+only what every command needs; each cmd_* imports the modules it runs in
+its own body, and the defaults that those modules own (--epochs, --hidden,
+--threshold) are looked up there when the command runs.
 """
 
 from __future__ import annotations
@@ -17,13 +22,7 @@ import sys
 
 import numpy as np
 
-from . import bilstm_mlp, cause_model, emotion_model, pipeline, synthetic
-from .clauses import extract_clauses, parse_conllu
-from .corpus import save_corpus
-from .embeddings import (EMOTIONS, build_emotion_aware_table, load_emotion_lexicon,
-                         load_word_embeddings, save_word_embeddings)
 from .errors import DataError
-from .nn import core
 from .nn.serialize import atomic_open
 
 GRADIENT_TOLERANCE = 1e-4
@@ -41,29 +40,41 @@ def _resolve_seed(value: int | None) -> int:
     if value is not None:
         return value
     env = os.environ.get("ECPE_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise DataError(f"ECPE_SEED must be an integer, got {env!r}") from None
-    return 0
+    if env is None:
+        return 0
+    try:
+        seed = int(env)
+    except ValueError:
+        raise DataError(f"ECPE_SEED must be an integer, got {env!r}") from None
+    if seed < 0:
+        raise DataError(f"ECPE_SEED must be a non-negative integer, got {env!r}")
+    return seed
 
 
-def _checked(parse, ok, requirement: str):
+def _checked(parse, ok, requirement):
     """An argparse type: parse the text, then reject values ok() refuses.
+    requirement is the message's text, or a function that gives it.
     argparse reports a ValueError from parse as an invalid value."""
     def check(text: str):
         value = parse(text)
         if not ok(value):
-            raise argparse.ArgumentTypeError(f"must be {requirement}, got {text}")
+            need = requirement() if callable(requirement) else requirement
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text}")
         return value
     check.__name__ = parse.__name__  # argparse names the type in its message
     return check
 
 
+def _emotion_count() -> int:
+    # looked up only when --dim is given, so parsing imports no other module
+    from .embeddings import EMOTIONS
+    return len(EMOTIONS)
+
+
+_non_negative_int = _checked(int, lambda v: v >= 0, "a non-negative integer")
 positive_int = _checked(int, lambda v: v > 0, "a positive integer")
-embedding_dim = _checked(int, lambda v: v >= len(EMOTIONS),
-                         f"at least {len(EMOTIONS)}, one axis per emotion")
+embedding_dim = _checked(int, lambda v: v >= _emotion_count(),
+                         lambda: f"at least {_emotion_count()}, one axis per emotion")
 positive_float = _checked(float, lambda v: math.isfinite(v) and v > 0,
                           "a finite number > 0")
 momentum = _checked(float, lambda v: 0.0 <= v < 1.0, "in [0, 1)")  # false for nan
@@ -77,7 +88,7 @@ hidden_size = _checked(int, lambda v: 0 < v <= MAX_HIDDEN,
 
 
 def _add_seed(parser, help_text="rng seed (default: ECPE_SEED env var, else 0)"):
-    parser.add_argument("--seed", type=int, default=None, help=help_text)
+    parser.add_argument("--seed", type=_non_negative_int, default=None, help=help_text)
 
 
 def _write_or_print(text: str, path: str | None):
@@ -91,6 +102,8 @@ def _write_or_print(text: str, path: str | None):
 
 
 def cmd_build_embeddings(args) -> int:
+    from .embeddings import (build_emotion_aware_table, load_emotion_lexicon,
+                             load_word_embeddings, save_word_embeddings)
     table = load_word_embeddings(args.embeddings)
     lexicon = load_emotion_lexicon(args.lexicon)
     aware = build_emotion_aware_table(table, lexicon, k=args.top_k)
@@ -100,6 +113,7 @@ def cmd_build_embeddings(args) -> int:
 
 
 def cmd_extract_clauses(args) -> int:
+    from .clauses import extract_clauses, parse_conllu
     with open(args.parses, encoding="utf-8") as fh:
         sentences = parse_conllu(fh.read())
     lines = []
@@ -116,31 +130,42 @@ def cmd_extract_clauses(args) -> int:
     return 0
 
 
-def _train(args, build_examples, train, what: str, gold: str) -> int:
+def _train(args, defaults, build_examples, train, what: str, gold: str) -> int:
+    """defaults: the model's module, which owns its DEFAULT_EPOCHS and
+    DEFAULT_HIDDEN."""
+    from . import bilstm_mlp, pipeline
+    from .embeddings import load_word_embeddings
+    from .nn import core
     aware = load_word_embeddings(args.embeddings)
     examples = build_examples(*pipeline.load_reviews(args.corpus, args.parses))
     if not examples:
         raise DataError(f"no training examples with gold {gold}")
     rng = np.random.default_rng(_resolve_seed(args.seed))
     cfg = core.SgdConfig(learning_rate=args.lr, momentum=args.momentum)
-    model, _trace = train(examples, aware, rng, epochs=args.epochs, cfg=cfg,
-                          hidden=args.hidden, log_epochs=True)
+    epochs = defaults.DEFAULT_EPOCHS if args.epochs is None else args.epochs
+    hidden = defaults.DEFAULT_HIDDEN if args.hidden is None else args.hidden
+    model, _trace = train(examples, aware, rng, epochs=epochs, cfg=cfg,
+                          hidden=hidden, log_epochs=True)
     bilstm_mlp.save(model, args.output)
     print(f"saved {what} model to {args.output}")
     return 0
 
 
 def cmd_train_emotion(args) -> int:
-    return _train(args, pipeline.build_emotion_examples, emotion_model.train_emotion,
-                  "emotion", "emotion labels")
+    from . import emotion_model, pipeline
+    return _train(args, emotion_model, pipeline.build_emotion_examples,
+                  emotion_model.train_emotion, "emotion", "emotion labels")
 
 
 def cmd_train_cause(args) -> int:
-    return _train(args, pipeline.build_cause_examples, cause_model.train_cause,
-                  "cause", "cause spans")
+    from . import cause_model, pipeline
+    return _train(args, cause_model, pipeline.build_cause_examples,
+                  cause_model.train_cause, "cause", "cause spans")
 
 
 def cmd_score_clauses(args) -> int:
+    from . import bilstm_mlp, cause_model, emotion_model, pipeline
+    from .embeddings import load_word_embeddings
     aware = load_word_embeddings(args.embeddings)
     emo = bilstm_mlp.load(emotion_model.EmotionClassifier, args.emotion_model, aware)
     scorer = bilstm_mlp.load(cause_model.CauseScorer, args.cause_model, aware)
@@ -164,6 +189,7 @@ def cmd_score_clauses(args) -> int:
 
 
 def cmd_summarize(args) -> int:
+    from . import pipeline
     cfg = pipeline.PipelineConfig(
         embeddings_path=args.embeddings,
         aware_path=args.aware,
@@ -171,7 +197,8 @@ def cmd_summarize(args) -> int:
         parses_path=args.parses,
         emotion_model_path=args.emotion_model,
         cause_model_path=args.cause_model,
-        threshold=args.threshold,
+        threshold=(pipeline.DEFAULT_THRESHOLD if args.threshold is None
+                   else args.threshold),
     )
     report = pipeline.run_pipeline(cfg)
     _write_or_print(report.to_json(), args.output)
@@ -184,6 +211,9 @@ def cmd_summarize(args) -> int:
 
 
 def cmd_gen_synthetic(args) -> int:
+    from . import synthetic
+    from .corpus import save_corpus
+    from .embeddings import save_word_embeddings
     seed = _resolve_seed(args.seed)
     records, conllu = synthetic.generate_synthetic_corpus(
         seed, n_products=args.products, n_reviews=args.reviews)
@@ -231,18 +261,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output", help="output path (default: stdout)")
     p.set_defaults(func=cmd_extract_clauses)
 
-    for name, model, what, func in (
-            ("train-emotion", emotion_model, "emotion classifier", cmd_train_emotion),
-            ("train-cause", cause_model, "cause-clause scorer", cmd_train_cause)):
+    for name, what, func in (
+            ("train-emotion", "emotion classifier", cmd_train_emotion),
+            ("train-cause", "cause-clause scorer", cmd_train_cause)):
         p = sub.add_parser(name, help=f"train the {what}")
         p.add_argument("--corpus", required=True)
         p.add_argument("--parses", required=True)
         p.add_argument("--embeddings", required=True, help="emotion-aware table")
         p.add_argument("--output", required=True, help="model file to write")
-        p.add_argument("--epochs", type=positive_int, default=model.DEFAULT_EPOCHS)
+        p.add_argument("--epochs", type=positive_int)
         p.add_argument("--lr", type=positive_float, default=0.003)
         p.add_argument("--momentum", type=momentum, default=0.9)
-        p.add_argument("--hidden", type=hidden_size, default=model.DEFAULT_HIDDEN)
+        p.add_argument("--hidden", type=hidden_size)
         _add_seed(p)
         p.set_defaults(func=func)
 
@@ -265,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cause-model", required=True)
     p.add_argument("--output", help="JSON report path (default: stdout)")
     p.add_argument("--text-output", help="also write a text rendering here")
-    p.add_argument("--threshold", type=positive_float, default=pipeline.DEFAULT_THRESHOLD,
+    p.add_argument("--threshold", type=positive_float,
                    help="complete-linkage merge threshold")
     p.add_argument("--dump-2d", help="write 2-D projections of member "
                                      "vectors to this path")

@@ -86,6 +86,15 @@ def _record_from_obj(obj: dict, where: str) -> ReviewRecord:
     parse_ids = obj["parse_ids"]
     if not isinstance(parse_ids, list) or not all(isinstance(p, str) for p in parse_ids):
         raise DataError(f"{where}: parse_ids must be a list of strings, got {parse_ids!r}")
+    # json.loads turns an escape such as \udc80 into a lone surrogate, which
+    # no UTF-8 output (a report, a clause listing) can encode
+    fields = [(key, obj[key]) for key in ("review_id", "product_id", "text")]
+    for key, value in fields + [("parse_ids", p) for p in parse_ids]:
+        try:
+            value.encode("utf-8")
+        except UnicodeEncodeError as err:
+            raise DataError(f"{where}: {key} is not valid UTF-8: lone surrogate "
+                            f"{value[err.start]!r} at index {err.start}") from None
     raw_cause = obj.get("gold_cause")
     gold_cause = None
     if raw_cause is not None:

@@ -2,8 +2,10 @@
 acceptance suite."""
 
 import dataclasses
+import struct
 
 import numpy as np
+from hypothesis import strategies as st
 
 from emocause import bilstm_mlp, cause_model, embeddings, emotion_model, pipeline
 from emocause.clustering import cosine_distance
@@ -358,3 +360,23 @@ def run_cli_chain(workdir, seed=0, products=2, reviews=24, dim=12,
         emotion_model_path=paths["emotion.bin"],
         cause_model_path=paths["cause.bin"],
     )
+
+
+@st.composite
+def mutated_container(draw, data: bytes) -> bytes:
+    """data, the bytes of an ECPE1 container, after one to three mutations:
+    a byte flipped, the end cut off, bytes appended, or the descriptor
+    count (the u32 after the magic) replaced."""
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["flip", "truncate", "append", "count"]))
+        if how == "flip" and out:
+            out[draw(st.integers(0, len(out) - 1))] ^= draw(st.integers(1, 255))
+        elif how == "truncate" and out:
+            del out[draw(st.integers(0, len(out) - 1)):]
+        elif how == "append":
+            out += draw(st.binary(min_size=1, max_size=24))
+        elif how == "count" and len(out) >= 9:
+            count = draw(st.one_of(st.integers(0, 16), st.integers(0, 2**32 - 1)))
+            out[5:9] = struct.pack("<I", count)
+    return bytes(out)

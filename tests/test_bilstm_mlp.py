@@ -2,14 +2,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emocause import bilstm_mlp, cause_model, emotion_model
 from emocause.errors import DataError
 from emocause.nn import core, kernels, serialize
 
 from conftest import random_table
-from helpers import (interleaved_draw, kron_weights, score_clause, separable_cause_setup,
-                     separable_emotion_setup)
+from helpers import (interleaved_draw, kron_weights, mutated_container, score_clause,
+                     separable_cause_setup, separable_emotion_setup)
 
 KINDS = {"emotion": emotion_model.EmotionClassifier, "cause": cause_model.CauseScorer}
 
@@ -173,6 +175,34 @@ class TestModelFile:
                                  np.ones(bilstm_mlp.n_values(dims)))
         with pytest.raises(DataError, match=r"m\.bin: hidden and mid widths must be positive"):
             bilstm_mlp.load(model_cls, path, table)
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory):
+    """kind -> (its class, a small valid model file's bytes, the table it
+    was saved with, a scratch path)."""
+    rng = np.random.default_rng(3)
+    table = random_table(rng, 5, 3)
+    out = {}
+    for kind, cls in KINDS.items():
+        path = tmp_path_factory.mktemp("fuzz") / f"{kind}.bin"
+        bilstm_mlp.save(cls.init(table, rng, hidden=2, mid=3), path)
+        out[kind] = cls, path.read_bytes(), table, path
+    return out
+
+
+# a module-level function: hypothesis refuses a parametrized method, whose
+# calls come from more than one instance
+@pytest.mark.parametrize("kind", sorted(KINDS))
+@settings(max_examples=100, deadline=1000)
+@given(data=st.data())
+def test_a_mutated_model_file_loads_or_raises_data_error(model_files, kind, data):
+    cls, good, table, path = model_files[kind]
+    path.write_bytes(data.draw(mutated_container(good)))
+    try:
+        bilstm_mlp.load(cls, path, table)
+    except DataError:
+        pass
 
 
 class TestTrainerOwnsItsMomentum:

@@ -1,17 +1,22 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from emocause import bilstm_mlp, cli
+from emocause import bilstm_mlp, cause_model, cli, emotion_model, pipeline
 from emocause.cli import main
 from emocause.corpus import load_corpus, save_corpus
 from emocause.embeddings import load_word_embeddings
+from emocause.errors import DataError
 from emocause.nn import kernels
 
 from helpers import run_cli_chain, with_parses
 
 FIXTURES = Path(__file__).parent / "fixtures"
+SRC = Path(__file__).parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +100,26 @@ class TestExitCodes:
                      "--output", "o", "--hidden", hidden]) == 1
         err = capsys.readouterr().err
         assert "usage:" in err and "--hidden: must be a positive integer at most" in err
+
+    @pytest.mark.parametrize("argv", [
+        TRAIN,
+        ["train-emotion", "--corpus", "c", "--parses", "p", "--embeddings", "e",
+         "--output", "o"],
+        ["gen-synthetic", "--output-dir", "d"],
+        ["gradient-check"],
+    ], ids=lambda argv: argv[0])
+    def test_negative_seed_is_usage_error(self, argv, capsys):
+        assert main(argv + ["--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and "--seed: must be a non-negative integer, got -1" in err
+
+    @pytest.mark.parametrize("value", ["-5", "x"])
+    def test_bad_env_seed_is_data_error(self, value, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("ECPE_SEED", value)
+        assert main(["gen-synthetic", "--output-dir", str(tmp_path), "--products", "1",
+                     "--reviews", "2"]) == 2
+        assert "error: ECPE_SEED must be a" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_largest_hidden_parses(self):
         args = cli.build_parser().parse_args(self.TRAIN + ["--hidden", str(cli.MAX_HIDDEN)])
@@ -219,6 +244,24 @@ class TestTrainingCli:
         assert code == 2
         assert f"{corpus}:1: parse_ids must be a list of strings" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command,module,train", [
+        ("train-emotion", emotion_model, "train_emotion"),
+        ("train-cause", cause_model, "train_cause"),
+    ])
+    def test_default_epochs_and_hidden_come_from_the_model(self, chain, tmp_path, monkeypatch,
+                                                            command, module, train):
+        _workdir, cfg = chain
+        seen = {}
+
+        def stop(*args, epochs, hidden, **kwargs):
+            seen.update(epochs=epochs, hidden=hidden)
+            raise DataError("stopped before training")
+
+        monkeypatch.setattr(module, train, stop)
+        assert main([command, "--corpus", cfg.corpus_path, "--parses", cfg.parses_path,
+                     "--embeddings", cfg.aware_path, "--output", str(tmp_path / "m.bin")]) == 2
+        assert seen == {"epochs": module.DEFAULT_EPOCHS, "hidden": module.DEFAULT_HIDDEN}
+
     def test_program_fault_propagates(self, chain, tmp_path, monkeypatch):
         # a ValueError from the code, not the input, is not a data error
         _workdir, cfg = chain
@@ -328,6 +371,41 @@ class TestSummarize:
             for point in group["points"]:
                 assert set(point) == {"review_id", "clause_text", "x", "y"}
 
+    def test_lone_surrogate_in_corpus_exits_two(self, chain, tmp_path, capsys):
+        # the escape decodes to a lone surrogate, which the UTF-8 text
+        # report could not encode
+        _workdir, cfg = chain
+        lines = Path(cfg.corpus_path).read_text(encoding="utf-8").splitlines()
+        obj = json.loads(lines[1])
+        obj["product_id"] = "p00\udc80"
+        lines[1] = json.dumps(obj)
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code = main(["summarize", "--corpus", str(corpus), "--parses", cfg.parses_path,
+                     "--embeddings", cfg.embeddings_path, "--aware", cfg.aware_path,
+                     "--emotion-model", cfg.emotion_model_path,
+                     "--cause-model", cfg.cause_model_path,
+                     "--output", str(tmp_path / "report.json"),
+                     "--text-output", str(tmp_path / "report.txt")])
+        assert code == 2
+        assert f"{corpus}:2: product_id is not valid UTF-8" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus.jsonl"]
+
+    def test_default_threshold_comes_from_the_pipeline(self, chain, monkeypatch):
+        _workdir, cfg = chain
+        seen = []
+
+        def stop(config):
+            seen.append(config.threshold)
+            raise DataError("stopped before inference")
+
+        monkeypatch.setattr(pipeline, "run_pipeline", stop)
+        assert main(["summarize", "--corpus", cfg.corpus_path, "--parses", cfg.parses_path,
+                     "--embeddings", cfg.embeddings_path, "--aware", cfg.aware_path,
+                     "--emotion-model", cfg.emotion_model_path,
+                     "--cause-model", cfg.cause_model_path]) == 2
+        assert seen == [pipeline.DEFAULT_THRESHOLD]
+
 
 class TestReportWrites:
     def test_failed_write_leaves_the_earlier_report(self, tmp_path):
@@ -346,3 +424,74 @@ class TestGradientCheckCommand:
         assert main(["gradient-check", "--seed", "0"]) == 0
         out = capsys.readouterr().out
         assert "max relative error" in out
+
+
+# Runs one command in a fresh interpreter, then prints its exit code and
+# the emocause modules it imported.
+MODULES_SCRIPT = """
+import json, sys
+from emocause.cli import main
+code = main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("emocause."))]))
+"""
+
+
+def modules_of(argv) -> set:
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", MODULES_SCRIPT, *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    return {m.removeprefix("emocause.") for m in modules}
+
+
+@pytest.fixture(scope="module")
+def command_modules(chain, tmp_path_factory):
+    """Subcommand -> the emocause modules one run of it imports."""
+    workdir, cfg = chain
+    out = tmp_path_factory.mktemp("imports")
+    reviews = ["--corpus", cfg.corpus_path, "--parses", cfg.parses_path]
+    models = ["--emotion-model", cfg.emotion_model_path, "--cause-model", cfg.cause_model_path]
+    train = reviews + ["--embeddings", cfg.aware_path, "--epochs", "1", "--hidden", "2",
+                       "--seed", "0"]
+    commands = {
+        "build-embeddings": ["--embeddings", cfg.embeddings_path,
+                             "--lexicon", str(workdir / "lexicon.tsv"),
+                             "--output", str(out / "aware.txt")],
+        "extract-clauses": ["--parses", cfg.parses_path, "--output", str(out / "clauses.jsonl")],
+        "train-emotion": train + ["--output", str(out / "emotion.bin")],
+        "train-cause": train + ["--output", str(out / "cause.bin")],
+        "score-clauses": reviews + models + ["--embeddings", cfg.aware_path,
+                                             "--output", str(out / "scores.jsonl")],
+        "summarize": reviews + models + ["--embeddings", cfg.embeddings_path,
+                                         "--aware", cfg.aware_path,
+                                         "--output", str(out / "report.json")],
+        "gen-synthetic": ["--output-dir", str(out / "synthetic"), "--products", "1",
+                          "--reviews", "2", "--seed", "0"],
+        "gradient-check": ["--seed", "0"],
+    }
+    return {name: modules_of([name] + argv) for name, argv in commands.items()}
+
+
+class TestCommandImports:
+    """Each command imports only the modules it runs, so a stage's process
+    does not pay for the others' imports."""
+
+    BASE = {"cli", "errors", "nn", "nn.serialize"}
+
+    def test_every_subcommand_is_run(self, command_modules):
+        parser = cli.build_parser()
+        subcommands = next(a for a in parser._actions if a.dest == "command").choices
+        assert set(command_modules) == set(subcommands)
+
+    def test_build_embeddings_loads_the_table_modules_only(self, command_modules):
+        assert command_modules["build-embeddings"] == self.BASE | {"embeddings"}
+
+    def test_extract_clauses_loads_no_model_module(self, command_modules):
+        assert command_modules["extract-clauses"] == self.BASE | {"clauses"}
+
+    @pytest.mark.parametrize("module,command", [("checks", "gradient-check"),
+                                                ("synthetic", "gen-synthetic")])
+    def test_one_command_loads(self, command_modules, module, command):
+        assert {c for c, modules in command_modules.items() if module in modules} == {command}

@@ -72,10 +72,18 @@ class TestLoadCorpus:
          r"gold_cause span 5\.\.2 does not satisfy"),
         ("gold_cause", {"sentence_index": 0, "start": -1, "end": 2},
          r"gold_cause span -1\.\.2 does not satisfy"),
+        # JSON escapes that decode to lone surrogates, which no UTF-8 writer
+        # can encode
+        ("product_id", "p00\udc80", "product_id is not valid UTF-8: lone surrogate "
+         r"'\\udc80' at index 3"),
+        ("review_id", "\ud800r0", "review_id is not valid UTF-8"),
+        ("text", "fine \udfff", "text is not valid UTF-8"),
+        ("parse_ids", ["r0.\udc80"], "parse_ids is not valid UTF-8"),
     ], ids=["stars-bool", "parse-ids-string", "parse-ids-number", "parse-id-number",
             "review-id-number", "text-null", "cause-string", "cause-float", "cause-list",
             "cause-sentence-past-end", "cause-sentence-negative", "cause-start-after-end",
-            "cause-start-negative"])
+            "cause-start-negative", "product-id-surrogate", "review-id-surrogate",
+            "text-surrogate", "parse-id-surrogate"])
     def test_wrong_field_type_names_line(self, tmp_path, key, value, message):
         obj = {**valid_obj(0), "gold_emotion": "joy",
                "gold_cause": {"sentence_index": 0, "start": 1, "end": 2}}
@@ -83,6 +91,12 @@ class TestLoadCorpus:
         p = write_lines(tmp_path / "c.jsonl", [valid_obj(1), obj])
         with pytest.raises(DataError, match=rf"c\.jsonl:2: {message}"):
             load_corpus(p)
+
+    def test_surrogate_pair_escape_accepted(self, tmp_path):
+        # a pair of escapes is one valid character, U+1F600
+        obj = {**valid_obj(0), "text": "\ud83d\ude00"}
+        p = write_lines(tmp_path / "c.jsonl", [obj])
+        assert load_corpus(p)[0].text == "\U0001F600"
 
     def test_missing_field_reports_line(self, tmp_path):
         obj = valid_obj(0)
