@@ -201,13 +201,15 @@ def logits(m: BiLstmMlp, sequences, weights) -> np.ndarray:
 def backward(m: BiLstmMlp, cache: ForwardCache, d_logits: np.ndarray,
              grad: Weights) -> None:
     """Adds d(loss)/d(parameters) into grad, given d(loss)/d(logits), for
-    a forward pass over one sequence. The weight gradients are outer
-    products, added a row block at a time like the kernels' products."""
+    a forward pass over one sequence. The MLP's weight gradients are outer
+    products, np.multiply.outer's exact products; they add into grad as a
+    (k x 1) @ (1 x n) product's do (x + -0.0 and x + 0.0 differ only for
+    x = -0.0)."""
     a1, h_drop = cache.a1[0], cache.h_drop[0]
-    kernels._add_product(grad.fc2.weight, d_logits[:, None], a1[None, :])
+    grad.fc2.weight += np.multiply.outer(d_logits, a1)
     grad.fc2.bias += d_logits
     dz1 = (m.fc2.weight.T @ d_logits) * core.elu_grad(cache.z1[0])
-    kernels._add_product(grad.fc1.weight, dz1[:, None], h_drop[None, :])
+    grad.fc1.weight += np.multiply.outer(dz1, h_drop)
     grad.fc1.bias += dz1
     dh = m.fc1.weight.T @ dz1
     if cache.mask is not None:
@@ -221,10 +223,11 @@ def loss_and_grads(m: BiLstmMlp, rows: np.ndarray, weights: np.ndarray, target,
     added into grad, which is left as found where the gradient is zero by
     construction (the input weight blocks of zero block weights). Training
     passes the velocity, already scaled by the momentum; a gradient check
-    passes a fresh zero vector. rows (T, d) are the sequence's word vectors
-    and weights (1, input_blocks) its block weights; train mode draws a
-    dropout mask from rng."""
-    cache = forward(m, rows, (len(rows),), weights, train, rng)
+    passes a fresh zero vector. rows (T, d) are the sequence's word vectors,
+    or (2, T, d) those and the same reversed (core.bilstm_run), and weights
+    (1, input_blocks) its block weights; train mode draws a dropout mask
+    from rng."""
+    cache = forward(m, rows, (rows.shape[-2],), weights, train, rng)
     loss, d_logits = m.head(cache.logits[0], target)
     backward(m, cache, d_logits, grad)
     return loss
@@ -251,7 +254,9 @@ class Momentum:
     weight block (layout() stores the blocks block-major), or a tensor
     between them. A step's spans are joined where they touch, so a model
     with one input block, the emotion classifier, has nothing idle and is
-    updated in one pass."""
+    updated in one pass. There are k + 1 patterns of active blocks (one
+    block, or all of them), and each pattern's span views are built on its
+    first step and reused."""
 
     def __init__(self, model: BiLstmMlp, cfg: core.SgdConfig):
         k = model.input_blocks
@@ -259,42 +264,48 @@ class Momentum:
         self.theta = model.flat
         self.velocity = model.zeros_like()
         self.blocks = [[] for _ in range(k)]  # per block, its span in each direction
-        dense, start = [], 0
+        self.dense, start = [], 0
         for _, name, shape, _ in layout(*model.dims):
             size = math.prod(shape)
             if name == "w_x":
                 for e, spans in enumerate(self.blocks):
                     spans.append((start + e * size // k, start + (e + 1) * size // k))
             else:
-                dense.append((start, start + size))
+                self.dense.append((start, start + size))
             start += size
-        self.dense = _joined(dense)
         self.sums = [0.0] * k  # a
         # s; 0 until a block's first gradient, so that a stays 0 and a block
         # whose velocity is still zero is never caught up
         self.powers = [0.0] * k
-        self.active, self.spans = [], []
+        # per active-block pattern, keyed by the one-hot block or None for
+        # all of them: (active blocks, idle blocks, the (theta, velocity)
+        # views of the step's joined spans), built on the pattern's first step
+        self.patterns = {}
+        self.active, self.idle, self.passes = [], [], []
 
     def begin_step(self, weights: np.ndarray) -> None:
         """Catches up the input blocks a step with block weights (1, k)
         reads and gives a gradient, and marks them active."""
-        j = core.one_hot_block(weights[0])
-        self.active = list(range(len(self.blocks))) if j is None else [j]
+        j = core.one_hot_block(weights[0].tolist())
+        if j not in self.patterns:
+            active = list(range(len(self.blocks))) if j is None else [j]
+            spans = _joined(self.dense + [s for e in active for s in self.blocks[e]])
+            self.patterns[j] = (active, [e for e in range(len(self.blocks)) if e not in active],
+                                [(self.theta[a:b], self.velocity.flat[a:b]) for a, b in spans])
+        self.active, self.idle, self.passes = self.patterns[j]
         for e in self.active:
             self._catch_up(e)
             self.powers[e] = 1.0
-        self.spans = _joined(self.dense + [s for e in self.active for s in self.blocks[e]])
 
     def end_step(self) -> None:
         """Once the step's gradient is in the velocity: one core.sgd_step
         pass over each span of the step, every tensor but the input weights
         and the active blocks; every other block goes one more step idle."""
-        for a, b in self.spans:
-            core.sgd_step(self.cfg, self.theta[a:b], self.velocity.flat[a:b])
-        for e in range(len(self.blocks)):
-            if e not in self.active:
-                self.sums[e] += self.powers[e]
-                self.powers[e] *= self.cfg.momentum
+        for theta, velocity in self.passes:
+            core.sgd_step(self.cfg, theta, velocity)
+        for e in self.idle:
+            self.sums[e] += self.powers[e]
+            self.powers[e] *= self.cfg.momentum
 
     def finish(self) -> None:
         """Catches every block up, so the parameters are the plain
@@ -328,24 +339,26 @@ def train(cls, table: EmbeddingTable, examples, to_row, rng: core.Rng,
     to_row(example) gives (rows, weights, target) as loss_and_grads takes
     them: the (T, d) vectors of the example's in-vocabulary tokens, its
     (1, input_blocks) block weights and its target; it raises OovError to
-    skip the example (skips get one warning up front). The run holds one
-    vector besides the parameters, the momentum velocity (Momentum): each
-    step's backward pass adds its gradient into the velocity the last step
-    left scaled by the momentum, and core.sgd_step updates the parameters
-    and scales the velocity again, so no gradient vector is held. Input
-    blocks a step leaves idle are updated lazily, and every block is
-    caught up before the model is returned. Returns (model, per-epoch
-    mean-loss trace); a non-finite epoch loss stops training with a
-    DataError naming the epoch.
+    skip the example (skips get one warning up front). Each example's rows
+    are held forward and reversed, (2, T, d), so no step copies them. The
+    run holds one vector besides the parameters, the momentum velocity
+    (Momentum): each step's backward pass adds its gradient into the
+    velocity the last step left scaled by the momentum, and
+    core.sgd_step updates the parameters and scales the velocity again,
+    so no gradient vector is held. Input blocks a step leaves idle are
+    updated lazily, and every block is caught up before the model is
+    returned. Returns (model, per-epoch mean-loss trace); a non-finite
+    epoch loss stops training with a DataError naming the epoch.
     """
     if not examples:
         raise ValueError("no training examples")
-    held = []
+    held = []  # per example, its rows forward and reversed, as bilstm_run holds them
     for ex in examples:
         try:
-            held.append(to_row(ex))
+            rows, weights, target = to_row(ex)
         except OovError:
             continue
+        held.append((np.stack((rows, rows[::-1])), weights, target))
     if len(held) < len(examples):
         log.warning("skipped %d of %d examples with no in-vocabulary tokens",
                     len(examples) - len(held), len(examples))

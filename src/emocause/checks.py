@@ -110,13 +110,14 @@ def check_lstm(seed: int, eps: float = DEFAULT_EPS, hidden: int = 3,
     r = rng.normal(size=(steps, 1, hidden))
 
     def run():  # one direction: D = 1, B = 1
-        zx = (xs[0] @ p.w_x[0].T + p.bias)[:, None, None]
-        return [a[:, :, 0] for a in kernels.lstm_forward_seq(zx, p.w_h[None], (steps,))]
+        zx = -(xs[0] @ p.w_x[0].T + p.bias).reshape(steps, 4, 1, 1, hidden)
+        return [a[..., 0, :, :] for a in kernels.lstm_forward_seq(zx, p.w_h[None], (steps,))]
 
     def loss():
         return float(np.sum(r * run()[0][1:]))
 
-    kernels.lstm_backward_seq(p.w_h[None], xs, *run(), r, [gp.w_x], [gp.w_h], [gp.bias], (1.0,))
+    kernels.lstm_backward_seq(p.w_h[None], xs, *run()[1:], r, gp.w_x[None], gp.w_h[None],
+                              gp.bias[None], (1.0,))
     return gradient_check(loss, w.flat, g.flat, eps=eps)
 
 

@@ -138,7 +138,12 @@ def parse_conllu(text: str) -> list[Sentence]:
                 sid = comment.split("=", 1)[1].strip()
                 base, _, suffix = sid.rpartition(".")
                 if base and suffix.isascii() and suffix.isdigit():
-                    review_id, sent_index, id_text = base, int(suffix), sid
+                    try:
+                        sent_index = int(suffix)
+                    except ValueError:  # past Python's limit on integer strings
+                        raise DataError(f"line {lineno}: sentence index of {len(suffix)} "
+                                        "digits") from None
+                    review_id, id_text = base, sid
                 else:
                     review_id, sent_index, id_text = sid, None, ""
             continue

@@ -160,24 +160,28 @@ def sidecar_path(path) -> str:
 
 def _sidecar_values(path, text) -> np.ndarray | None:
     """The values of path's sidecar as a (V, d) array when the sidecar
-    loads, is of kind KIND_TABLE, holds V x d values and records the
-    SHA-256 of text's bytes; None otherwise, since a sidecar is a copy
-    that may be missing or stale. text is the table file, open in binary
-    mode at its start; it is hashed in one streaming pass, then rewound."""
+    loads, is of kind KIND_TABLE, holds V x d values, records the SHA-256
+    of text's bytes and the SHA-256 of the values it holds; None
+    otherwise, since a sidecar is a copy that may be missing, stale or
+    damaged. text is the table file, open in binary mode at its start; it
+    is hashed in one streaming pass, then rewound. The values are hashed
+    from the array already read."""
     try:
         descriptor, payload = load_container(sidecar_path(path))
     except (OSError, DataError):
         return None
-    if len(descriptor) != 11 or descriptor[0] != KIND_TABLE:
+    if len(descriptor) != 19 or descriptor[0] != KIND_TABLE:
         return None
     rows, dim = descriptor[1:3]
     if payload.size != rows * dim:
+        return None
+    if hashlib.sha256(payload).digest() != struct.pack("<8I", *descriptor[11:]):
         return None
     digest = hashlib.sha256()
     for block in iter(lambda: text.read(1 << 20), b""):
         digest.update(block)
     text.seek(0)
-    if digest.digest() != struct.pack("<8I", *descriptor[3:]):
+    if digest.digest() != struct.pack("<8I", *descriptor[3:11]):
         return None
     return payload.reshape(rows, dim)
 
@@ -260,10 +264,12 @@ def save_word_embeddings(table: EmbeddingTable, path) -> None:
 
     Then the sidecar (sidecar_path) is written the same way: an ECPE1
     container of kind KIND_TABLE whose descriptor is [KIND_TABLE, V, d,
-    the SHA-256 of the text's bytes as 8 u32 words] and whose payload is
-    the (V, d) values. The hash is taken from the bytes as they are
-    written. A sidecar whose hash does not match its text is ignored, so
-    a failure between the two writes leaves a table that still loads."""
+    the SHA-256 of the text's bytes as 8 u32 words, the SHA-256 of the
+    payload's bytes as 8 u32 words] and whose payload is the (V, d)
+    values. The text's hash is taken from the bytes as they are written.
+    A sidecar whose hashes do not match its text and its own values is
+    ignored, so a failure between the two writes, or a damaged sidecar,
+    leaves a table that still loads from its text."""
     digest = hashlib.sha256()
     rows = ((word + " " + " ".join(map(repr, row)) + "\n")
             for word, row in zip(table.words, table.vectors.tolist()))
@@ -272,9 +278,11 @@ def save_word_embeddings(table: EmbeddingTable, path) -> None:
             data = line.encode("utf-8")
             digest.update(data)
             fh.write(data)
+    values = np.ascontiguousarray(table.vectors, dtype="<f8")
     save_container(sidecar_path(path),
-                   [KIND_TABLE, len(table), table.dim, *struct.unpack("<8I", digest.digest())],
-                   table.vectors)
+                   [KIND_TABLE, len(table), table.dim, *struct.unpack("<8I", digest.digest()),
+                    *struct.unpack("<8I", hashlib.sha256(values).digest())],
+                   values)
 
 
 def load_emotion_lexicon(path) -> EmotionLexicon:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,14 +34,34 @@ class LstmParams:
         return self.w_h.shape[1]
 
 
-@dataclass
+@dataclass(eq=False)
 class BiLstm:
     forward: LstmParams
     backward: LstmParams
+    _calls: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def hidden_dim(self) -> int:
         return self.forward.hidden_dim
+
+    def calls(self) -> list:
+        """One (directions, w_x, w_h, bias) per kernel call: the call's
+        slice of the direction axis and its (D, k, 4H, d), (D, 4H, H) and
+        (D, 4H) tensors. That is one D = 2 call over strided views of both
+        directions (directions()) when paired(H), else one D = 1 call per
+        direction. The views are built once per model and pairing, for a
+        model's parameters and for a training run's velocity alike."""
+        pair = paired(self.hidden_dim)
+        if pair not in self._calls:
+            params = (self.forward, self.backward)
+            if pair:
+                self._calls[pair] = [(slice(0, 2),) + tuple(
+                    directions(getattr(self.forward, name), getattr(self.backward, name))
+                    for name in ("w_x", "w_h", "bias"))]
+            else:
+                self._calls[pair] = [(slice(e, e + 1), p.w_x[None], p.w_h[None], p.bias[None])
+                                     for e, p in enumerate(params)]
+        return self._calls[pair]
 
 
 class BiLstmCache:
@@ -54,11 +74,12 @@ class BiLstmCache:
         self.xs = xs  # (2, N, d): the sequences' timesteps, one after another, per direction
         self.weights = weights  # (B, k) block weights, one row per sequence
         self.lengths = lengths  # B ints
-        # (steps, columns): sequence i's last state is hs[steps[i], :, columns[i]]
+        # (steps, columns): sequence i's last state is hs[steps[i], columns[i]]
         self.last = last
-        # one (directions, w_h, outputs) per kernel call: the call's slice of
-        # the direction axis, its (D, 4H, H) recurrent weights and the forward
-        # kernel's (hs, cs, gates, tanh_c), each with the call's D axis
+        # one (directions, w_h, outputs) per kernel call (BiLstm.calls): the
+        # call's slice of the direction axis, its (D, 4H, H) recurrent
+        # weights and the forward kernel's (hs, gates, cells), each with the
+        # call's D axis
         self.runs = runs
 
 
@@ -90,8 +111,11 @@ def directions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def bilstm_bytes(hidden: int, steps: int, batch: int) -> int:
     """Bytes of the kernel arrays bilstm_run holds for batch sequences of at
-    most steps timesteps: per direction, gates (4H) plus hs, cs and tanh_c
-    (H each) per padded step."""
+    most steps timesteps, counted 7H per direction and padded step: gates
+    (4H) plus hs, cs and tanh(c) (H each). The kernel's cells (4H) hold
+    those three in three of their slots; the fourth, -tanh(g), is left
+    out, so the inference chunks, and with them the scores' last bits, do
+    not change."""
     return 2 * 8 * 7 * hidden * (steps + 1) * batch
 
 
@@ -106,16 +130,17 @@ def one_hot_block(p) -> int | None:
 
 
 def effective_weights(w_x: np.ndarray, p: list) -> np.ndarray:
-    """sum_j p[j] * w_x[j] over a direction's (k, 4H, d) input weight
-    blocks: a new (4H, d) array, one contraction of p with the (k, 4H*d)
-    view; for a one-hot p, the block w_x[j] itself (a view), so the emotion
+    """sum_j p[j] * w_x[..., j, :, :] over the (k, 4H, d) input weight
+    blocks of one or more directions (any leading axes): a new (..., 4H, d)
+    array, one contraction of p with the (..., k, 4H*d) view; for a one-hot
+    p, the blocks w_x[..., j, :, :] themselves (a view), so the emotion
     model's single block and the cause scorer's teacher-forced training
     copy nothing."""
     j = one_hot_block(p)
     if j is not None:
-        return w_x[j]
-    k, four_h, d = w_x.shape
-    return np.matmul(p, w_x.reshape(k, four_h * d)).reshape(four_h, d)
+        return w_x[..., j, :, :]
+    *lead, k, four_h, d = w_x.shape
+    return np.matmul(p, w_x.reshape(*lead, k, four_h * d)).reshape(*lead, four_h, d)
 
 
 def bilstm_run(m: BiLstm, rows: np.ndarray, lengths, weights) -> BiLstmCache:
@@ -123,25 +148,29 @@ def bilstm_run(m: BiLstm, rows: np.ndarray, lengths, weights) -> BiLstmCache:
 
     rows (N, d) holds the sequences' timesteps one after another, lengths
     (B,) their lengths and weights (B, k) their block weights, one per
-    (4H, d) block W_x^(j) of each direction's input weights. Sequence i's
-    timestep input is kron(weights[i], row), but that k*d-wide input is
-    never built: since W_x kron(p, v) = (sum_j p_j W_x^(j)) v, each
-    direction projects the rows through
+    (4H, d) block W_x^(j) of each direction's input weights. rows may also
+    be (2, N, d), those rows and, per sequence, the same rows reversed, as
+    the cache holds them: a training run builds that once per example.
+    Sequence i's timestep input is kron(weights[i], row), but that
+    k*d-wide input is never built: since W_x kron(p, v) = (sum_j p_j
+    W_x^(j)) v, each kernel call projects the rows through
     W_eff = sum_j p_j W_x^(j) (effective_weights), formed once per run of
     consecutive sequences with equal weights and dropped after it. The
-    projections are packed by decreasing length (ties keep their order)
-    into the kernel's time-major array, the backward direction's with each
-    sequence reversed. A single sequence (a training step) is packed
-    without being sorted, mapped or scattered. Both directions then run in
-    one kernel call (D = 2) when paired(H), else in one D = 1 call each;
-    every later step loops over the calls the cache records.
+    negated projections are packed by decreasing length (ties keep their
+    order) into the kernel's time-major, gate-major array, the backward
+    direction's with each sequence reversed. A single sequence (a training
+    step) is packed without being sorted or mapped. Both
+    directions then run in one kernel call (D = 2) when paired(H), else in
+    one D = 1 call each (BiLstm.calls); every later step loops over the
+    calls the cache records.
     """
     rows = np.asarray(rows, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     lengths = [int(n) for n in lengths]
-    if rows.ndim != 2 or not lengths or min(lengths) < 1:
+    if rows.ndim not in (2, 3) or (rows.ndim == 3 and len(rows) != 2) or not lengths \
+            or min(lengths) < 1:
         raise ValueError("bilstm: need nonempty (T, D) sequences")
-    n, d = rows.shape
+    n, d = rows.shape[-2:]
     if n != sum(lengths):
         raise ValueError(f"bilstm: {n} rows for sequences of {sum(lengths)} steps")
     batch = len(lengths)
@@ -149,56 +178,69 @@ def bilstm_run(m: BiLstm, rows: np.ndarray, lengths, weights) -> BiLstmCache:
     if weights.shape != (batch, k) or d != dim:
         raise ValueError(f"bilstm: input dim {weights.shape[1:]} x {d} != ({k},) x {dim}")
     w = weights.tolist()
-    xs = np.empty((2, n, d))
-    xs[0] = rows
-    if batch == 1:
-        order, col = [0], [0]
-        xs[1] = rows[::-1]
+    ends = list(itertools.accumulate(lengths))
+    spans = list(zip([0] + ends[:-1], ends))  # each sequence's rows
+    if rows.ndim == 3:
+        xs = rows
     else:
-        ends = list(itertools.accumulate(lengths))
-        spans = list(zip([0] + ends[:-1], ends))  # each sequence's rows
+        xs = np.empty((2, n, d))
+        xs[0] = rows
+        for a, b in spans:
+            xs[1, a:b] = rows[a:b][::-1]
+    if batch == 1:
+        order, col, firsts = [0], [0], [0]
+    else:
         order = sorted(range(batch), key=lengths.__getitem__, reverse=True)  # stable
         col = [0] * batch
         for c, i in enumerate(order):
             col[i] = c
-        for a, b in spans:
-            xs[1, a:b] = rows[a:b][::-1]
         firsts = [i for i in range(batch) if i == 0 or w[i] != w[i - 1]]
     hidden = m.hidden_dim
-    zx = np.empty((lengths[order[0]], 2, batch, 4 * hidden))  # the kernel reads no padding
-    for e, p in enumerate((m.forward, m.backward)):
-        if batch == 1:
-            zx[:, e, 0] = xs[e] @ effective_weights(p.w_x, w[0]).T + p.bias
-        else:
-            for s, end in zip(firsts, firsts[1:] + [batch]):
-                base = spans[s][0]
-                z = xs[e, base:spans[end - 1][1]] @ effective_weights(p.w_x, w[s]).T + p.bias
-                for i in range(s, end):
-                    zx[:lengths[i], e, col[i]] = z[spans[i][0] - base:spans[i][1] - base]
     ordered = [lengths[i] for i in order]
-    if paired(hidden):
-        calls = [(slice(0, 2), directions(m.forward.w_h, m.backward.w_h))]
-    else:
-        calls = [(slice(e, e + 1), p.w_h[None]) for e, p in enumerate((m.forward, m.backward))]
-    runs = [(dirs, w_h, kernels.lstm_forward_seq(zx[:, dirs], w_h, ordered))
-            for dirs, w_h in calls]
+    runs = []
+    for dirs, w_x, w_h, bias in m.calls():
+        # the kernel reads no padding
+        zx = np.empty((ordered[0], 4, batch, len(w_h), hidden)) if batch > 1 else None
+        for s, end in zip(firsts, firsts[1:] + [batch]):
+            base = spans[s][0]
+            z = np.matmul(xs[dirs, base:spans[end - 1][1]],
+                          effective_weights(w_x, w[s]).transpose(0, 2, 1))
+            z += bias[:, None]
+            z = _negated_gate_major(z)
+            if batch == 1:  # the one sequence's rows are the kernel's input
+                zx = z[:, :, None]
+            else:
+                for i in range(s, end):
+                    zx[:lengths[i], :, col[i]] = z[spans[i][0] - base:spans[i][1] - base]
+        runs.append((dirs, w_h, kernels.lstm_forward_seq(zx, w_h, ordered)))
     return BiLstmCache(xs, weights, lengths, (lengths, col), runs)
+
+
+def _negated_gate_major(z: np.ndarray) -> np.ndarray:
+    """-z as a new (T, 4, D, H) C-contiguous array, for projections z
+    (D, T, 4H): the rows of the kernel's input."""
+    D, T, four_h = z.shape
+    return np.negative(z.reshape(D, T, 4, four_h // 4).transpose(1, 2, 0, 3), order="C")
 
 
 def bilstm_last_output(cache: BiLstmCache) -> np.ndarray:
     """(B, 2H): per sequence, concat(h_fwd at its final position, h_bwd at
     position 0) — each direction's state after it has consumed the whole
-    sequence."""
+    sequence. For one sequence run in one kernel call it is a view of the
+    cache's hs."""
     steps, cols = cache.last
-    return np.concatenate([hs[steps, :, cols].reshape(len(steps), -1)
-                           for _, _, (hs, *_) in cache.runs], axis=1)
+    if len(steps) == 1:  # a training step: basic indexing, no gather
+        parts = [hs[steps[0], cols[0]].reshape(1, -1) for _, _, (hs, *_) in cache.runs]
+    else:
+        parts = [hs[steps, cols].reshape(len(steps), -1) for _, _, (hs, *_) in cache.runs]
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def bilstm_backward_last(m: BiLstm, cache: BiLstmCache, d_last: np.ndarray,
                          grad: BiLstm) -> None:
     """BPTT for one sequence when the loss touches only bilstm_last_output.
     Adds the gradients into grad's arrays, one kernel call per forward
-    call."""
+    call, through grad's views for that call (BiLstm.calls)."""
     if len(cache.lengths) != 1:
         raise ValueError("bilstm backward: one sequence at a time")
     T = cache.lengths[0]
@@ -206,12 +248,10 @@ def bilstm_backward_last(m: BiLstm, cache: BiLstmCache, d_last: np.ndarray,
     weights = cache.weights[0].tolist()
     d_h_out = np.zeros((T, 2, h))
     d_h_out[T - 1] = d_last.reshape(2, h)
-    grads = (grad.forward, grad.backward)
-    for dirs, w_h, out in cache.runs:
-        kernels.lstm_backward_seq(w_h, cache.xs[dirs], *(a[:, :, 0] for a in out),
-                                  d_h_out[:, dirs], [g.w_x for g in grads[dirs]],
-                                  [g.w_h for g in grads[dirs]], [g.bias for g in grads[dirs]],
-                                  weights)
+    for (dirs, w_h, out), (_, d_wx, d_wh, d_bias) in zip(cache.runs, grad.calls()):
+        _, gates, cells = out
+        kernels.lstm_backward_seq(w_h, cache.xs[dirs], gates[:, :, 0], cells[:, :, 0],
+                                  d_h_out[:, dirs], d_wx, d_wh, d_bias, weights)
 
 
 @dataclass
@@ -256,8 +296,8 @@ def sigmoid(x: float) -> float:
 def log_softmax(x: np.ndarray) -> np.ndarray:
     """Over the last axis, so a (B, n) array gives one distribution per row."""
     x = np.asarray(x, dtype=np.float64)
-    shifted = x - np.max(x, axis=-1, keepdims=True)
-    return shifted - np.log(np.sum(np.exp(shifted), axis=-1, keepdims=True))
+    shifted = x - x.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def dropout_mask(p: float, shape, rng: Rng) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Shared builders and oracles used by both the module tests and the
 acceptance suite."""
 
+import bisect
 import dataclasses
 import struct
 
@@ -12,7 +13,7 @@ from emocause.clustering import cosine_distance
 from emocause.embeddings import (DEFAULT_TOP_K, EMOTIONS, EmbeddingTable,
                                  build_similarity_matrix)
 from emocause.errors import OovError
-from emocause.nn import core
+from emocause.nn import core, kernels
 
 
 def with_parses(record, parse_ids):
@@ -149,6 +150,145 @@ def reference_lstm_forward_seq(w_x, w_h, bias, xs):
     return hs, cs, gates, tanh_c
 
 
+def interleaved_lstm_forward_seq(zx, w_h, lengths):
+    """The batch-major forward kernel that the negated, gate-major kernel
+    replaced, kept verbatim as an oracle: it takes the input
+    pre-activations as they are, gates interleaved per row.
+
+    Run an LSTM left to right from zero state over B sequences at once,
+    in D directions at once.
+
+    zx is (T, D, B, 4H), time-major: zx[t, e, i] is sequence i's input
+    pre-activation at step t in direction e, bias included, and w_h
+    (D, 4H, H) holds each direction's recurrent weights. lengths (B,) is
+    sorted in decreasing order with lengths[0] == T, so step t updates only
+    the first n_active[t] rows; every direction runs the same lengths. zx
+    is turned into the gate activations in place.
+
+    Returns (hs, cs, gates, tanh_c): hs/cs are (T+1, D, B, H) with row 0
+    the initial zero state, gates is zx, (T, D, B, 4H) post-activation in
+    i|f|g|o order, and tanh_c is (T, D, B, H); everything the backward
+    pass needs. Sequence i's last state in direction e is
+    hs[lengths[i], e, i]; entries past a sequence's end are not computed
+    (zero in hs, cs and tanh_c, and zx's own values in gates) and not read.
+    """
+    T, D, B, four_h = zx.shape
+    H = w_h.shape[2]
+    neg = [-int(n) for n in lengths]  # ascending
+    if len(neg) != B or neg[0] != -T or neg[-1] > -1 or neg != sorted(neg):
+        raise ValueError("lstm: lengths must be >= 1, in decreasing order, the first equal to T")
+    n_active = [bisect.bisect_left(neg, -t) for t in range(T)]  # lengths > t
+    hs = np.zeros((T + 1, D, B, H))
+    cs = np.zeros((T + 1, D, B, H))
+    tanh_c = np.zeros((T, D, B, H))
+    w_ht = w_h.transpose(0, 2, 1)
+    acts = zx.reshape(T, D, B, 4, H).transpose(0, 3, 1, 2, 4)  # gate-major views of zx
+    h_prev, c_prev = hs[0], cs[0]
+    # each step's views come from iterating the arrays, and are cut to the
+    # n sequences still running only once some have ended
+    for z, act, h, c, tc, n in zip(zx, acts, hs[1:], cs[1:], tanh_c, n_active):
+        if n < B:
+            z, act, h, c, tc = z[:, :n], act[:, :, :n], h[:, :n], c[:, :n], tc[:, :n]
+            h_prev, c_prev = h_prev[:, :n], c_prev[:, :n]
+        z += np.matmul(h_prev, w_ht)
+        i, f, g, o = act
+        tanh_g = np.tanh(g)
+        # the sigmoid of every gate, over z's rows rather than the gate
+        # views, then the cell gate's tanh put back
+        np.exp(np.negative(z, z), z)
+        np.add(z, 1.0, z)
+        np.divide(1.0, z, z)
+        g[...] = tanh_g
+        np.multiply(f, c_prev, c)
+        c += i * g
+        np.multiply(o, np.tanh(c, tc), h)
+        h_prev, c_prev = h, c
+    return hs, cs, zx, tanh_c
+
+
+
+def _interleaved_add_product(target, a, b):
+    """target += a @ b, a row block of about kernels.BLOCK values of target
+    at a time, so the product is never held whole and each block of target
+    is still in cache when it is added to."""
+    rows = max(1, kernels.BLOCK // target.shape[1])
+    for r in range(0, target.shape[0], rows):
+        target[r:r + rows] += a[r:r + rows] @ b
+
+
+
+def interleaved_lstm_backward_seq(w_h, xs, hs, cs, gates, tanh_c, d_h_out, d_wx, d_wh, d_bias,
+                      block_weights):
+    """The backward kernel that the time-major, batched-gradient kernel
+    replaced, kept verbatim as an oracle (its row-block product is
+    _interleaved_add_product). Backpropagate through time over one
+    sequence in D directions at once, given d_h_out (T, D, H), the gradient of the loss w.r.t. each
+    timestep's hidden output, and the forward kernel's outputs for that
+    sequence ((T+1, D, H), (T+1, D, H), (T, D, 4H), (T, D, H)).
+
+    w_h (D, 4H, H) holds each direction's recurrent weights and xs
+    (D, T, D_in) its inputs. They were projected with the weights
+    sum_j block_weights[j] * block_j of k = len(block_weights) (4H, D_in)
+    input blocks, so the gradient of block j is dZ.T @ (block_weights[j] *
+    xs). Direction e's gradients are added into d_wx[e] (k, 4H, D_in),
+    d_wh[e] (4H, H) and d_bias[e] (4H,), not written: the caller passes
+    the vectors it accumulates into, as arrays with a leading direction
+    axis or as sequences of D arrays. Block j of d_wx[e] is not touched
+    where block_weights[j] is zero, and no (T, k*D_in) input or
+    (4H, k*D_in) temporary is made. Input gradients are not computed; the
+    models feed frozen embeddings.
+    """
+    D, T = xs.shape[:2]
+    H = w_h.shape[2]
+    i, f, g, o = gates.reshape(T, D, 4, H).transpose(2, 0, 1, 3)
+    # the local derivatives, which do not depend on the recurrence: d(c) by
+    # the i, f and g pre-activations, d(h) by the o pre-activation, d(h)/d(c)
+    dc_dz_ifg = np.empty((T, D, 3, H))
+    np.multiply(g * i, 1.0 - i, out=dc_dz_ifg[:, :, 0])
+    np.multiply(cs[:-1] * f, 1.0 - f, out=dc_dz_ifg[:, :, 1])
+    np.multiply(i, 1.0 - g * g, out=dc_dz_ifg[:, :, 2])
+    dh_dz_o = tanh_c * o * (1.0 - o)
+    dh_dc = o * (1.0 - tanh_c * tanh_c)
+    dz = np.empty((D, T, 4, H))
+    dh = np.zeros((D, H))
+    dc = np.zeros((D, H))
+    for t in range(T - 1, -1, -1):
+        dht = d_h_out[t] + dh
+        dct = dht * dh_dc[t] + dc
+        np.multiply(dc_dz_ifg[t], dct[:, None], out=dz[:, t, :3])
+        np.multiply(dh_dz_o[t], dht, out=dz[:, t, 3])
+        dc = dct * f[t]
+        dh = np.matmul(dz[:, t].reshape(D, 1, 4 * H), w_h).reshape(D, H)
+    dz = dz.reshape(D, T, 4 * H)
+    for e, (wx, wh, bias) in enumerate(zip(d_wx, d_wh, d_bias)):
+        dz_t = dz[e].T
+        for j, weight in enumerate(block_weights):
+            if weight:
+                _interleaved_add_product(wx[j], dz_t, xs[e] if weight == 1.0 else weight * xs[e])
+        _interleaved_add_product(wh, dz_t, hs[:-1, e])
+        bias += dz[e].sum(0)
+
+
+def gate_major(zx):
+    """The kernel's negated, gate-major (T, 4, B, D, H) input for the input
+    pre-activations zx (T, D, B, 4H) the interleaved kernel takes."""
+    T, D, B, four_h = zx.shape
+    return np.negative(zx.reshape(T, D, B, 4, four_h // 4).transpose(0, 3, 2, 1, 4)).copy()
+
+
+def as_interleaved(out):
+    """The kernel's (hs, gates, cells) as the interleaved kernel returns
+    them: (hs, cs, gates, tanh_c), each with the direction axis before the
+    batch axis, and gates (T, D, B, 4H) with tanh(g) in the cell gate's
+    slot."""
+    hs, gates, cells = out
+    T, _, B, D, H = gates.shape
+    act = gates.transpose(0, 3, 2, 1, 4).copy()
+    np.negative(cells[:T, 0].transpose(0, 2, 1, 3), out=act[..., 2, :])
+    return (hs.transpose(0, 2, 1, 3), cells[:, 1].transpose(0, 2, 1, 3),
+            act.reshape(T, D, B, 4 * H), cells[:T, 3].transpose(0, 2, 1, 3))
+
+
 def kron_logits(m, tokens, probs):
     """Oracle for a cause scorer's logit: both directions run by the
     reference kernel over the (T, 8d) Kronecker input and the full input
@@ -200,7 +340,7 @@ def random_bilstm(rng, dim, hidden, blocks=1):
 def bilstm_outputs(cache):
     """Per-timestep outputs (T, 2H) of a one-sequence run: concat of both
     directions' states at each original position."""
-    hs = np.concatenate([out[0][1:, :, 0] for _, _, out in cache.runs], axis=1)  # (T, 2, H)
+    hs = np.concatenate([out[0][1:, 0] for _, _, out in cache.runs], axis=1)  # (T, 2, H)
     return np.concatenate([hs[:, 0], hs[::-1, 1]], axis=1)
 
 
@@ -379,4 +519,37 @@ def mutated_container(draw, data: bytes) -> bytes:
         elif how == "count" and len(out) >= 9:
             count = draw(st.one_of(st.integers(0, 16), st.integers(0, 2**32 - 1)))
             out[5:9] = struct.pack("<I", count)
+    return bytes(out)
+
+
+# Unicode digits and whitespace that str.isdigit, int(), float() or
+# str.split treat unlike their ASCII look-alikes
+ODD_CHARACTERS = ("\u00b2", "\u0663", "\u2460", "\uff11", "\u00a0", "\u2028", "\u3000",
+                  "\x1c", "\x85", "\x0b", "\t", "\n")
+HUGE_NUMBERS = ("9" * 5000, "1e999", "-1e-999", "nan", "inf", "1_0", "0x1p-2", "4" * 400 + ".5")
+
+
+@st.composite
+def mutated_lines(draw, data: bytes) -> bytes:
+    """data, the bytes of a line-oriented text file, after one to three
+    mutations: a byte flipped, the end cut off, a line repeated, an odd
+    Unicode digit or whitespace character inserted, or a huge or
+    unusual number inserted. An insertion may split a multibyte
+    character, so the result need not be UTF-8."""
+    out = bytearray(data)
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(["flip", "truncate", "repeat", "odd", "number"]))
+        at = draw(st.integers(0, len(out)))
+        if how == "flip" and out:
+            out[min(at, len(out) - 1)] ^= draw(st.integers(1, 255))
+        elif how == "truncate":
+            del out[at:]
+        elif how == "repeat" and out:
+            lines = bytes(out).splitlines(keepends=True)
+            line = draw(st.sampled_from(lines))
+            k = draw(st.integers(0, len(lines)))
+            out = bytearray(b"".join(lines[:k] + [line] * draw(st.integers(1, 3)) + lines[k:]))
+        elif how in ("odd", "number"):
+            pool = ODD_CHARACTERS if how == "odd" else HUGE_NUMBERS
+            out[at:at] = draw(st.sampled_from(pool)).encode("utf-8")
     return bytes(out)

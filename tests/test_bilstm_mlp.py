@@ -386,6 +386,26 @@ class TestLazyMomentum:
             assert touched == (e in (1, 6)), e
             assert all(np.any(b) for b in blocks) == (e in (1, 6)), e
 
+    def test_span_views_are_built_once_per_pattern(self, monkeypatch):
+        made = []
+
+        class Recorded(bilstm_mlp.Momentum):
+            def __init__(self, model, cfg):
+                super().__init__(model, cfg)
+                made.append(self)
+
+        monkeypatch.setattr(bilstm_mlp, "Momentum", Recorded)
+        table = random_table(np.random.default_rng(2), 6, 3)
+        cause_model.train_cause(cause_examples([1, 6, 1, 1, 6]), table,
+                                np.random.default_rng(0), epochs=3, hidden=4)
+        patterns = made[0].patterns
+        assert sorted(patterns) == [1, 6]
+        for j, (active, idle, passes) in patterns.items():
+            assert active == [j] and idle == [e for e in range(8) if e != j]
+            for theta, velocity in passes:  # views of the two flat vectors
+                assert np.shares_memory(theta, made[0].theta)
+                assert np.shares_memory(velocity, made[0].velocity.flat)
+
     def test_parameters_are_caught_up_before_train_returns(self, rng):
         m = cause_model.CauseScorer.init(random_table(rng, 5, 3), rng, hidden=4, mid=5)
         rows = m.table.rows(("w0", "w2", "w1"))

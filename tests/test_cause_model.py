@@ -4,12 +4,12 @@ import pytest
 from emocause import bilstm_mlp, cause_model, pipeline
 from emocause.embeddings import EmbeddingTable
 from emocause.errors import OovError
-from emocause.nn import core, kernels
+from emocause.nn import core
 
 from conftest import random_table
-from helpers import (cause_accuracy, kron_logits, kron_scaled_inputs, kron_weights,
-                     reference_lstm_forward_seq, score_clause, select_cause_clause,
-                     separable_cause_setup)
+from helpers import (cause_accuracy, interleaved_lstm_backward_seq, kron_logits,
+                     kron_scaled_inputs, kron_weights, reference_lstm_forward_seq, score_clause,
+                     select_cause_clause, separable_cause_setup)
 
 
 def uniform_probs():
@@ -117,7 +117,9 @@ class TestFactoredModel:
 
     @pytest.mark.parametrize("kind", ["one_hot", "random"])
     def test_gradient_agrees_with_kron_path(self, rng, kind):
-        # the oracle runs the kernels on the kron input as one 8d-wide block
+        # the oracle runs the one-sequence forward and the interleaved
+        # backward kernel (tests/helpers.py) on the kron input as one 8d-wide
+        # block
         table = random_table(rng, 6, 5)
         m = cause_model.CauseScorer.init(table, rng, hidden=4, mid=5)
         probs = rng.dirichlet(np.ones(8)) if kind == "random" else cause_model.one_hot_probs("trust")
@@ -139,8 +141,8 @@ class TestFactoredModel:
             w_x = kron_weights(p.w_x)
             expected = [np.zeros((1,) + w_x.shape), np.zeros_like(p.w_h), np.zeros_like(p.bias)]
             run = reference_lstm_forward_seq(w_x, p.w_h, p.bias, xs)
-            kernels.lstm_backward_seq(p.w_h[None], xs[None], *(a[:, None] for a in run),
-                                      d_h_out[:, None], *([a] for a in expected), (1.0,))
+            interleaved_lstm_backward_seq(p.w_h[None], xs[None], *(a[:, None] for a in run),
+                                          d_h_out[:, None], *([a] for a in expected), (1.0,))
             for got, want in zip((kron_weights(g.w_x), g.w_h, g.bias),
                                  (expected[0][0],) + tuple(expected[1:])):
                 assert np.allclose(got, want, rtol=1e-12, atol=1e-15)
@@ -168,7 +170,7 @@ class TestFactoredModel:
         real = bilstm_mlp.loss_and_grads
 
         def spy(m, rows, weights, *args):
-            held.append((rows.shape[1], weights.shape))
+            held.append((rows.shape[-1], weights.shape))
             return real(m, rows, weights, *args)
 
         monkeypatch.setattr(bilstm_mlp, "loss_and_grads", spy)

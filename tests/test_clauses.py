@@ -10,6 +10,8 @@ from emocause.clauses import (Sentence, Token, clause_span_for_verb,
                               parse_conllu)
 from emocause.errors import DataError
 
+from helpers import mutated_lines
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -100,6 +102,17 @@ class TestParseConllu:
                 "1\tok\tok\tVERB\t_\t_\t0\troot\t_\t_\n")
         s = parse_conllu(text)[0]
         assert (s.review_id, s.sent_index, s.sent_id) == (review_id, sent_index, sent_id)
+
+    @pytest.mark.parametrize("field, text", [
+        # past Python's 4300-digit limit on integer strings
+        ("sentence index", "# sent_id = r1." + "9" * 5000 + "\n"
+                           "1\tok\tok\tVERB\t_\t_\t0\troot\t_\t_\n"),
+        ("token id", "9" * 5000 + "\tok\tok\tVERB\t_\t_\t0\troot\t_\t_\n"),
+        ("HEAD", "1\tok\tok\tVERB\t_\t_\t" + "9" * 5000 + "\troot\t_\t_\n"),
+    ], ids=["sent-id", "token-id", "head"])
+    def test_huge_numbers_are_data_errors(self, field, text):
+        with pytest.raises(DataError, match=field):
+            parse_conllu(text)
 
 
 class TestFindRoot:
@@ -263,3 +276,20 @@ class TestFuzz:
             assert 0 <= c.span.start <= c.span.end < len(s)
             assert len(c.words) == c.span.end - c.span.start + 1
         assert extract_clauses(s) == clauses
+
+
+GOLDEN = (FIXTURES / "golden.conllu").read_bytes()
+
+
+@settings(max_examples=150, deadline=1000)
+@given(data=st.data())
+def test_a_mutated_parse_file_parses_or_raises_data_error(data):
+    # readers open parses as UTF-8; invalid bytes are decoded as U+FFFD so
+    # that every example reaches the parser
+    text = data.draw(mutated_lines(GOLDEN)).decode("utf-8", "replace")
+    try:
+        sentences = parse_conllu(text)
+    except DataError:
+        return
+    for s in sentences:  # what extract-clauses does with them next
+        extract_clauses(s)

@@ -16,10 +16,11 @@ from emocause.embeddings import (DEFAULT_TOP_K, EMOTIONS, EmbeddingTable,
                                  load_emotion_lexicon, load_word_embeddings,
                                  save_word_embeddings, sidecar_path)
 from emocause.errors import DataError, OovError
-from emocause.nn.serialize import KIND_TABLE, MAGIC, load_container, save_container
+from emocause.nn.serialize import KIND_TABLE, load_container, save_container
 
 from conftest import random_table
-from helpers import mutated_container, reference_emotion_aware_table, top_k_emotion_words
+from helpers import (mutated_container, mutated_lines, reference_emotion_aware_table,
+                     top_k_emotion_words)
 
 
 def write(path, text):
@@ -279,6 +280,12 @@ def sidecar_words(path):
     return list(struct.unpack("<8I", hashlib.sha256(path.read_bytes()).digest()))
 
 
+def payload_words(values):
+    """The SHA-256 of values' float64 bytes as the 8 u32 words a sidecar
+    stores."""
+    return list(struct.unpack("<8I", hashlib.sha256(np.asarray(values).tobytes()).digest()))
+
+
 def spy_on_block_values(monkeypatch):
     calls = []
     convert = embeddings._block_values
@@ -301,7 +308,9 @@ class TestSidecar:
         save_word_embeddings(table, p)
         assert sidecar_path(p) == str(tmp_path / "v.txt.ecpe")
         descriptor, payload = load_container(sidecar_path(p))
-        assert list(descriptor) == [KIND_TABLE, 6, 4] + sidecar_words(p)
+        assert KIND_TABLE == 4
+        assert list(descriptor) == ([KIND_TABLE, 6, 4] + sidecar_words(p)
+                                    + payload_words(table.vectors))
         assert payload.tobytes() == table.vectors.tobytes()
 
     def test_load_with_sidecar_equals_load_without(self, tmp_path, rng):
@@ -332,10 +341,12 @@ class TestSidecar:
         p.write_text("".join(lines), encoding="utf-8")
         assert load_word_embeddings(p)["w2"].tolist() == [7.5, 0.25, 1.0]
 
-    @pytest.mark.parametrize("fault", ["truncated", "magic", "kind", "rows", "dim", "size"])
+    @pytest.mark.parametrize("fault", ["truncated", "magic", "kind", "rows", "dim", "size",
+                                       "kind-3", "digest"])
     def test_a_sidecar_that_does_not_fit_is_ignored(self, tmp_path, rng, monkeypatch, fault):
-        # each bad sidecar holds the text's hash but other values, so
-        # using it would show
+        # each bad sidecar holds the text's hash but other values, with
+        # their own digest unless the digest is the fault, so using it
+        # would show
         table = random_table(rng, 4, 6)
         p = tmp_path / "v.txt"
         save_word_embeddings(table, p)
@@ -348,7 +359,10 @@ class TestSidecar:
             dim, values = 5, values.ravel()[:20]
         elif fault == "size":
             values = np.append(values, 1.0)
-        save_container(sidecar_path(p), [kind, rows, dim] + sidecar_words(p), values)
+        digest = payload_words(table.vectors if fault == "digest" else values)
+        if fault == "kind-3":  # the sidecar before it carried its payload's digest
+            kind, digest = 3, []
+        save_container(sidecar_path(p), [kind, rows, dim] + sidecar_words(p) + digest, values)
         sidecar = tmp_path / "v.txt.ecpe"
         if fault == "truncated":
             sidecar.write_bytes(sidecar.read_bytes()[:-12])
@@ -384,10 +398,6 @@ def load_outcome(path):
     return "table", table.words, table.vectors.tobytes()
 
 
-# a sidecar's magic, descriptor count and eleven descriptor values
-SIDECAR_HEADER = len(MAGIC) + 4 * 12
-
-
 @pytest.fixture(scope="module")
 def sidecar_cases(tmp_path_factory):
     """name -> (a table's path, its sidecar's bytes, the text path's outcome).
@@ -415,16 +425,12 @@ def test_a_mutated_sidecar_gives_the_text_paths_outcome(sidecar_cases, name, dat
     p, good, text_outcome = sidecar_cases[name]
     bad = data.draw(mutated_container(good))
     Path(sidecar_path(p)).write_bytes(bad)
-    outcome = load_outcome(p)  # anything but a DataError propagates
-    # a sidecar whose header and size are intact is read as a hit whatever
-    # its values, since it records the text's hash and not its own (see
-    # the xfail below)
-    if bad[:SIDECAR_HEADER] != good[:SIDECAR_HEADER] or len(bad) != len(good):
-        assert outcome == text_outcome
+    # anything but a DataError propagates; a sidecar whose bytes changed
+    # fails its digests and is ignored, and one whose mutations undid each
+    # other is the exact copy of the text
+    assert load_outcome(p) == text_outcome
 
 
-@pytest.mark.xfail(strict=True, reason="the sidecar carries no digest of its values, "
-                                       "so a changed value is read as a hit")
 def test_a_sidecar_with_a_changed_value_is_not_read(sidecar_cases):
     p, good, text_outcome = sidecar_cases["valid"]
     bad = bytearray(good)
@@ -459,6 +465,32 @@ class TestLoadEmotionLexicon:
         lex = load_emotion_lexicon(p)
         assert lex.entries["alarm"] == (("fear", 0.8), ("surprise", 0.6))
         assert lex.max_intensity("alarm") == 0.8
+
+
+LEXICON = ("furious\tanger\t0.964\nalarm\tfear\t0.8\nalarm\tsurprise\t0.6\n"
+           "calm\ttrust\t0.25\nglad\tjoy\t1\nsorry\tsadness\t0.0\n").encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def lexicon_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("lexicon") / "l.tsv"
+
+
+@settings(max_examples=150, deadline=1000)
+@given(data=st.data())
+def test_a_mutated_lexicon_loads_or_raises_data_error(lexicon_path, data):
+    bad = data.draw(mutated_lines(LEXICON))
+    lexicon_path.write_bytes(bad)
+    try:
+        lexicon = load_emotion_lexicon(lexicon_path)
+    except DataError:
+        return
+    except UnicodeDecodeError:  # the CLI's exit 2 for a file that is not UTF-8
+        with pytest.raises(UnicodeDecodeError):
+            bad.decode("utf-8")
+        return
+    for pairs in lexicon.entries.values():
+        assert all(e in EMOTIONS and 0.0 <= x <= 1.0 for e, x in pairs)
 
 
 class TestCosineSimilarity:

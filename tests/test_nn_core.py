@@ -143,6 +143,22 @@ class TestBiLstm:
         apart = core.bilstm_last_output(core.bilstm_run(m, rows, lengths, weights))
         assert paired.tobytes() == apart.tobytes()
 
+    @pytest.mark.parametrize("lengths", [[5], [2, 5, 1]], ids=["B1", "B3"])
+    def test_rows_held_with_their_reversal_give_the_same_bytes(self, rng, lengths):
+        # a training run hands in each example's (2, T, d) rows, forward and
+        # reversed, as the cache holds them
+        m = random_bilstm(rng, 3, 4, blocks=2)
+        rows = rng.normal(size=(sum(lengths), 3))
+        weights = rng.dirichlet(np.ones(2), size=len(lengths))
+        cache = core.bilstm_run(m, rows, lengths, weights)
+        held = core.bilstm_run(m, cache.xs.copy(), lengths, weights)
+        assert held.xs.tobytes() == cache.xs.tobytes()
+        assert cache.xs[1, :lengths[0]].tobytes() == rows[:lengths[0]][::-1].tobytes()
+        for (_, _, a), (_, _, b) in zip(cache.runs, held.runs):  # hs and cells
+            assert a[0].tobytes() == b[0].tobytes() and a[2].tobytes() == b[2].tobytes()
+        with pytest.raises(ValueError, match="nonempty"):
+            core.bilstm_run(m, np.stack([rows] * 3), lengths, weights)
+
     def test_rows_must_match_lengths_and_width(self, rng):
         m = random_bilstm(rng, 3, 2)
         with pytest.raises(ValueError, match="rows"):
