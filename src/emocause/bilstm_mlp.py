@@ -52,18 +52,17 @@ def layout(blocks: int, dim: int, hidden: int, mid: int, out: int) -> tuple:
     """The network's tensors as (part, name, shape, init fan-in), in their
     order in the flat vector and the model file, for a Bi-LSTM whose
     timestep input is kron(p, v), blocks copies of a dim-wide word vector.
-    Each direction's input weights are stored as blocks contiguous (4H,
-    dim) blocks, one per entry of p (block-major); their fan-in is the
+    The "bilstm" rows are one direction's tensors: the forward direction's
+    are stored first, then the backward's in the same order, then the
+    MLP's. Each direction's input weights are stored as blocks contiguous
+    (4H, dim) blocks, one per entry of p (block-major); their fan-in is the
     width of that input, blocks * dim. The parameters, a gradient, a
     training run's velocity and the model file all follow this layout."""
     four_h = 4 * hidden
     return (
-        ("forward", "w_x", (blocks, four_h, dim), blocks * dim),
-        ("forward", "w_h", (four_h, hidden), hidden),
-        ("forward", "bias", (four_h,), hidden),
-        ("backward", "w_x", (blocks, four_h, dim), blocks * dim),
-        ("backward", "w_h", (four_h, hidden), hidden),
-        ("backward", "bias", (four_h,), hidden),
+        ("bilstm", "w_x", (blocks, four_h, dim), blocks * dim),
+        ("bilstm", "w_h", (four_h, hidden), hidden),
+        ("bilstm", "bias", (four_h,), hidden),
         ("fc1", "weight", (mid, 2 * hidden), 2 * hidden),
         ("fc1", "bias", (mid,), 2 * hidden),
         ("fc2", "weight", (out, mid), mid),
@@ -71,21 +70,36 @@ def layout(blocks: int, dim: int, hidden: int, mid: int, out: int) -> tuple:
     )
 
 
-def _cut(flat: np.ndarray, dims):
-    """(part, name, view of flat, fan-in) for each row of layout(*dims)."""
-    start = 0
-    for part, name, shape, fan_in in layout(*dims):
+def _cut(flat: np.ndarray, dims) -> tuple:
+    """The views of flat, which holds the n_values(dims) values of
+    layout(*dims): (tensors, dense). tensors has one (part, name, view,
+    fan-in) per row of the layout. A "bilstm" view is (2, *shape), both
+    directions' tensor: since the backward direction's tensors follow the
+    forward's in the same order, it is a row slice of flat's first 2n
+    values as a (2, n) array, n being one direction's size. dense is the
+    two 1-D runs of flat that hold no input weights: the forward w_h and
+    bias, and everything after the backward w_x."""
+    rows = layout(*dims)
+    n = sum(math.prod(shape) for part, _, shape, _ in rows if part == "bilstm")
+    paired, tensors, start = flat[:2 * n].reshape(2, n), [], 0
+    for part, name, shape, fan_in in rows:
         end = start + math.prod(shape)
-        yield part, name, flat[start:end].reshape(shape), fan_in
+        view = (paired[:, start:end].reshape((2,) + shape) if part == "bilstm"
+                else flat[n + start:n + end].reshape(shape))
+        tensors.append((part, name, view, fan_in))
         start = end
+    w_x = math.prod(rows[0][2])
+    return tensors, (flat[w_x:n], flat[n + w_x:])
 
 
 def n_values(dims) -> int:
-    return sum(math.prod(shape) for _, _, shape, _ in layout(*dims))
+    return sum(math.prod(shape) * (2 if part == "bilstm" else 1)
+               for part, _, shape, _ in layout(*dims))
 
 
 def draw(dims, rng: core.Rng) -> np.ndarray:
-    """A new flat vector: each tensor in layout order drawn uniformly from
+    """A new flat vector: each tensor in file order, the forward
+    direction's, the backward's, then the MLP's, drawn uniformly from
     +-1/sqrt(fan-in), with the ops of rng.uniform(-bound, bound) (low +
     (high - low) * random). An input weight tensor draws its values in
     (gate row, block, column) order, the order of the (4H, blocks * dim)
@@ -94,7 +108,11 @@ def draw(dims, rng: core.Rng) -> np.ndarray:
     filled a row block of about kernels.BLOCK values at a time, so no
     tensor-sized temporary is made."""
     flat = np.empty(n_values(dims))
-    for _, _, view, fan_in in _cut(flat, dims):
+    tensors, _ = _cut(flat, dims)
+    paired = [(view, fan_in) for part, _, view, fan_in in tensors if part == "bilstm"]
+    views = [(view[e], fan_in) for e in (0, 1) for view, fan_in in paired] + \
+        [(view, fan_in) for part, _, view, fan_in in tensors if part != "bilstm"]
+    for view, fan_in in views:
         bound = 1.0 / np.sqrt(fan_in)
         rows = view.transpose(1, 0, 2) if view.ndim == 3 else view
         step = max(1, kernels.BLOCK // rows[0].size)
@@ -119,11 +137,10 @@ class Weights:
         """A cls over flat, which holds the n_values(dims) values of
         layout(*dims); fields gives any further fields."""
         parts = {}
-        for part, name, view, _ in _cut(flat, dims):
+        for part, name, view, _ in _cut(flat, dims)[0]:
             parts.setdefault(part, {})[name] = view
         return cls(flat=flat,
-                   bilstm=core.BiLstm(core.LstmParams(**parts["forward"]),
-                                      core.LstmParams(**parts["backward"])),
+                   bilstm=core.BiLstm(**parts["bilstm"]),
                    fc1=core.LinearParams(**parts["fc1"]),
                    fc2=core.LinearParams(**parts["fc2"]),
                    **fields)
@@ -131,7 +148,7 @@ class Weights:
     @property
     def dims(self) -> tuple:
         """(blocks, dim, hidden, mid, out), as layout() takes them."""
-        blocks, _, dim = self.bilstm.forward.w_x.shape
+        _, blocks, _, dim = self.bilstm.w_x.shape
         return (blocks, dim, self.bilstm.hidden_dim, self.fc1.out_dim, self.fc2.out_dim)
 
     def zeros_like(self) -> "Weights":
@@ -249,60 +266,52 @@ class Momentum:
     had a gradient holds a zero velocity and is never caught up or passed
     over, so its velocity's pages are never touched.
 
-    Each region a step updates is one span (start, end) at the same
-    offsets in the parameters and the velocity: one direction's input
-    weight block (layout() stores the blocks block-major), or a tensor
-    between them. A step's spans are joined where they touch, so a model
-    with one input block, the emotion classifier, has nothing idle and is
-    updated in one pass. There are k + 1 patterns of active blocks (one
-    block, or all of them), and each pattern's span views are built on its
-    first step and reused."""
+    Every region a step updates is a pair of 1-D views at the same offsets
+    in the parameters and the velocity, built once per run: a step that
+    reads every block, as every step of the emotion classifier (one
+    block) does, is one pass over the whole vector; a one-hot step is the
+    two runs with no input weights (_cut) and its block's span in each
+    direction."""
 
     def __init__(self, model: BiLstmMlp, cfg: core.SgdConfig):
-        k = model.input_blocks
         self.cfg = cfg
         self.theta = model.flat
         self.velocity = model.zeros_like()
-        self.blocks = [[] for _ in range(k)]  # per block, its span in each direction
-        self.dense, start = [], 0
-        for _, name, shape, _ in layout(*model.dims):
-            size = math.prod(shape)
-            if name == "w_x":
-                for e, spans in enumerate(self.blocks):
-                    spans.append((start + e * size // k, start + (e + 1) * size // k))
-            else:
-                self.dense.append((start, start + size))
-            start += size
+        theta_x, velocity_x = model.bilstm.w_x, self.velocity.bilstm.w_x
+        # per block, its span in each direction
+        self.blocks = [[(theta_x[e, j].reshape(-1), velocity_x[e, j].reshape(-1))
+                        for e in (0, 1)] for j in range(model.input_blocks)]
+        self.dense = list(zip(_cut(self.theta, model.dims)[1],
+                              _cut(self.velocity.flat, model.dims)[1]))
+        self.whole = [(self.theta, self.velocity.flat)]
+        k = len(self.blocks)
         self.sums = [0.0] * k  # a
         # s; 0 until a block's first gradient, so that a stays 0 and a block
         # whose velocity is still zero is never caught up
         self.powers = [0.0] * k
-        # per active-block pattern, keyed by the one-hot block or None for
-        # all of them: (active blocks, idle blocks, the (theta, velocity)
-        # views of the step's joined spans), built on the pattern's first step
-        self.patterns = {}
         self.active, self.idle, self.passes = [], [], []
 
     def begin_step(self, weights: np.ndarray) -> None:
         """Catches up the input blocks a step with block weights (1, k)
         reads and gives a gradient, and marks them active."""
+        k = len(self.blocks)
         j = core.one_hot_block(weights[0].tolist())
-        if j not in self.patterns:
-            active = list(range(len(self.blocks))) if j is None else [j]
-            spans = _joined(self.dense + [s for e in active for s in self.blocks[e]])
-            self.patterns[j] = (active, [e for e in range(len(self.blocks)) if e not in active],
-                                [(self.theta[a:b], self.velocity.flat[a:b]) for a, b in spans])
-        self.active, self.idle, self.passes = self.patterns[j]
+        if j is None or k == 1:
+            self.active, self.idle, self.passes = list(range(k)), [], self.whole
+        else:
+            self.active, self.passes = [j], self.dense + self.blocks[j]
+            self.idle = [e for e in range(k) if e != j]
         for e in self.active:
             self._catch_up(e)
             self.powers[e] = 1.0
 
     def end_step(self) -> None:
         """Once the step's gradient is in the velocity: one core.sgd_step
-        pass over each span of the step, every tensor but the input weights
-        and the active blocks; every other block goes one more step idle."""
+        pass over each region of the step, every tensor but the input
+        weights and the active blocks; every other block goes one more step
+        idle."""
         for theta, velocity in self.passes:
-            core.sgd_step(self.cfg, theta, velocity)
+            core.sgd_step(theta, velocity, self.cfg.learning_rate, self.cfg.momentum)
         for e in self.idle:
             self.sums[e] += self.powers[e]
             self.powers[e] *= self.cfg.momentum
@@ -315,21 +324,10 @@ class Momentum:
 
     def _catch_up(self, e: int) -> None:
         if self.sums[e]:
-            for a, b in self.blocks[e]:
-                core._momentum_pass(self.theta[a:b], self.velocity.flat[a:b],
-                                    self.cfg.learning_rate * self.sums[e], self.powers[e])
+            for theta, velocity in self.blocks[e]:
+                core.sgd_step(theta, velocity, self.cfg.learning_rate * self.sums[e],
+                              self.powers[e])
             self.sums[e], self.powers[e] = 0.0, 1.0
-
-
-def _joined(spans) -> list:
-    """The (start, end) spans in order, those that touch joined into one."""
-    out = []
-    for a, b in sorted(spans):
-        if out and out[-1][1] == a:
-            out[-1] = (out[-1][0], b)
-        else:
-            out.append((a, b))
-    return out
 
 
 def train(cls, table: EmbeddingTable, examples, to_row, rng: core.Rng,

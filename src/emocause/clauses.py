@@ -91,6 +91,18 @@ class Clause:
         return " ".join(self.words)
 
 
+# an error line shows at most this many characters of the field it names
+SHOWN_CHARS = 40
+
+
+def _shown(field: str) -> str:
+    """field's repr for an error line, cut to SHOWN_CHARS characters."""
+    shown = repr(field)
+    if len(shown) <= SHOWN_CHARS:
+        return shown
+    return f"{shown[:SHOWN_CHARS]}... ({len(field)} characters)"
+
+
 def parse_conllu(text: str) -> list[Sentence]:
     """Parse CoNLL-U text into sentences with 0-based reindexed tokens.
 
@@ -156,11 +168,11 @@ def parse_conllu(text: str) -> list[Sentence]:
         try:
             conllu_id = int(raw_id)
         except ValueError:
-            raise DataError(f"line {lineno}: non-integer token id {raw_id!r}") from None
+            raise DataError(f"line {lineno}: non-integer token id {_shown(raw_id)}") from None
         try:
             head = int(cols[6])
         except ValueError:
-            raise DataError(f"line {lineno}: non-integer HEAD {cols[6]!r}") from None
+            raise DataError(f"line {lineno}: non-integer HEAD {_shown(cols[6])}") from None
         rows.append((conllu_id, cols[1], cols[3], head, cols[7]))
     flush()
     return sentences

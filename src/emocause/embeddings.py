@@ -118,6 +118,10 @@ class SimilarityMatrix:
 # lines, besides the table's values: about 1.5 MB at d = 300 in repr form.
 BLOCK_LINES = 256
 
+# The widest row a header may declare: one of dim float64 values must fit in
+# the address space, so the (V, dim) table numpy builds has a valid shape.
+MAX_DIM = np.iinfo(np.intp).max // 8
+
 # numpy's float reader strips these ASCII separators as whitespace, and
 # float() rejects them.
 _SEPARATORS = ("\x1c", "\x1d", "\x1e", "\x1f")
@@ -210,7 +214,7 @@ def load_word_embeddings(path) -> EmbeddingTable:
             count, dim = int(header[0]), int(header[1])
         except ValueError:
             raise DataError(f"{path}: header must be '<count> <dim>'") from None
-        if count < 0 or dim <= 0:
+        if count < 0 or not 0 < dim <= MAX_DIM:
             raise DataError(f"{path}: bad header values {count} {dim}")
         if saved is not None and saved.shape != (count, dim):
             saved = None

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,32 +36,36 @@ class LstmParams:
 
 @dataclass(eq=False)
 class BiLstm:
-    forward: LstmParams
-    backward: LstmParams
-    _calls: dict = field(default_factory=dict, init=False, repr=False)
+    """Both directions' LSTM weights, each tensor one array with the
+    direction first: row 0 is the forward direction's, row 1 the
+    backward's. A model's are views of its flat vector (bilstm_mlp._cut),
+    and so are a training run's velocity's."""
+
+    w_x: np.ndarray  # (2, k, 4H, d)
+    w_h: np.ndarray  # (2, 4H, H)
+    bias: np.ndarray  # (2, 4H)
 
     @property
     def hidden_dim(self) -> int:
-        return self.forward.hidden_dim
+        return self.w_h.shape[2]
+
+    @property
+    def forward(self) -> LstmParams:
+        return LstmParams(self.w_x[0], self.w_h[0], self.bias[0])
+
+    @property
+    def backward(self) -> LstmParams:
+        return LstmParams(self.w_x[1], self.w_h[1], self.bias[1])
 
     def calls(self) -> list:
         """One (directions, w_x, w_h, bias) per kernel call: the call's
         slice of the direction axis and its (D, k, 4H, d), (D, 4H, H) and
-        (D, 4H) tensors. That is one D = 2 call over strided views of both
-        directions (directions()) when paired(H), else one D = 1 call per
-        direction. The views are built once per model and pairing, for a
-        model's parameters and for a training run's velocity alike."""
-        pair = paired(self.hidden_dim)
-        if pair not in self._calls:
-            params = (self.forward, self.backward)
-            if pair:
-                self._calls[pair] = [(slice(0, 2),) + tuple(
-                    directions(getattr(self.forward, name), getattr(self.backward, name))
-                    for name in ("w_x", "w_h", "bias"))]
-            else:
-                self._calls[pair] = [(slice(e, e + 1), p.w_x[None], p.w_h[None], p.bias[None])
-                                     for e, p in enumerate(params)]
-        return self._calls[pair]
+        (D, 4H) tensors. That is one D = 2 call over the whole tensors when
+        paired(H), else one D = 1 call per direction over its row."""
+        if paired(self.hidden_dim):
+            return [(slice(0, 2), self.w_x, self.w_h, self.bias)]
+        return [(dirs, self.w_x[dirs], self.w_h[dirs], self.bias[dirs])
+                for dirs in (slice(0, 1), slice(1, 2))]
 
 
 class BiLstmCache:
@@ -95,18 +99,6 @@ PAIR_BYTES = 1 << 20
 def paired(hidden: int) -> bool:
     """Whether both directions of a hidden-wide Bi-LSTM run in one call."""
     return 2 * 4 * hidden * hidden * 8 <= PAIR_BYTES
-
-
-def directions(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The (2, *a.shape) array of two equally shaped arrays, one per
-    direction. When both lie in one buffer, as a model's two directions do
-    in its flat vector, it is a strided view and copies nothing; else a
-    copy."""
-    if a.shape == b.shape and a.strides == b.strides and (
-            a is b or (a.base is not None and a.base is b.base)):
-        step = b.__array_interface__["data"][0] - a.__array_interface__["data"][0]
-        return np.lib.stride_tricks.as_strided(a, (2,) + a.shape, (step,) + a.strides)
-    return np.stack((a, b))
 
 
 def bilstm_bytes(hidden: int, steps: int, batch: int) -> int:
@@ -174,7 +166,7 @@ def bilstm_run(m: BiLstm, rows: np.ndarray, lengths, weights) -> BiLstmCache:
     if n != sum(lengths):
         raise ValueError(f"bilstm: {n} rows for sequences of {sum(lengths)} steps")
     batch = len(lengths)
-    k, _, dim = m.forward.w_x.shape
+    _, k, _, dim = m.w_x.shape
     if weights.shape != (batch, k) or d != dim:
         raise ValueError(f"bilstm: input dim {weights.shape[1:]} x {d} != ({k},) x {dim}")
     w = weights.tolist()
@@ -324,8 +316,8 @@ def bce_loss(p: float, y: int) -> float:
 @dataclass(frozen=True)
 class SgdConfig:
     """SGD with classical momentum: v <- mu*v + g, theta <- theta - lr*v.
-    Only the hyperparameters: the velocity v is the training run's, passed
-    to sgd_step, so one config can serve any number of runs."""
+    Only the hyperparameters: the velocity v is the training run's
+    (bilstm_mlp.Momentum), so one config can serve any number of runs."""
 
     learning_rate: float = 0.003
     momentum: float = 0.9
@@ -337,25 +329,19 @@ class SgdConfig:
             raise ValueError("momentum must be in [0, 1)")
 
 
-def sgd_step(cfg: SgdConfig, theta: np.ndarray, velocity: np.ndarray) -> None:
-    """Update the parameters theta and their velocity in place.
-
-    No gradient vector is held: velocity comes in as mu*v + g, this step's
-    gradient g already added by the backward pass into the mu-scaled
-    velocity the last step left (zero before the first step). One pass
-    over cache-sized blocks runs theta -= lr*v, then v *= mu, ready for the
-    next step's gradient; the ops and their order are the recursion's, so
-    theta follows it bit for bit. A training run passes each span of the
-    two flat vectors it updates (bilstm_mlp.Momentum)."""
-    if theta.shape != velocity.shape:
-        raise ValueError("parameter and velocity vectors differ in shape")
-    _momentum_pass(theta, velocity, cfg.learning_rate, cfg.momentum)
-
-
-def _momentum_pass(theta: np.ndarray, velocity: np.ndarray, rate: float, decay: float) -> None:
+def sgd_step(theta: np.ndarray, velocity: np.ndarray, rate: float, decay: float) -> None:
     """theta -= rate * velocity, then velocity *= decay, in place, a block
     of about kernels.BLOCK values (whole rows of a 2-D array) at a time, so
-    each block of the velocity is still in cache for the second op."""
+    each block of the velocity is still in cache for the second op.
+
+    This is SGD with momentum's update, with no gradient vector held: the
+    backward pass adds this step's gradient g into the velocity the last
+    step left scaled by mu, and a step passes rate = lr and decay = mu;
+    the ops and their order are the recursion's, so theta follows it bit
+    for bit. A lazily updated block's catch-up passes its closed form's
+    rate and decay (bilstm_mlp.Momentum)."""
+    if theta.shape != velocity.shape:
+        raise ValueError("parameter and velocity vectors differ in shape")
     rows = max(1, kernels.BLOCK // math.prod(theta.shape[1:]))
     step = np.empty((min(rows, len(theta)),) + theta.shape[1:])
     for r in range(0, len(theta), rows):

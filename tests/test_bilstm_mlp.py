@@ -42,8 +42,7 @@ class TestFlatVector:
         m = model_cls.init(random_table(rng, 5, 3), rng, hidden=4, mid=5)
         assert_views_of(m, m.flat)
         before = (m.bilstm.forward.w_x.copy(), m.fc2.bias.copy())
-        core.sgd_step(core.SgdConfig(learning_rate=1.0, momentum=0.0),
-                      m.flat, np.ones_like(m.flat))
+        core.sgd_step(m.flat, np.ones_like(m.flat), 1.0, 0.0)
         assert np.array_equal(m.bilstm.forward.w_x, before[0] - 1.0)
         assert np.array_equal(m.fc2.bias, before[1] - 1.0)
 
@@ -263,7 +262,8 @@ class PlainMomentum:
         pass
 
     def end_step(self):
-        core.sgd_step(self.cfg, self.model.flat, self.velocity.flat)
+        core.sgd_step(self.model.flat, self.velocity.flat, self.cfg.learning_rate,
+                      self.cfg.momentum)
 
     def finish(self):
         pass
@@ -358,7 +358,7 @@ class TestLazyMomentum:
         # every write into the velocity's input weights goes through the
         # kernels' row-block product or core's blocked pass
         made, written = [], []
-        real_pass, real_product = core._momentum_pass, kernels._add_product
+        real_pass, real_product = core.sgd_step, kernels._add_product
 
         class Recorded(bilstm_mlp.Momentum):
             def __init__(self, model, cfg):
@@ -374,7 +374,7 @@ class TestLazyMomentum:
             real_product(target, a, b)
 
         monkeypatch.setattr(bilstm_mlp, "Momentum", Recorded)
-        monkeypatch.setattr(core, "_momentum_pass", recorded_pass)
+        monkeypatch.setattr(core, "sgd_step", recorded_pass)
         monkeypatch.setattr(kernels, "_add_product", recorded_product)
         table = random_table(np.random.default_rng(2), 6, 3)
         cause_model.train_cause(cause_examples([1, 6, 1, 1, 6]), table,
@@ -386,25 +386,31 @@ class TestLazyMomentum:
             assert touched == (e in (1, 6)), e
             assert all(np.any(b) for b in blocks) == (e in (1, 6)), e
 
-    def test_span_views_are_built_once_per_pattern(self, monkeypatch):
-        made = []
-
-        class Recorded(bilstm_mlp.Momentum):
-            def __init__(self, model, cfg):
-                super().__init__(model, cfg)
-                made.append(self)
-
-        monkeypatch.setattr(bilstm_mlp, "Momentum", Recorded)
-        table = random_table(np.random.default_rng(2), 6, 3)
-        cause_model.train_cause(cause_examples([1, 6, 1, 1, 6]), table,
-                                np.random.default_rng(0), epochs=3, hidden=4)
-        patterns = made[0].patterns
-        assert sorted(patterns) == [1, 6]
-        for j, (active, idle, passes) in patterns.items():
-            assert active == [j] and idle == [e for e in range(8) if e != j]
-            for theta, velocity in passes:  # views of the two flat vectors
-                assert np.shares_memory(theta, made[0].theta)
-                assert np.shares_memory(velocity, made[0].velocity.flat)
+    def test_span_views_are_built_once_per_run(self, rng):
+        # each block's two spans, the two runs without input weights and the
+        # whole vector: 1-D views of the two flat vectors, which together
+        # tile each vector once
+        m = cause_model.CauseScorer.init(random_table(rng, 5, 3), rng, hidden=4, mid=5)
+        momentum = bilstm_mlp.Momentum(m, core.SgdConfig())
+        spans = [s for block in momentum.blocks for s in block] + momentum.dense
+        for flat, side in ((m.flat, 0), (momentum.velocity.flat, 1)):
+            views = [pair[side] for pair in spans]
+            assert all(v.ndim == 1 and np.shares_memory(v, flat) for v in views)
+            assert sum(v.size for v in views) == flat.size
+            covered = np.zeros(flat.size, dtype=int)
+            for v in views:
+                start = (v.__array_interface__["data"][0]
+                         - flat.__array_interface__["data"][0]) // flat.itemsize
+                covered[start:start + v.size] += 1
+            assert np.all(covered == 1)
+            assert momentum.whole[0][side] is flat
+        for e in range(8):
+            for d, (theta, velocity) in enumerate(momentum.blocks[e]):
+                assert theta.tobytes() == m.bilstm.w_x[d, e].tobytes()
+        momentum.begin_step(np.eye(8)[None, 6])
+        assert momentum.passes == momentum.dense + momentum.blocks[6]
+        momentum.begin_step(np.full((1, 8), 0.125))
+        assert momentum.passes == momentum.whole
 
     def test_parameters_are_caught_up_before_train_returns(self, rng):
         m = cause_model.CauseScorer.init(random_table(rng, 5, 3), rng, hidden=4, mid=5)

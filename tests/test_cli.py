@@ -134,6 +134,15 @@ class TestExitCodes:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_embedding_dim_past_the_address_space_exits_two(self, tmp_path, capsys):
+        table, lexicon = tmp_path / "v.txt", tmp_path / "lex.tsv"
+        table.write_text(f"0 {2 ** 63}\n", encoding="utf-8")
+        lexicon.write_text("glad\tjoy\t0.9\n", encoding="utf-8")
+        code = main(["build-embeddings", "--embeddings", str(table), "--lexicon", str(lexicon),
+                     "--output", str(tmp_path / "aware.txt")])
+        assert code == 2
+        assert f"{table}: bad header values" in capsys.readouterr().err
+
     def test_missing_file_exits_two(self, tmp_path):
         assert main(["extract-clauses", "--parses",
                      str(tmp_path / "nope.conllu")]) == 2

@@ -45,6 +45,18 @@ class TestLoadWordEmbeddings:
         with pytest.raises(DataError, match="header"):
             load_word_embeddings(p)
 
+    @pytest.mark.parametrize("dim", [embeddings.MAX_DIM + 1, 2 ** 63, 2 ** 64],
+                             ids=["past-max", "2^63", "2^64"])
+    def test_dim_past_the_address_space_rejected(self, tmp_path, dim):
+        # with no rows, numpy used to raise on the final (0, dim) reshape
+        p = write(tmp_path / "v.txt", f"0 {dim}\n")
+        with pytest.raises(DataError, match=rf"v\.txt: bad header values 0 {dim}"):
+            load_word_embeddings(p)
+
+    def test_widest_dim_reads_as_an_empty_table(self, tmp_path):
+        table = load_word_embeddings(write(tmp_path / "v.txt", f"0 {embeddings.MAX_DIM}\n"))
+        assert len(table) == 0 and table.dim == embeddings.MAX_DIM
+
     def test_duplicate_word(self, tmp_path):
         p = write(tmp_path / "v.txt", "2 2\na 1 0\na 0 1\n")
         with pytest.raises(DataError, match="duplicate"):

@@ -132,7 +132,7 @@ class TestLossDecreaseProperty:
             losses = [bilstm_mlp.loss_and_grads(m, xs, one, 2, False, None, unused)]
             for _ in range(5):
                 bilstm_mlp.loss_and_grads(m, xs, one, 2, True, rng, velocity)
-                core.sgd_step(cfg, m.flat, velocity.flat)
+                core.sgd_step(m.flat, velocity.flat, cfg.learning_rate, cfg.momentum)
                 losses.append(bilstm_mlp.loss_and_grads(m, xs, one, 2, False, None, unused))
             ok += all(b < a for a, b in zip(losses, losses[1:]))
         assert ok >= 19

@@ -100,10 +100,6 @@ class TestDirectionAxis:
     """One D = 2 call gives both directions' outputs and gradients byte for
     byte as two D = 1 calls do."""
 
-    @staticmethod
-    def paired(m):
-        return core.directions(m.forward.w_h, m.backward.w_h)
-
     @pytest.mark.parametrize("lengths", [[7], [7, 4, 4, 2, 1, 1]], ids=["B1", "B6-mixed"])
     def test_forward_equals_two_calls(self, rng, lengths):
         m = random_bilstm(rng, 5, 6)
@@ -112,7 +108,7 @@ class TestDirectionAxis:
             zx[n:, :, i] = 0.0
         apart = [kernels.lstm_forward_seq(zx[..., e:e + 1, :].copy(), p.w_h[None], lengths)
                  for e, p in enumerate((m.forward, m.backward))]
-        both = kernels.lstm_forward_seq(zx.copy(), self.paired(m), lengths)
+        both = kernels.lstm_forward_seq(zx.copy(), m.w_h, lengths)
         for e in (0, 1):
             for a, b in zip(direction(both, e), apart[e]):
                 assert a.tobytes() == b.tobytes()
@@ -126,7 +122,7 @@ class TestDirectionAxis:
         xs = rng.normal(size=(2, steps, dim))
         zx = np.stack([xs[e] @ w_eff[e].T + p.bias for e, p in enumerate((m.forward, m.backward))],
                       axis=1)[:, :, None]
-        run = [a[..., 0, :, :] for a in kernels.lstm_forward_seq(gate_major(zx), self.paired(m),
+        run = [a[..., 0, :, :] for a in kernels.lstm_forward_seq(gate_major(zx), m.w_h,
                                                                   [steps])]
         d_h_out = rng.normal(size=(steps, 2, hidden))
         dims = (3, dim, hidden, 1, 1)
@@ -137,7 +133,7 @@ class TestDirectionAxis:
                                       d_h_out[:, e:e + 1], g.w_x[None], g.w_h[None],
                                       g.bias[None], block_weights)
         _, d_wx, d_wh, d_bias = both.calls()[0]
-        kernels.lstm_backward_seq(self.paired(m), xs, *run[1:], d_h_out, d_wx, d_wh,
+        kernels.lstm_backward_seq(m.w_h, xs, *run[1:], d_h_out, d_wx, d_wh,
                                   d_bias, block_weights)
         for a, b in ((apart.forward, both.forward), (apart.backward, both.backward)):
             for name in ("w_x", "w_h", "bias"):
@@ -146,18 +142,14 @@ class TestDirectionAxis:
 
     def test_paired_weights_are_a_view_of_the_flat_vector(self, rng):
         m = random_bilstm(rng, 3, 4)
-        w_h = self.paired(m)
-        assert w_h.shape == (2, 16, 4) and np.shares_memory(w_h, m.forward.w_h)
-        assert w_h[0].tobytes() == m.forward.w_h.tobytes()
-        assert w_h[1].tobytes() == m.backward.w_h.tobytes()
-        apart = core.directions(m.forward.w_h, m.forward.w_h.copy())  # two buffers: a copy
-        assert not np.shares_memory(apart, m.forward.w_h)
-        assert apart.tobytes() == np.stack([m.forward.w_h] * 2).tobytes()
+        assert m.w_h.shape == (2, 16, 4) and np.shares_memory(m.w_h, m.forward.w_h)
+        assert m.w_h[0].tobytes() == m.forward.w_h.tobytes()
+        assert m.w_h[1].tobytes() == m.backward.w_h.tobytes()
 
-    def test_kernel_call_views_are_built_once_per_model_and_pairing(self, rng, monkeypatch):
+    def test_kernel_call_views_are_views_of_the_model(self, rng, monkeypatch):
         m = random_bilstm(rng, 3, 4, blocks=2)
         calls = m.calls()
-        assert m.calls() is calls and len(calls) == 1
+        assert len(calls) == 1
         (dirs, w_x, w_h, bias), = calls
         assert dirs == slice(0, 2) and w_x.shape == (2, 2, 16, 3) and bias.shape == (2, 16)
         for view, name in ((w_x, "w_x"), (w_h, "w_h"), (bias, "bias")):
@@ -184,8 +176,7 @@ class TestAgainstInterleavedKernels:
         dims = (blocks, dim, hidden, 1, 1)
         m = random_bilstm(rng, dim, hidden, blocks=blocks)
         params = (m.forward, m.backward)[:d]
-        w_h = (core.directions(m.forward.w_h, m.backward.w_h) if d == 2
-               else m.forward.w_h[None])
+        w_h = m.w_h[:d]
         steps, batch = lengths[0], len(lengths)
         xs = [rng.normal(size=(d, n, dim)) for n in lengths]
         zx = np.zeros((steps, d, batch, 4 * hidden))
@@ -205,10 +196,8 @@ class TestAgainstInterleavedKernels:
         start = rng.normal(size=bilstm_mlp.n_values(dims))
         old_g, new_g = (bilstm_mlp.Weights.over(start.copy(), dims).bilstm for _ in range(2))
         old_dirs, new_dirs = (old_g.forward, old_g.backward)[:d], (new_g.forward, new_g.backward)
-        # D = 2: strided views of both directions, as when paired(H)
-        d_wx, d_wh, d_bias = (core.directions(*(getattr(g, name) for g in new_dirs)) if d == 2
-                              else getattr(new_dirs[0], name)[None]
-                              for name in ("w_x", "w_h", "bias"))
+        # D = 2: both directions' views of the flat vector, as when paired(H)
+        d_wx, d_wh, d_bias = new_g.w_x[:d], new_g.w_h[:d], new_g.bias[:d]
         for i, n in enumerate(lengths):
             d_h_out = rng.normal(size=(n, d, hidden))
             interleaved_lstm_backward_seq(

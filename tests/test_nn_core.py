@@ -73,7 +73,7 @@ class TestBiLstm:
         # same params both directions + palindromic input: reversing the
         # output sequence and swapping its halves is the identity
         p = random_bilstm(rng, 3, 2).forward
-        m = core.BiLstm(p, p)
+        m = core.BiLstm(*(np.stack((a, a)) for a in (p.w_x, p.w_h, p.bias)))
         a, b = rng.normal(size=3), rng.normal(size=3)
         out = bilstm_forward(m, np.stack([a, b, a]))
         for t in range(3):
@@ -290,14 +290,14 @@ class TestSgd:
     def test_one_step_to_zero(self):
         cfg = core.SgdConfig(learning_rate=1.0, momentum=0.0)
         theta = np.array([3.0, -2.0])
-        core.sgd_step(cfg, theta, theta.copy())
+        core.sgd_step(theta, theta.copy(), cfg.learning_rate, cfg.momentum)
         assert np.array_equal(theta, [0.0, 0.0])
 
     def test_zero_gradient_no_change(self):
         cfg = core.SgdConfig()
         theta, velocity = np.array([1.0, 2.0]), np.zeros(2)
         for _ in range(2):
-            core.sgd_step(cfg, theta, velocity)
+            core.sgd_step(theta, velocity, cfg.learning_rate, cfg.momentum)
         assert np.array_equal(theta, [1.0, 2.0])
 
     def test_two_step_hand_recursion(self):
@@ -309,7 +309,7 @@ class TestSgd:
         theta, velocity = theta0.copy(), np.zeros(2)
         for _ in range(2):
             velocity += g
-            core.sgd_step(cfg, theta, velocity)
+            core.sgd_step(theta, velocity, cfg.learning_rate, cfg.momentum)
         assert np.allclose(theta, theta0 - lr * g * (1.0 + 1.9), atol=1e-12)
 
     def test_two_steps_bit_exact(self):
@@ -321,11 +321,11 @@ class TestSgd:
         g = np.array([0.5, 2.0, -7.1])
         theta, velocity = theta0.copy(), np.zeros(3)
         velocity += g
-        core.sgd_step(cfg, theta, velocity)
+        core.sgd_step(theta, velocity, cfg.learning_rate, cfg.momentum)
         theta1 = theta0 - lr * g
         assert np.array_equal(theta, theta1)
         velocity += g
-        core.sgd_step(cfg, theta, velocity)
+        core.sgd_step(theta, velocity, cfg.learning_rate, cfg.momentum)
         theta2 = theta1 - lr * (0.9 * g + g)
         assert np.array_equal(theta, theta2)
 
@@ -339,7 +339,7 @@ class TestSgd:
         plain_theta, plain_v = theta0.copy(), np.zeros(n)
         for g in grads:
             velocity += g
-            core.sgd_step(cfg, theta, velocity)
+            core.sgd_step(theta, velocity, cfg.learning_rate, cfg.momentum)
             plain_v = 0.9 * plain_v + g
             plain_theta = plain_theta - 0.003 * plain_v
             assert theta.tobytes() == plain_theta.tobytes()
@@ -347,7 +347,7 @@ class TestSgd:
 
     def test_velocity_of_another_shape_rejected(self):
         with pytest.raises(ValueError, match="differ in shape"):
-            core.sgd_step(core.SgdConfig(), np.zeros(3), np.zeros(2))
+            core.sgd_step(np.zeros(3), np.zeros(2), 0.003, 0.9)
 
     def test_invalid_config(self):
         with pytest.raises(ValueError):

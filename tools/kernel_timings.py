@@ -20,9 +20,12 @@ working.
 --step instead prints the median microseconds of one batch-size-1
 training step, bilstm_mlp.loss_and_grads plus the momentum update
 (Momentum.begin_step and end_step), as bilstm_mlp.train runs it: an
-emotion step (T = 10, H = 32, d = 16) and a cause step (T = 4, H = 64,
+emotion step (T = 10, H = 32, d = 16) and two cause steps (T = 4, H = 64,
 d = 16, one-hot emotion probabilities), each over a cycle of 16 random
-sequences held as train holds them.
+sequences held as train holds them. The "cause" row teacher-forces every
+sequence to one emotion, so no step catches an idle input block up; the
+"cause-mix" row draws each sequence's emotion at random, as gold labels
+mix them, so most steps catch their block up first.
 """
 
 from __future__ import annotations
@@ -48,9 +51,12 @@ from emocause.nn import core, kernels  # noqa: E402
 
 SHAPES = ((12, 32, 1), (6, 64, 1), (14, 32, 19), (12, 128, 1), (12, 192, 1), (20, 256, 1),
           (6, 1024, 1), (7, 1024, 3))
-# (name, model class, T, H, one-hot block or None for the emotion model's one block)
+# (name, model class, T, H, one-hot block: None for the emotion model's one
+# block, MIXED for a random one per sequence)
+MIXED = -1
 STEPS = (("emotion", emotion_model.EmotionClassifier, 10, 32, None),
-         ("cause", cause_model.CauseScorer, 4, 64, 2))
+         ("cause", cause_model.CauseScorer, 4, 64, 2),
+         ("cause-mix", cause_model.CauseScorer, 4, 64, MIXED))
 STEP_DIM = 16
 TARGET_S = 0.02  # each timed batch of calls runs for about this long
 
@@ -71,10 +77,6 @@ class Case:
         self.grad = bilstm_mlp.Weights.over(np.zeros(bilstm_mlp.n_values(dims)), dims).bilstm
         self.params = (self.m.forward, self.m.backward)
         self.grads = (self.grad.forward, self.grad.backward)
-        self.w_h = core.directions(self.m.forward.w_h, self.m.backward.w_h)
-        # both directions' gradient arrays as strided views, as when paired
-        self.paired_grads = [core.directions(*(getattr(g, name) for g in self.grads))
-                             for name in ("w_x", "w_h", "bias")]
         self.lengths = [steps] * batch
         self.zx = rng.uniform(-1, 1, size=(steps, 4, batch, 2, hidden))
         # each direction's own input, as bilstm_run packs it for a D = 1 call
@@ -82,20 +84,20 @@ class Case:
         self.xs = rng.normal(size=(2, steps, dim))
         self.d_h_out = rng.normal(size=(steps, 2, hidden))
         # the forward outputs the backward reads, gates and cells, for sequence 0
-        out = kernels.lstm_forward_seq(self.zx.copy(), self.w_h, self.lengths)[1:]
+        out = kernels.lstm_forward_seq(self.zx.copy(), self.m.w_h, self.lengths)[1:]
         self.run = [a[..., 0, :, :].copy() for a in out]
         self.runs = [[a.copy() for a in direction(self.run, e)] for e in (0, 1)]
 
     def forward_paired(self):
-        kernels.lstm_forward_seq(self.zx, self.w_h, self.lengths)
+        kernels.lstm_forward_seq(self.zx, self.m.w_h, self.lengths)
 
     def forward_apart(self):
         for e, p in enumerate(self.params):
             kernels.lstm_forward_seq(self.zx_apart[e], p.w_h[None], self.lengths)
 
     def backward_paired(self):
-        kernels.lstm_backward_seq(self.w_h, self.xs, *self.run, self.d_h_out,
-                                  *self.paired_grads, (1.0,))
+        kernels.lstm_backward_seq(self.m.w_h, self.xs, *self.run, self.d_h_out,
+                                  self.grad.w_x, self.grad.w_h, self.grad.bias, (1.0,))
 
     def backward_apart(self):
         for e, (p, g) in enumerate(zip(self.params, self.grads)):
@@ -110,16 +112,17 @@ def training_step(cls, steps: int, hidden: int, block, rng: np.random.Generator)
     table = EmbeddingTable([f"w{i}" for i in range(64)], rng.normal(size=(64, STEP_DIM)))
     model = cls.init(table, rng, hidden=hidden)
     momentum = bilstm_mlp.Momentum(model, core.SgdConfig())
-    weights = np.ones((1, 1)) if block is None else np.eye(cls.input_blocks)[None, block]
     held = []
     for _ in range(16):
         rows = table.vectors[rng.integers(len(table), size=steps)]
         target = int(rng.integers(max(2, cls.out_width)))
-        held.append((np.stack((rows, rows[::-1])), target))
+        j = int(rng.integers(cls.input_blocks)) if block == MIXED else block
+        weights = np.ones((1, 1)) if j is None else np.eye(cls.input_blocks)[None, j]
+        held.append((np.stack((rows, rows[::-1])), weights, target))
     cycle = itertools.cycle(held)
 
     def step():
-        rows, target = next(cycle)
+        rows, weights, target = next(cycle)
         momentum.begin_step(weights)
         bilstm_mlp.loss_and_grads(model, rows, weights, target, True, rng, momentum.velocity)
         momentum.end_step()
@@ -163,12 +166,12 @@ def main(argv=None) -> int:
     rng = np.random.default_rng(0)
     if args.step:
         print(f"one BLAS thread, numpy {np.__version__}, d = {STEP_DIM}")
-        print(f"{'step':<8} {'T':>3} {'H':>4} | {'median us':>9}")
+        print(f"{'step':<9} {'T':>3} {'H':>4} | {'median us':>9}")
         for name, cls, steps, hidden, block in STEPS:
             step = training_step(cls, steps, hidden, block, rng)
             calls = calls_per_batch(step)
             us = statistics.median(per_call_us(step, calls) for _ in range(args.repeats))
-            print(f"{name:<8} {steps:3d} {hidden:4d} | {us:9.1f}")
+            print(f"{name:<9} {steps:3d} {hidden:4d} | {us:9.1f}")
         return 0
     print(f"one BLAS thread, numpy {np.__version__}, core.PAIR_BYTES = {core.PAIR_BYTES}")
     print(f"{'T':>3} {'H':>5} {'B':>3} {'paired':>6} | {'fwd D=2':>9} {'fwd 2xD=1':>9} | "
