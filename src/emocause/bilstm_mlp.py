@@ -109,9 +109,9 @@ def draw(dims, rng: core.Rng) -> np.ndarray:
     tensor-sized temporary is made."""
     flat = np.empty(n_values(dims))
     tensors, _ = _cut(flat, dims)
-    paired = [(view, fan_in) for part, _, view, fan_in in tensors if part == "bilstm"]
-    views = [(view[e], fan_in) for e in (0, 1) for view, fan_in in paired] + \
-        [(view, fan_in) for part, _, view, fan_in in tensors if part != "bilstm"]
+    views = [(view[e], fan_in) for e in (0, 1)
+             for part, _, view, fan_in in tensors if part == "bilstm"]
+    views += [(view, fan_in) for part, _, view, fan_in in tensors if part != "bilstm"]
     for view, fan_in in views:
         bound = 1.0 / np.sqrt(fan_in)
         rows = view.transpose(1, 0, 2) if view.ndim == 3 else view
