@@ -105,19 +105,19 @@ def check_lstm(seed: int, eps: float = DEFAULT_EPS, hidden: int = 3,
     so the full backpropagation through time is exercised."""
     rng = np.random.default_rng(seed)
     w, g = _toy_weights(rng, (1, TOY_DIM, hidden, 1, 1))
-    p, gp = w.bilstm.forward, g.bilstm.forward
+    p, gp = w.bilstm, g.bilstm  # the forward direction's [:1] views: D = 1
     xs = rng.normal(size=(1, steps, TOY_DIM))
     r = rng.normal(size=(steps, 1, hidden))
 
-    def run():  # one direction: D = 1, B = 1
-        zx = -(xs[0] @ p.w_x[0].T + p.bias).reshape(steps, 4, 1, 1, hidden)
-        return [a[..., 0, :, :] for a in kernels.lstm_forward_seq(zx, p.w_h[None], (steps,))]
+    def run():  # one direction, B = 1
+        zx = -(xs[0] @ p.w_x[0, 0].T + p.bias[0]).reshape(steps, 4, 1, 1, hidden)
+        return [a[..., 0, :, :] for a in kernels.lstm_forward_seq(zx, p.w_h[:1], (steps,))]
 
     def loss():
         return float(np.sum(r * run()[0][1:]))
 
-    kernels.lstm_backward_seq(p.w_h[None], xs, *run()[1:], r, gp.w_x[None], gp.w_h[None],
-                              gp.bias[None], (1.0,))
+    kernels.lstm_backward_seq(p.w_h[:1], xs, *run()[1:], r, gp.w_x[:1], gp.w_h[:1],
+                              gp.bias[:1], (1.0,))
     return gradient_check(loss, w.flat, g.flat, eps=eps)
 
 

@@ -195,27 +195,28 @@ def clause_span_for_verb(s: Sentence, verb: int) -> ClauseSpan:
     """Span from the leftmost to the rightmost direct child of the head,
     skipping children that head clauses of their own; the head itself is
     always included, so a childless head yields a single-token span."""
-    heads = {find_root(s), *find_other_verbs(s, find_root(s))}
-    positions = [verb]
+    root = find_root(s)
+    return _spans(s, [verb], {root, *find_other_verbs(s, root)})[0]
+
+
+def _spans(s: Sentence, verbs: list, heads: set) -> list[ClauseSpan]:
+    """clause_span_for_verb of each of the distinct verbs, in order, in one
+    pass over the tokens, given the sentence's clausal heads."""
+    positions = {verb: [verb] for verb in verbs}
     for t in s.tokens:
-        if t.head == verb and t.index != verb and t.index not in heads:
-            positions.append(t.index)
-    return ClauseSpan(start=min(positions), end=max(positions), verb=verb)
+        if t.head in positions and t.index != t.head and t.index not in heads:
+            positions[t.head].append(t.index)
+    return [ClauseSpan(start=min(p), end=max(p), verb=verb) for verb, p in positions.items()]
 
 
 def extract_clauses(s: Sentence) -> list[Clause]:
-    """One clause per clausal head, deduplicated on identical spans and
-    sorted by (start, end)."""
+    """One clause per clausal head, deduplicated on identical spans (the
+    first head's kept) and sorted by (start, end)."""
     root = find_root(s)
-    spans = []
-    seen = set()
-    for head in [root, *find_other_verbs(s, root)]:
-        span = clause_span_for_verb(s, head)
-        if (span.start, span.end) in seen:
-            continue
-        seen.add((span.start, span.end))
-        spans.append(span)
-    spans.sort(key=lambda sp: (sp.start, sp.end))
+    heads = [root, *find_other_verbs(s, root)]
+    spans = {}
+    for span in _spans(s, heads, set(heads)):
+        spans.setdefault((span.start, span.end), span)
     texts = s.texts()
     return [Clause(span=sp, words=tuple(texts[sp.start:sp.end + 1]), sentence=s)
-            for sp in spans]
+            for _, sp in sorted(spans.items())]

@@ -2,7 +2,9 @@
 a model's flat parameter vector, see bilstm_mlp.layout), activations,
 losses and SGD with momentum. The network's forward and backward passes
 are in bilstm_mlp.py, the heads' loss gradients on the model classes; the
-sequence kernels are in kernels.py.
+sequence kernels are in kernels.py. A Bi-LSTM pass makes one kernel call
+for both directions, and the kernels choose how their time loop covers
+them.
 
 Everything is float64. Random state is a numpy Generator created with
 `np.random.default_rng(seed)`; identical seeds give identical streams.
@@ -21,27 +23,14 @@ from . import kernels
 Rng = np.random.Generator
 
 
-@dataclass
-class LstmParams:
-    """One direction's LSTM weights, gates stacked row-wise as i|f|g|o."""
-
-    w_x: np.ndarray  # (k, 4H, d): one block per entry of the block weights
-    w_h: np.ndarray  # (4H, H)
-    bias: np.ndarray  # (4H,)
-
-    @property
-    def hidden_dim(self) -> int:
-        return self.w_h.shape[1]
-
-
 @dataclass(eq=False)
 class BiLstm:
-    """Both directions' LSTM weights, each tensor one array with the
-    direction first: row 0 is the forward direction's, row 1 the
-    backward's. A model's are views of its flat vector (bilstm_mlp._cut),
-    and so are a training run's velocity's."""
+    """Both directions' LSTM weights, gates stacked row-wise as i|f|g|o,
+    each tensor one array with the direction first: row 0 is the forward
+    direction's, row 1 the backward's. A model's are views of its flat
+    vector (bilstm_mlp._cut), and so are a training run's velocity's."""
 
-    w_x: np.ndarray  # (2, k, 4H, d)
+    w_x: np.ndarray  # (2, k, 4H, d): one block per entry of the block weights
     w_h: np.ndarray  # (2, 4H, H)
     bias: np.ndarray  # (2, 4H)
 
@@ -49,56 +38,21 @@ class BiLstm:
     def hidden_dim(self) -> int:
         return self.w_h.shape[2]
 
-    @property
-    def forward(self) -> LstmParams:
-        return LstmParams(self.w_x[0], self.w_h[0], self.bias[0])
-
-    @property
-    def backward(self) -> LstmParams:
-        return LstmParams(self.w_x[1], self.w_h[1], self.bias[1])
-
-    def calls(self) -> list:
-        """One (directions, w_x, w_h, bias) per kernel call: the call's
-        slice of the direction axis and its (D, k, 4H, d), (D, 4H, H) and
-        (D, 4H) tensors. That is one D = 2 call over the whole tensors when
-        paired(H), else one D = 1 call per direction over its row."""
-        if paired(self.hidden_dim):
-            return [(slice(0, 2), self.w_x, self.w_h, self.bias)]
-        return [(dirs, self.w_x[dirs], self.w_h[dirs], self.bias[dirs])
-                for dirs in (slice(0, 1), slice(1, 2))]
-
 
 class BiLstmCache:
     """Everything both directions recorded during a forward pass over B
     sequences packed by length."""
 
-    __slots__ = ("xs", "weights", "lengths", "last", "runs")
+    __slots__ = ("xs", "weights", "lengths", "last", "hs", "gates", "cells")
 
-    def __init__(self, xs, weights, lengths, last, runs):
+    def __init__(self, xs, weights, lengths, last, hs, gates, cells):
         self.xs = xs  # (2, N, d): the sequences' timesteps, one after another, per direction
         self.weights = weights  # (B, k) block weights, one row per sequence
         self.lengths = lengths  # B ints
         # (steps, columns): sequence i's last state is hs[steps[i], columns[i]]
         self.last = last
-        # one (directions, w_h, outputs) per kernel call (BiLstm.calls): the
-        # call's slice of the direction axis, its (D, 4H, H) recurrent
-        # weights and the forward kernel's (hs, gates, cells), each with the
-        # call's D axis
-        self.runs = runs
-
-
-# The two directions run in one kernel call (D = 2) when their recurrent
-# weights together take at most this many bytes, else in one call each.
-# One step of the paired loop reads both matrices; while they fit in a
-# core's L2 cache together, the paired loop saves half the per-step numpy
-# calls, but when one fits and two do not, alternating them makes every
-# recurrent product read from the next cache level (README "LSTM kernels").
-PAIR_BYTES = 1 << 20
-
-
-def paired(hidden: int) -> bool:
-    """Whether both directions of a hidden-wide Bi-LSTM run in one call."""
-    return 2 * 4 * hidden * hidden * 8 <= PAIR_BYTES
+        # the forward kernel's outputs, with D = 2 (kernels.lstm_forward_seq)
+        self.hs, self.gates, self.cells = hs, gates, cells
 
 
 def bilstm_bytes(hidden: int, steps: int, batch: int) -> int:
@@ -145,16 +99,14 @@ def bilstm_run(m: BiLstm, rows: np.ndarray, lengths, weights) -> BiLstmCache:
     the cache holds them: a training run builds that once per example.
     Sequence i's timestep input is kron(weights[i], row), but that
     k*d-wide input is never built: since W_x kron(p, v) = (sum_j p_j
-    W_x^(j)) v, each kernel call projects the rows through
-    W_eff = sum_j p_j W_x^(j) (effective_weights), formed once per run of
+    W_x^(j)) v, the rows are projected through W_eff = sum_j p_j W_x^(j)
+    (effective_weights), formed for both directions at once per run of
     consecutive sequences with equal weights and dropped after it. The
     negated projections are packed by decreasing length (ties keep their
     order) into the kernel's time-major, gate-major array, the backward
     direction's with each sequence reversed. A single sequence (a training
-    step) is packed without being sorted or mapped. Both
-    directions then run in one kernel call (D = 2) when paired(H), else in
-    one D = 1 call each (BiLstm.calls); every later step loops over the
-    calls the cache records.
+    step) is packed without being sorted or mapped. Both directions then
+    run in one kernel call, which chooses how its time loop covers them.
     """
     rows = np.asarray(rows, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
@@ -187,25 +139,22 @@ def bilstm_run(m: BiLstm, rows: np.ndarray, lengths, weights) -> BiLstmCache:
         for c, i in enumerate(order):
             col[i] = c
         firsts = [i for i in range(batch) if i == 0 or w[i] != w[i - 1]]
-    hidden = m.hidden_dim
     ordered = [lengths[i] for i in order]
-    runs = []
-    for dirs, w_x, w_h, bias in m.calls():
-        # the kernel reads no padding
-        zx = np.empty((ordered[0], 4, batch, len(w_h), hidden)) if batch > 1 else None
-        for s, end in zip(firsts, firsts[1:] + [batch]):
-            base = spans[s][0]
-            z = np.matmul(xs[dirs, base:spans[end - 1][1]],
-                          effective_weights(w_x, w[s]).transpose(0, 2, 1))
-            z += bias[:, None]
-            z = _negated_gate_major(z)
-            if batch == 1:  # the one sequence's rows are the kernel's input
-                zx = z[:, :, None]
-            else:
-                for i in range(s, end):
-                    zx[:lengths[i], :, col[i]] = z[spans[i][0] - base:spans[i][1] - base]
-        runs.append((dirs, w_h, kernels.lstm_forward_seq(zx, w_h, ordered)))
-    return BiLstmCache(xs, weights, lengths, (lengths, col), runs)
+    # the kernel reads no padding
+    zx = np.empty((ordered[0], 4, batch, 2, m.hidden_dim)) if batch > 1 else None
+    for s, end in zip(firsts, firsts[1:] + [batch]):
+        base = spans[s][0]
+        z = np.matmul(xs[:, base:spans[end - 1][1]],
+                      effective_weights(m.w_x, w[s]).transpose(0, 2, 1))
+        z += m.bias[:, None]
+        z = _negated_gate_major(z)
+        if batch == 1:  # the one sequence's rows are the kernel's input
+            zx = z[:, :, None]
+        else:
+            for i in range(s, end):
+                zx[:lengths[i], :, col[i]] = z[spans[i][0] - base:spans[i][1] - base]
+    return BiLstmCache(xs, weights, lengths, (lengths, col),
+                       *kernels.lstm_forward_seq(zx, m.w_h, ordered))
 
 
 def _negated_gate_major(z: np.ndarray) -> np.ndarray:
@@ -218,32 +167,24 @@ def _negated_gate_major(z: np.ndarray) -> np.ndarray:
 def bilstm_last_output(cache: BiLstmCache) -> np.ndarray:
     """(B, 2H): per sequence, concat(h_fwd at its final position, h_bwd at
     position 0) — each direction's state after it has consumed the whole
-    sequence. For one sequence run in one kernel call it is a view of the
-    cache's hs."""
+    sequence."""
     steps, cols = cache.last
     if len(steps) == 1:  # a training step: basic indexing, no gather
-        parts = [hs[steps[0], cols[0]].reshape(1, -1) for _, _, (hs, *_) in cache.runs]
-    else:
-        parts = [hs[steps, cols].reshape(len(steps), -1) for _, _, (hs, *_) in cache.runs]
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        return cache.hs[steps[0], cols[0]].reshape(1, -1)
+    return cache.hs[steps, cols].reshape(len(steps), -1)
 
 
 def bilstm_backward_last(m: BiLstm, cache: BiLstmCache, d_last: np.ndarray,
                          grad: BiLstm) -> None:
     """BPTT for one sequence when the loss touches only bilstm_last_output.
-    Adds the gradients into grad's arrays, one kernel call per forward
-    call, through grad's views for that call (BiLstm.calls)."""
+    Adds the gradients into grad's arrays, in one kernel call."""
     if len(cache.lengths) != 1:
         raise ValueError("bilstm backward: one sequence at a time")
     T = cache.lengths[0]
-    h = m.hidden_dim
-    weights = cache.weights[0].tolist()
-    d_h_out = np.zeros((T, 2, h))
-    d_h_out[T - 1] = d_last.reshape(2, h)
-    for (dirs, w_h, out), (_, d_wx, d_wh, d_bias) in zip(cache.runs, grad.calls()):
-        _, gates, cells = out
-        kernels.lstm_backward_seq(w_h, cache.xs[dirs], gates[:, :, 0], cells[:, :, 0],
-                                  d_h_out[:, dirs], d_wx, d_wh, d_bias, weights)
+    d_h_out = np.zeros((T, 2, m.hidden_dim))
+    d_h_out[T - 1] = d_last.reshape(2, -1)
+    kernels.lstm_backward_seq(m.w_h, cache.xs, cache.gates[:, :, 0], cache.cells[:, :, 0],
+                              d_h_out, grad.w_x, grad.w_h, grad.bias, cache.weights[0].tolist())
 
 
 @dataclass

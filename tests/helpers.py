@@ -295,7 +295,7 @@ def kron_logits(m, tokens, probs):
     weights, then the MLP, as the paper writes the model."""
     xs = kron_scaled_inputs(tokens, probs, m.table)
     last = [reference_lstm_forward_seq(kron_weights(p.w_x), p.w_h, p.bias, seq)[0][-1]
-            for p, seq in ((m.bilstm.forward, xs), (m.bilstm.backward, xs[::-1]))]
+            for p, seq in zip(directions(m.bilstm), (xs, xs[::-1]))]
     a1 = core.elu(core.linear(m.fc1, np.concatenate(last)))
     return core.linear(m.fc2, a1)
 
@@ -330,6 +330,26 @@ def lstm_cell(p, x, h, c):
     return h_new, c_new
 
 
+@dataclasses.dataclass
+class LstmParams:
+    """One direction's LSTM weights, gates stacked row-wise as i|f|g|o, as
+    the per-direction oracles take them."""
+
+    w_x: np.ndarray  # (k, 4H, d): one block per entry of the block weights
+    w_h: np.ndarray  # (4H, H)
+    bias: np.ndarray  # (4H,)
+
+    @property
+    def hidden_dim(self) -> int:
+        return self.w_h.shape[1]
+
+
+def directions(m):
+    """(forward, backward): rows 0 and 1 of Bi-LSTM weights m's (2, ...)
+    tensors, as LstmParams views."""
+    return tuple(LstmParams(m.w_x[e], m.w_h[e], m.bias[e]) for e in (0, 1))
+
+
 def random_bilstm(rng, dim, hidden, blocks=1):
     """A randomly initialised Bi-LSTM over blocks input blocks of width dim,
     cut from a network's flat vector."""
@@ -337,10 +357,22 @@ def random_bilstm(rng, dim, hidden, blocks=1):
     return bilstm_mlp.Weights.over(bilstm_mlp.draw(dims, rng), dims).bilstm
 
 
+def spy_kernels(monkeypatch, *names):
+    """{name: the argument tuples of its calls from here on} for each of
+    the kernels module's functions names."""
+    spied = {}
+    for name in names:
+        real, seen = getattr(kernels, name), []
+        monkeypatch.setattr(kernels, name,
+                            lambda *a, _real=real, _seen=seen: _seen.append(a) or _real(*a))
+        spied[name] = seen
+    return spied
+
+
 def bilstm_outputs(cache):
     """Per-timestep outputs (T, 2H) of a one-sequence run: concat of both
     directions' states at each original position."""
-    hs = np.concatenate([out[0][1:, 0] for _, _, out in cache.runs], axis=1)  # (T, 2, H)
+    hs = cache.hs[1:, 0]  # (T, 2, H)
     return np.concatenate([hs[:, 0], hs[::-1, 1]], axis=1)
 
 

@@ -18,8 +18,8 @@ KINDS = {"emotion": emotion_model.EmotionClassifier, "cause": cause_model.CauseS
 
 def fields(m):
     """Every array the kernels read, as (name, array)."""
-    return [(f"bilstm.{d}.{n}", getattr(getattr(m.bilstm, d), n))
-            for d in ("forward", "backward") for n in ("w_x", "w_h", "bias")] + \
+    return [(f"bilstm.{d}.{n}", getattr(m.bilstm, n)[e])
+            for e, d in enumerate(("forward", "backward")) for n in ("w_x", "w_h", "bias")] + \
            [(f"{layer}.{n}", getattr(getattr(m, layer), n))
             for layer in ("fc1", "fc2") for n in ("weight", "bias")]
 
@@ -41,9 +41,9 @@ class TestFlatVector:
     def test_fields_are_views_of_the_flat_vector(self, model_cls, rng):
         m = model_cls.init(random_table(rng, 5, 3), rng, hidden=4, mid=5)
         assert_views_of(m, m.flat)
-        before = (m.bilstm.forward.w_x.copy(), m.fc2.bias.copy())
+        before = (m.bilstm.w_x[0].copy(), m.fc2.bias.copy())
         core.sgd_step(m.flat, np.ones_like(m.flat), 1.0, 0.0)
-        assert np.array_equal(m.bilstm.forward.w_x, before[0] - 1.0)
+        assert np.array_equal(m.bilstm.w_x[0], before[0] - 1.0)
         assert np.array_equal(m.fc2.bias, before[1] - 1.0)
 
     def test_gradient_is_cut_like_the_parameters(self, model_cls, rng):
@@ -129,7 +129,7 @@ class TestModelFile:
         backward = 8 * size + 4 * h * h + 4 * h
         for j, p in enumerate(np.eye(8)):
             # block j is the one a one-hot p_j reads
-            for start, w_x in ((0, m.bilstm.forward.w_x), (backward, m.bilstm.backward.w_x)):
+            for start, w_x in ((0, m.bilstm.w_x[0]), (backward, m.bilstm.w_x[1])):
                 block = core.effective_weights(w_x, list(p))
                 assert payload[start + j * size:start + (j + 1) * size].tobytes() == block.tobytes()
 
@@ -336,7 +336,7 @@ class TestLazyMomentum:
             assert_lazy_close(m, plain, lazy_m.active)
             grad = m.zeros_like()
             grad.flat[:] = rng.normal(size=grad.flat.size)
-            for w_x in (grad.bilstm.forward.w_x, grad.bilstm.backward.w_x):
+            for w_x in (grad.bilstm.w_x[0], grad.bilstm.w_x[1]):
                 w_x[weights[0] == 0] = 0.0
             lazy_m.velocity.flat += grad.flat
             plain_m.velocity.flat += grad.flat
@@ -381,7 +381,7 @@ class TestLazyMomentum:
                                 np.random.default_rng(0), epochs=3, hidden=4)
         velocity = made[0].velocity.bilstm
         for e in range(8):
-            blocks = [velocity.forward.w_x[e], velocity.backward.w_x[e]]
+            blocks = [velocity.w_x[0, e], velocity.w_x[1, e]]
             touched = any(np.shares_memory(w, b) for w in written for b in blocks)
             assert touched == (e in (1, 6)), e
             assert all(np.any(b) for b in blocks) == (e in (1, 6)), e
@@ -434,9 +434,9 @@ class TestLazyMomentum:
         rows = m.table.rows(("w0", "w2", "w1"))
         lazy_m = bilstm_mlp.Momentum(m, core.SgdConfig())
         for weights in (np.eye(8)[None, 2], rng.dirichlet(np.ones(8))[None, :]):
-            before = m.bilstm.forward.w_x.copy()
+            before = m.bilstm.w_x[0].copy()
             lazy_m.begin_step(weights)
             bilstm_mlp.loss_and_grads(m, rows, weights, 1, False, None, lazy_m.velocity)
             lazy_m.end_step()
-            changed = np.any(m.bilstm.forward.w_x != before, axis=(1, 2))
+            changed = np.any(m.bilstm.w_x[0] != before, axis=(1, 2))
             assert changed.tolist() == [bool(w) for w in weights[0]]

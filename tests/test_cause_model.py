@@ -7,7 +7,7 @@ from emocause.errors import OovError
 from emocause.nn import core
 
 from conftest import random_table
-from helpers import (cause_accuracy, interleaved_lstm_backward_seq, kron_logits,
+from helpers import (cause_accuracy, directions, interleaved_lstm_backward_seq, kron_logits,
                      kron_scaled_inputs, kron_weights, reference_lstm_forward_seq, score_clause,
                      select_cause_clause, separable_cause_setup)
 
@@ -130,11 +130,12 @@ class TestFactoredModel:
         prob = core.sigmoid(float(kron_logits(m, tokens, probs)[0]))
         z1 = core.linear(m.fc1, np.concatenate(
             [reference_lstm_forward_seq(kron_weights(p.w_x), p.w_h, p.bias, xs)[0][-1]
-             for p, xs in ((m.bilstm.forward, kron_scaled_inputs(tokens, probs, table)),
-                           (m.bilstm.backward, kron_scaled_inputs(tokens[::-1], probs, table)))]))
+             for p, xs in zip(directions(m.bilstm),
+                              (kron_scaled_inputs(tokens, probs, table),
+                               kron_scaled_inputs(tokens[::-1], probs, table)))]))
         d_last = m.fc1.weight.T @ ((m.fc2.weight[0] * (prob - 1)) * core.elu_grad(z1))
-        for p, g, words, d in ((m.bilstm.forward, grad.bilstm.forward, tokens, d_last[:4]),
-                               (m.bilstm.backward, grad.bilstm.backward, tokens[::-1], d_last[4:])):
+        for p, g, words, d in zip(directions(m.bilstm), directions(grad.bilstm),
+                                  (tokens, tokens[::-1]), (d_last[:4], d_last[4:])):
             xs = kron_scaled_inputs(words, probs, table)
             d_h_out = np.zeros((3, 4))
             d_h_out[-1] = d
@@ -158,9 +159,7 @@ class TestFactoredModel:
         probs = cause_model.one_hot_probs("sadness")  # index 5
         bilstm_mlp.loss_and_grads(m, table.rows(("w0", "w1")), probs[None, :], 0,
                                   True, np.random.default_rng(1), grad)
-        for g, f in ((grad.bilstm.forward, found.bilstm.forward),
-                     (grad.bilstm.backward, found.bilstm.backward)):
-            blocks, before = g.w_x, f.w_x
+        for blocks, before in zip(grad.bilstm.w_x, found.bilstm.w_x):
             assert np.all(np.isfinite(blocks[5])) and np.any(blocks[5] != before[5])
             assert np.delete(blocks, 5, axis=0).tobytes() == np.delete(before, 5, axis=0).tobytes()
 
@@ -197,9 +196,9 @@ def marker_sensitive_scorer(table):
     maps tanh-accumulated marker counts to ~0.9 vs ~0.2."""
     m = cause_model.CauseScorer.init(table, np.random.default_rng(0), hidden=1, mid=1)
     m.flat[:] = 0.0
-    m.bilstm.forward.w_x[0, 2, 0] = 10.0
-    m.bilstm.forward.bias[:] = [20.0, 20.0, 0.0, 20.0]
-    m.bilstm.backward.bias[:] = [-20.0, 0.0, 0.0, 0.0]
+    m.bilstm.w_x[0, 0, 2, 0] = 10.0
+    m.bilstm.bias[0] = [20.0, 20.0, 0.0, 20.0]
+    m.bilstm.bias[1] = [-20.0, 0.0, 0.0, 0.0]
     m.fc1.weight[0, 0] = 1.0
     h_marker = np.tanh(1.0)
     b = np.log(0.2 / 0.8)
@@ -343,5 +342,5 @@ class TestInvariants:
     def test_input_dim_is_eight_d(self, rng):
         table = random_table(rng, 3, 7)
         model = cause_model.CauseScorer.init(table, rng, hidden=4)
-        assert kron_weights(model.bilstm.forward.w_x).shape == (16, 56)
+        assert kron_weights(model.bilstm.w_x[0]).shape == (16, 56)
         assert model.fc2.out_dim == 1

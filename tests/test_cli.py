@@ -3,8 +3,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emocause import bilstm_mlp, cause_model, cli, emotion_model, pipeline
 from emocause.cli import main
@@ -13,7 +16,8 @@ from emocause.embeddings import load_word_embeddings
 from emocause.errors import DataError
 from emocause.nn import kernels
 
-from helpers import run_cli_chain, with_parses
+from helpers import (HUGE_NUMBERS, ODD_CHARACTERS, mutated_lines, run_cli_chain,
+                     with_parses)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 SRC = Path(__file__).parent.parent / "src"
@@ -504,3 +508,60 @@ class TestCommandImports:
                                                 ("synthetic", "gen-synthetic")])
     def test_one_command_loads(self, command_modules, module, command):
         assert {c for c, modules in command_modules.items() if module in modules} == {command}
+
+
+# any text an environment variable can hold: no NUL, no lone surrogate
+ENV_TEXT = st.text(alphabet=st.characters(blacklist_categories=("Cs",),
+                                          blacklist_characters="\x00"))
+
+
+@settings(max_examples=200, deadline=1000)
+@given(st.one_of(ENV_TEXT, st.integers().map(str),
+                 st.sampled_from(HUGE_NUMBERS + ODD_CHARACTERS)))
+def test_any_env_seed_resolves_or_raises_data_error(value):
+    with mock.patch.dict(os.environ, {"ECPE_SEED": value}):
+        try:
+            seed = cli._resolve_seed(None)
+        except DataError:
+            return
+    assert isinstance(seed, int) and seed >= 0
+
+
+PARSES = (FIXTURES / "golden.conllu").read_bytes()
+TABLE = ("4 3\nfurious 0.9 0.1 0\nglad 0 1 0.2\nbattery 0.3 0.3 0.3\n"
+         "zipper -1 0.5 2\n").encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def mutated_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("mutated")
+    (d / "lexicon.tsv").write_text("furious\tanger\t0.9\nglad\tjoy\t0.7\n", encoding="utf-8")
+    return d
+
+
+# in process: any exception but the CLI's input errors propagates and fails
+# the test
+@settings(max_examples=60, deadline=1000)
+@given(data=st.data())
+def test_extract_clauses_exits_zero_or_two_on_any_parse_bytes(mutated_dir, data):
+    parses = mutated_dir / "parses.conllu"
+    parses.write_bytes(data.draw(mutated_lines(PARSES)))
+    assert main(["extract-clauses", "--parses", str(parses),
+                 "--output", str(mutated_dir / "clauses.jsonl")]) in (0, 2)
+
+
+def test_the_unmutated_table_builds(mutated_dir):
+    (mutated_dir / "good.txt").write_bytes(TABLE)
+    assert main(["build-embeddings", "--embeddings", str(mutated_dir / "good.txt"),
+                 "--lexicon", str(mutated_dir / "lexicon.tsv"),
+                 "--output", str(mutated_dir / "good-aware.txt")]) == 0
+
+
+@settings(max_examples=60, deadline=1000)
+@given(data=st.data())
+def test_build_embeddings_exits_zero_or_two_on_any_table_bytes(mutated_dir, data):
+    table = mutated_dir / "table.txt"
+    table.write_bytes(data.draw(mutated_lines(TABLE)))
+    assert main(["build-embeddings", "--embeddings", str(table),
+                 "--lexicon", str(mutated_dir / "lexicon.tsv"),
+                 "--output", str(mutated_dir / "aware.txt")]) in (0, 2)

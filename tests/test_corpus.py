@@ -2,6 +2,8 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from emocause import synthetic
 from emocause.clauses import extract_clauses, parse_conllu
@@ -9,6 +11,8 @@ from emocause.corpus import GoldCause, ReviewRecord, load_corpus, save_corpus
 from emocause.embeddings import (EMOTIONS, load_emotion_lexicon,
                                  load_word_embeddings)
 from emocause.errors import DataError
+
+from helpers import mutated_lines
 
 
 def record(i, **kw):
@@ -231,3 +235,32 @@ class TestSyntheticSidecars:
                 assert w in lexicon
         # the planted secondary emotions survive the round trip
         assert len(lexicon.entries["alarmed"]) == 2
+
+
+GOOD_CORPUS = "".join(json.dumps(o, ensure_ascii=False) + "\n" for o in (
+    valid_obj(0),
+    dict(valid_obj(1), stars=1, text="the zipper jamm\u00e9d", parse_ids=["r1.0", "r1.1"],
+         gold_emotion="fear", gold_cause={"sentence_index": 1, "start": 0, "end": 2}),
+)).encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def corpus_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("corpus") / "c.jsonl"
+
+
+@settings(max_examples=100, deadline=1000)
+@given(data=st.data())
+def test_a_mutated_corpus_loads_or_raises_data_error(corpus_path, data):
+    bad = data.draw(mutated_lines(GOOD_CORPUS))
+    corpus_path.write_bytes(bad)
+    try:
+        records = load_corpus(corpus_path)
+    except DataError:
+        return
+    except UnicodeDecodeError:  # the CLI's exit 2 for a file that is not UTF-8
+        with pytest.raises(UnicodeDecodeError):
+            bad.decode("utf-8")
+        return
+    assert all(isinstance(r, ReviewRecord) for r in records)
+    assert len({r.review_id for r in records}) == len(records)

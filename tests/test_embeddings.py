@@ -479,6 +479,32 @@ class TestLoadEmotionLexicon:
         assert lex.max_intensity("alarm") == 0.8
 
 
+TABLE = "3 4\ngood 1 0 0.5 -2\nbad 0 1e-3 0 1\n\u00e9t\u00e9 0.25 0.5 0.75 1\n".encode("utf-8")
+
+
+@pytest.fixture(scope="module")
+def table_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("table") / "v.txt"
+
+
+@settings(max_examples=100, deadline=1000)
+@given(data=st.data())
+def test_a_mutated_table_loads_or_raises_data_error(table_path, data):
+    bad = data.draw(mutated_lines(TABLE))
+    table_path.write_bytes(bad)
+    assert not os.path.exists(sidecar_path(table_path))  # the text path
+    try:
+        table = load_word_embeddings(table_path)
+    except DataError:
+        return
+    except UnicodeDecodeError:  # the CLI's exit 2 for a file that is not UTF-8
+        with pytest.raises(UnicodeDecodeError):
+            bad.decode("utf-8")
+        return
+    assert table.vectors.shape == (len(table), table.dim)
+    assert np.all(np.isfinite(table.vectors))
+
+
 LEXICON = ("furious\tanger\t0.964\nalarm\tfear\t0.8\nalarm\tsurprise\t0.6\n"
            "calm\ttrust\t0.25\nglad\tjoy\t1\nsorry\tsadness\t0.0\n").encode("utf-8")
 

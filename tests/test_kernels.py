@@ -4,9 +4,9 @@ import pytest
 from emocause import bilstm_mlp
 from emocause.nn import core, kernels
 
-from helpers import (as_interleaved, gate_major, interleaved_lstm_backward_seq,
+from helpers import (as_interleaved, directions, gate_major, interleaved_lstm_backward_seq,
                      interleaved_lstm_forward_seq, kron_weights, lstm_cell, random_bilstm,
-                     reference_lstm_forward_seq)
+                     reference_lstm_forward_seq, spy_kernels)
 
 SHAPES = pytest.mark.parametrize("steps,dim,hidden", [(6, 4, 3), (1, 4, 3), (5, 20, 2), (3, 7, 5)],
                                  ids=["T6-D4-H3", "T1", "D-over-4H", "T3-D7-H5"])
@@ -40,7 +40,7 @@ class TestSequenceKernels:
     @SHAPES
     def test_forward_matches_cell_loop(self, rng, steps, dim, hidden):
         # sequence kernel vs repeated single-cell application
-        p = random_bilstm(rng, dim, hidden).forward
+        p = directions(random_bilstm(rng, dim, hidden))[0]
         xs = rng.normal(size=(steps, dim))
         zx, lengths = packed(p, [xs])
         hs, cs, _, _ = as_interleaved(kernels.lstm_forward_seq(zx, p.w_h[None], lengths))
@@ -52,7 +52,7 @@ class TestSequenceKernels:
     @SHAPES
     def test_one_sequence_bit_identical_to_reference(self, rng, steps, dim, hidden):
         # B = 1, as in training: every output equals the one-sequence kernel's
-        p = random_bilstm(rng, dim, hidden).forward
+        p = directions(random_bilstm(rng, dim, hidden))[0]
         xs = rng.normal(size=(steps, dim))
         zx, lengths = packed(p, [xs])
         out = as_interleaved(kernels.lstm_forward_seq(zx, p.w_h[None], lengths))
@@ -63,7 +63,7 @@ class TestSequenceKernels:
     @pytest.mark.parametrize("lengths", [[7, 4, 4, 2, 1, 1], [5, 5, 5], [1], [6, 6, 3, 3]],
                              ids=["mixed", "equal", "B1", "duplicated"])
     def test_batch_matches_cell_loop(self, rng, lengths):
-        p = random_bilstm(rng, 5, 4).forward
+        p = directions(random_bilstm(rng, 5, 4))[0]
         seqs = [rng.normal(size=(n, 5)) for n in lengths]
         if lengths == [6, 6, 3, 3]:  # two pairs of identical sequences
             seqs[1], seqs[3] = seqs[0], seqs[2]
@@ -84,9 +84,9 @@ class TestSequenceKernels:
 
     @pytest.mark.parametrize("lengths", [[2, 3], [3, 0], [2, 2]], ids=["unsorted", "empty", "short"])
     def test_bad_lengths_rejected(self, rng, lengths):
-        p = random_bilstm(rng, 2, 2).forward
+        w_h = random_bilstm(rng, 2, 2).w_h[:1]
         with pytest.raises(ValueError, match="lengths"):
-            kernels.lstm_forward_seq(np.zeros((3, 4, 1, 2, 2)), p.w_h[None], lengths)
+            kernels.lstm_forward_seq(np.zeros((3, 4, 1, 1, 2)), w_h, lengths)
 
 
 def direction(out, e):
@@ -94,6 +94,18 @@ def direction(out, e):
     views: the direction axis comes right before the H axis in each."""
     return [a[..., e:e + 1, :] for a in out]
 
+
+def backward_inputs(rng, block_weights, steps=6, dim=5, hidden=4):
+    """(m, run, xs, d_h_out): a three-block Bi-LSTM m, the forward kernel's
+    (hs, gates, cells) over one sequence of its (2, T, d) inputs xs, as
+    B = 1 views, and a random gradient d_h_out (T, 2, H) of its outputs."""
+    m = random_bilstm(rng, dim, hidden, blocks=3)
+    w_eff = [core.effective_weights(p.w_x, block_weights) for p in directions(m)]
+    xs = rng.normal(size=(2, steps, dim))
+    zx = np.stack([xs[e] @ w_eff[e].T + p.bias for e, p in enumerate(directions(m))],
+                  axis=1)[:, :, None]
+    run = [a[..., 0, :, :] for a in kernels.lstm_forward_seq(gate_major(zx), m.w_h, [steps])]
+    return m, run, xs, rng.normal(size=(steps, 2, hidden))
 
 
 class TestDirectionAxis:
@@ -107,7 +119,7 @@ class TestDirectionAxis:
         for i, n in enumerate(lengths):
             zx[n:, :, i] = 0.0
         apart = [kernels.lstm_forward_seq(zx[..., e:e + 1, :].copy(), p.w_h[None], lengths)
-                 for e, p in enumerate((m.forward, m.backward))]
+                 for e, p in enumerate(directions(m))]
         both = kernels.lstm_forward_seq(zx.copy(), m.w_h, lengths)
         for e in (0, 1):
             for a, b in zip(direction(both, e), apart[e]):
@@ -116,47 +128,55 @@ class TestDirectionAxis:
     @pytest.mark.parametrize("block_weights", [[0.0, 1.0, 0.0], [0.2, 0.5, 0.3]],
                              ids=["one-hot", "dense"])
     def test_backward_equals_two_calls(self, rng, block_weights):
-        steps, dim, hidden = 6, 5, 4
-        m = random_bilstm(rng, dim, hidden, blocks=3)
-        w_eff = [core.effective_weights(p.w_x, block_weights) for p in (m.forward, m.backward)]
-        xs = rng.normal(size=(2, steps, dim))
-        zx = np.stack([xs[e] @ w_eff[e].T + p.bias for e, p in enumerate((m.forward, m.backward))],
-                      axis=1)[:, :, None]
-        run = [a[..., 0, :, :] for a in kernels.lstm_forward_seq(gate_major(zx), m.w_h,
-                                                                  [steps])]
-        d_h_out = rng.normal(size=(steps, 2, hidden))
-        dims = (3, dim, hidden, 1, 1)
+        m, run, xs, d_h_out = backward_inputs(rng, block_weights)
+        dims = (3, xs.shape[2], m.hidden_dim, 1, 1)
         apart, both = (bilstm_mlp.Weights.over(np.zeros(bilstm_mlp.n_values(dims)), dims).bilstm
                        for _ in range(2))
-        for e, (p, g) in enumerate(((m.forward, apart.forward), (m.backward, apart.backward))):
-            kernels.lstm_backward_seq(p.w_h[None], xs[e:e + 1], *direction(run, e)[1:],
-                                      d_h_out[:, e:e + 1], g.w_x[None], g.w_h[None],
-                                      g.bias[None], block_weights)
-        _, d_wx, d_wh, d_bias = both.calls()[0]
-        kernels.lstm_backward_seq(m.w_h, xs, *run[1:], d_h_out, d_wx, d_wh,
-                                  d_bias, block_weights)
-        for a, b in ((apart.forward, both.forward), (apart.backward, both.backward)):
-            for name in ("w_x", "w_h", "bias"):
-                assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
-                assert np.any(getattr(a, name))
+        for e in (0, 1):
+            kernels.lstm_backward_seq(m.w_h[e:e + 1], xs[e:e + 1], *direction(run, e)[1:],
+                                      d_h_out[:, e:e + 1], apart.w_x[e:e + 1],
+                                      apart.w_h[e:e + 1], apart.bias[e:e + 1], block_weights)
+        kernels.lstm_backward_seq(m.w_h, xs, *run[1:], d_h_out, both.w_x, both.w_h, both.bias,
+                                  block_weights)
+        for name in ("w_x", "w_h", "bias"):
+            assert getattr(apart, name).tobytes() == getattr(both, name).tobytes()
+            assert all(np.any(direction) for direction in getattr(apart, name))
 
-    def test_paired_weights_are_a_view_of_the_flat_vector(self, rng):
-        m = random_bilstm(rng, 3, 4)
-        assert m.w_h.shape == (2, 16, 4) and np.shares_memory(m.w_h, m.forward.w_h)
-        assert m.w_h[0].tobytes() == m.forward.w_h.tobytes()
-        assert m.w_h[1].tobytes() == m.backward.w_h.tobytes()
+    def test_backward_is_the_same_with_the_loops_paired_and_apart(self, monkeypatch):
+        grads = []
+        for pair_bytes in (kernels.PAIR_BYTES, 0):  # one loop over both directions, then two
+            monkeypatch.setattr(kernels, "PAIR_BYTES", pair_bytes)
+            # the same inputs each time, the forward's outputs in the loop
+            # form's layout; dense block weights, so every block is added to
+            m, run, xs, d_h_out = backward_inputs(np.random.default_rng(7), [0.2, 0.5, 0.3])
+            dims = (3, xs.shape[2], m.hidden_dim, 1, 1)
+            g = bilstm_mlp.Weights.over(np.zeros(bilstm_mlp.n_values(dims)), dims).bilstm
+            kernels.lstm_backward_seq(m.w_h, xs, *run[1:], d_h_out, g.w_x, g.w_h, g.bias,
+                                      [0.2, 0.5, 0.3])
+            grads.append(g)
+        paired, apart = grads
+        for name in ("w_x", "w_h", "bias"):
+            assert getattr(paired, name).tobytes() == getattr(apart, name).tobytes()
+            assert np.all(getattr(paired, name))
 
     def test_kernel_call_views_are_views_of_the_model(self, rng, monkeypatch):
-        m = random_bilstm(rng, 3, 4, blocks=2)
-        calls = m.calls()
-        assert len(calls) == 1
-        (dirs, w_x, w_h, bias), = calls
-        assert dirs == slice(0, 2) and w_x.shape == (2, 2, 16, 3) and bias.shape == (2, 16)
-        for view, name in ((w_x, "w_x"), (w_h, "w_h"), (bias, "bias")):
-            assert np.shares_memory(view, getattr(m.forward, name))
-            assert view[1].tobytes() == getattr(m.backward, name).tobytes()
-        monkeypatch.setattr(core, "PAIR_BYTES", 0)
-        assert [c[0] for c in m.calls()] == [slice(0, 1), slice(1, 2)]
+        # core hands the model's and the gradient's (2, ...) tensors to the
+        # kernels as they are
+        spied = spy_kernels(monkeypatch, "lstm_forward_seq", "lstm_backward_seq")
+        m, grad = random_bilstm(rng, 3, 4, blocks=2), random_bilstm(rng, 3, 4, blocks=2)
+        cache = core.bilstm_run(m, rng.normal(size=(3, 3)), (3,), [[0.4, 0.6]])
+        core.bilstm_backward_last(m, cache, rng.normal(size=8), grad)
+        (forward,), (backward,) = spied.values()
+        assert forward[1] is m.w_h and backward[0] is m.w_h
+        assert all(a is b for a, b in zip(backward[5:8], (grad.w_x, grad.w_h, grad.bias)))
+
+    def test_paired_weights_are_a_view_of_the_flat_vector(self, rng):
+        dims = (2, 3, 4, 1, 1)
+        flat = bilstm_mlp.draw(dims, rng)
+        m = bilstm_mlp.Weights.over(flat, dims).bilstm
+        assert (m.w_x.shape, m.w_h.shape, m.bias.shape) == ((2, 2, 16, 3), (2, 16, 4), (2, 16))
+        for a in (m.w_x, m.w_h, m.bias):
+            assert np.shares_memory(a, flat)
 
 
 class TestAgainstInterleavedKernels:
@@ -175,7 +195,7 @@ class TestAgainstInterleavedKernels:
         dim, blocks = 16, 3
         dims = (blocks, dim, hidden, 1, 1)
         m = random_bilstm(rng, dim, hidden, blocks=blocks)
-        params = (m.forward, m.backward)[:d]
+        params = directions(m)[:d]
         w_h = m.w_h[:d]
         steps, batch = lengths[0], len(lengths)
         xs = [rng.normal(size=(d, n, dim)) for n in lengths]
@@ -195,8 +215,8 @@ class TestAgainstInterleavedKernels:
         # that already holds values, as a training run's velocity does
         start = rng.normal(size=bilstm_mlp.n_values(dims))
         old_g, new_g = (bilstm_mlp.Weights.over(start.copy(), dims).bilstm for _ in range(2))
-        old_dirs, new_dirs = (old_g.forward, old_g.backward)[:d], (new_g.forward, new_g.backward)
-        # D = 2: both directions' views of the flat vector, as when paired(H)
+        old_dirs, new_dirs = directions(old_g)[:d], directions(new_g)
+        # both directions' views of the flat vector, as a Bi-LSTM passes them
         d_wx, d_wh, d_bias = new_g.w_x[:d], new_g.w_h[:d], new_g.bias[:d]
         for i, n in enumerate(lengths):
             d_h_out = rng.normal(size=(n, d, hidden))
@@ -214,7 +234,7 @@ class TestAgainstInterleavedKernels:
 
         before = bilstm_mlp.Weights.over(start, dims).bilstm
         assert flat(old_dirs).tobytes() == flat(new_dirs).tobytes()
-        assert not np.array_equal(flat(new_dirs), flat((before.forward, before.backward)))
+        assert not np.array_equal(flat(new_dirs), flat(directions(before)))
 
 
 def test_the_kernels_identities_hold_bit_for_bit():

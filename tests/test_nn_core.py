@@ -8,12 +8,13 @@ from emocause.emotion_model import ONE_BLOCK
 from emocause.nn import core, kernels
 from emocause.nn.gradcheck import max_relative_error, numerical_gradient
 
-from helpers import bilstm_forward, bilstm_outputs, dropout, lstm_cell, random_bilstm
+from helpers import (LstmParams, bilstm_forward, bilstm_outputs, directions, dropout, lstm_cell,
+                     random_bilstm, spy_kernels)
 
 
 def scalar_lstm_params():
     # one hidden unit; rows are gates i|f|g|o
-    return core.LstmParams(
+    return LstmParams(
         w_x=np.array([[[0.5], [-0.3], [0.8], [0.2]]]),
         w_h=np.array([[0.1], [0.4], [-0.6], [0.7]]),
         bias=np.array([0.05, -0.15, 0.25, -0.35]),
@@ -22,7 +23,7 @@ def scalar_lstm_params():
 
 class TestLstmCell:
     def test_zero_everything(self):
-        p = core.LstmParams(np.zeros((1, 4, 2)), np.zeros((4, 1)), np.zeros(4))
+        p = LstmParams(np.zeros((1, 4, 2)), np.zeros((4, 1)), np.zeros(4))
         h, c = lstm_cell(p, np.array([3.0, -1.0]), np.zeros(1), np.zeros(1))
         assert h[0] == 0.0 and c[0] == 0.0
 
@@ -46,9 +47,9 @@ class TestLstmCell:
 
     def test_saturated_gates_pass_cell_through(self):
         # huge forget bias, huge negative input bias: c' ~ c
-        p = core.LstmParams(np.zeros((1, 4, 1)),
-                            np.zeros((4, 1)),
-                            np.array([-50.0, 50.0, 0.0, 0.0]))
+        p = LstmParams(np.zeros((1, 4, 1)),
+                       np.zeros((4, 1)),
+                       np.array([-50.0, 50.0, 0.0, 0.0]))
         c0 = np.array([0.7])
         _, c1 = lstm_cell(p, np.array([0.0]), np.zeros(1), c0)
         assert c1[0] == pytest.approx(0.7, abs=1e-9)
@@ -65,14 +66,15 @@ class TestBiLstm:
         x = rng.normal(size=(1, 3))
         out = bilstm_forward(m, x)
         assert len(out) == 1 and out[0].shape == (4,)
-        h_f, c_f = lstm_cell(m.forward, x[0], np.zeros(2), np.zeros(2))
-        h_b, c_b = lstm_cell(m.backward, x[0], np.zeros(2), np.zeros(2))
+        fwd, bwd = directions(m)
+        h_f, c_f = lstm_cell(fwd, x[0], np.zeros(2), np.zeros(2))
+        h_b, c_b = lstm_cell(bwd, x[0], np.zeros(2), np.zeros(2))
         assert np.allclose(out[0], np.concatenate([h_f, h_b]), atol=1e-12)
 
     def test_palindrome_symmetry(self, rng):
         # same params both directions + palindromic input: reversing the
         # output sequence and swapping its halves is the identity
-        p = random_bilstm(rng, 3, 2).forward
+        p = directions(random_bilstm(rng, 3, 2))[0]
         m = core.BiLstm(*(np.stack((a, a)) for a in (p.w_x, p.w_h, p.bias)))
         a, b = rng.normal(size=3), rng.normal(size=3)
         out = bilstm_forward(m, np.stack([a, b, a]))
@@ -113,25 +115,31 @@ class TestBiLstm:
             assert np.allclose(last[i], core.bilstm_last_output(one)[0], rtol=1e-12, atol=1e-15)
             start += n
 
-    # 2 * 4H * H * 8 bytes is exactly core.PAIR_BYTES at H = 128
-    @pytest.mark.parametrize("hidden,calls", [(128, 1), (129, 2)], ids=["at-bound", "over"])
-    def test_one_kernel_call_for_both_directions_up_to_the_bound(self, rng, monkeypatch,
-                                                                   hidden, calls):
-        spied = {"lstm_forward_seq": [], "lstm_backward_seq": []}
-        for name, seen in spied.items():
-            real = getattr(kernels, name)
-            monkeypatch.setattr(kernels, name,
-                                lambda *a, _real=real, _seen=seen: _seen.append(a) or _real(*a))
+    # 2 * 4H * H * 8 bytes is exactly kernels.PAIR_BYTES at H = 128
+    @pytest.mark.parametrize("hidden", [128, 129], ids=["at-bound", "over"])
+    def test_one_kernel_call_per_pass(self, rng, monkeypatch, hidden):
+        spied = spy_kernels(monkeypatch, "lstm_forward_seq", "lstm_backward_seq")
         m = random_bilstm(rng, 2, hidden)
         cache = core.bilstm_run(m, rng.normal(size=(3, 2)), (3,), ONE_BLOCK)
         grad = random_bilstm(rng, 2, hidden)
         core.bilstm_backward_last(m, cache, rng.normal(size=2 * hidden), grad)
-        assert core.paired(hidden) == (calls == 1)
-        assert [len(seen) for seen in spied.values()] == [calls, calls]
-        # every call carries the direction axis: D = 2 at the bound, D = 1 over it
-        w_h = [a[1] for a in spied["lstm_forward_seq"]] + [a[0] for a in spied["lstm_backward_seq"]]
-        assert [a.shape for a in w_h] == [(2 // calls, 4 * hidden, hidden)] * (2 * calls)
+        assert [len(seen) for seen in spied.values()] == [1, 1]
+        # both calls carry both directions
+        (forward,), (backward,) = spied.values()
+        assert forward[1].shape == backward[0].shape == (2, 4 * hidden, hidden)
         assert core.bilstm_last_output(cache).shape == (1, 2 * hidden)
+
+    @pytest.mark.parametrize("hidden,loops", [(128, 1), (129, 2)], ids=["at-bound", "over"])
+    def test_time_loop_runs_once_up_to_the_bound(self, rng, monkeypatch, hidden, loops):
+        spied = spy_kernels(monkeypatch, "_forward_steps", "_backward_steps")
+        m = random_bilstm(rng, 2, hidden)
+        cache = core.bilstm_run(m, rng.normal(size=(3, 2)), (3,), ONE_BLOCK)
+        grad = random_bilstm(rng, 2, hidden)
+        core.bilstm_backward_last(m, cache, rng.normal(size=2 * hidden), grad)
+        assert [len(seen) for seen in spied.values()] == [loops, loops]
+        # both directions in one loop at the bound, one each over it
+        w_h = [a[1] for a in spied["_forward_steps"]] + [a[0] for a in spied["_backward_steps"]]
+        assert [a.shape for a in w_h] == [(2 // loops, 4 * hidden, hidden)] * (2 * loops)
 
     def test_paired_and_apart_runs_are_the_same_bytes(self, rng, monkeypatch):
         m = random_bilstm(rng, 3, 5, blocks=2)
@@ -139,7 +147,7 @@ class TestBiLstm:
         rows = rng.normal(size=(sum(lengths), 3))
         weights = rng.dirichlet(np.ones(2), size=5)
         paired = core.bilstm_last_output(core.bilstm_run(m, rows, lengths, weights))
-        monkeypatch.setattr(core, "PAIR_BYTES", 0)
+        monkeypatch.setattr(kernels, "PAIR_BYTES", 0)
         apart = core.bilstm_last_output(core.bilstm_run(m, rows, lengths, weights))
         assert paired.tobytes() == apart.tobytes()
 
@@ -154,8 +162,8 @@ class TestBiLstm:
         held = core.bilstm_run(m, cache.xs.copy(), lengths, weights)
         assert held.xs.tobytes() == cache.xs.tobytes()
         assert cache.xs[1, :lengths[0]].tobytes() == rows[:lengths[0]][::-1].tobytes()
-        for (_, _, a), (_, _, b) in zip(cache.runs, held.runs):  # hs and cells
-            assert a[0].tobytes() == b[0].tobytes() and a[2].tobytes() == b[2].tobytes()
+        assert cache.hs.tobytes() == held.hs.tobytes()
+        assert cache.cells.tobytes() == held.cells.tobytes()
         with pytest.raises(ValueError, match="nonempty"):
             core.bilstm_run(m, np.stack([rows] * 3), lengths, weights)
 
@@ -370,7 +378,7 @@ class TestInitialization:
         assert np.array_equal(a, b)
 
     def test_bounds(self):
-        p = random_bilstm(np.random.default_rng(0), 16, 8).forward
+        p = directions(random_bilstm(np.random.default_rng(0), 16, 8))[0]
         assert np.all(np.abs(p.w_x) <= 1.0 / 4.0)
         assert np.all(np.abs(p.w_h) <= 1.0 / math.sqrt(8))
 
@@ -390,9 +398,9 @@ class TestGradientChecks:
 
     def test_bilstm_check_is_the_same_with_the_directions_apart(self, monkeypatch):
         # the toy hidden size pairs the directions; a zero bound runs them apart
-        assert core.paired(checks.TOY_HIDDEN)
+        assert 2 * 4 * checks.TOY_HIDDEN ** 2 * 8 <= kernels.PAIR_BYTES
         paired = [checks.check_bilstm_last(seed) for seed in range(5)]
-        monkeypatch.setattr(core, "PAIR_BYTES", 0)
+        monkeypatch.setattr(kernels, "PAIR_BYTES", 0)
         assert [checks.check_bilstm_last(seed) for seed in range(5)] == paired
 
     # shape edges of the batched products: T=1 (one-row projection and dZ,

@@ -1,21 +1,24 @@
-"""Per-kernel timings: both LSTM directions in one kernel call (D = 2)
-against one call per direction (two D = 1 calls); and, with --step, whole
-training steps.
+"""Per-kernel timings: the LSTM kernels' time loop run once over both
+directions (paired) against once per direction (apart); and, with --step,
+whole training steps.
 
     python3 tools/kernel_timings.py [--repeats N] [--small] [--step]
 
-For each (T, H, B) shape it prints the median microseconds of the forward
-kernel over B sequences of T steps, of the backward kernel over one of
-them (the backward runs one sequence at a time, so only B = 1 shapes time
-it), and of the two together, for one D = 2 call and for two D = 1 calls,
-and the ratio of the pair's times (above 1: one D = 2 call is faster).
-The weights are cut from a model's flat vector, so the paired recurrent
-weights are the same strided view training uses. The input width is 16
-below H = 256 and 300 from it, the dense-groups and reference-sizes
-widths. The two ways alternate within every repeat, and BLAS runs on one
-thread. --small keeps the shapes with H <= 128, the ones the default
-bound pairs; CI runs them with --repeats 1 so that the script keeps
-working.
+For each (T, H, B) shape it prints the median microseconds of one
+both-directions call of the forward kernel over B sequences of T steps,
+of the backward kernel over one of them (the backward runs one sequence
+at a time, so only B = 1 shapes time it), and of the two together, with
+the paired loop and with the loops apart, and the ratio of the pair's
+times (above 1: the paired loop is faster). The loop form is chosen by
+setting kernels.PAIR_BYTES, which otherwise pairs the loops up to H = 128;
+the "paired" column says what that default chooses. Each form's backward
+reads the outputs its own forward leaves, in that form's layout. The weights are cut
+from a model's flat vector, so the paired recurrent weights are the same
+strided view training uses. The input width is 16 below H = 256 and 300
+from it, the dense-groups and reference-sizes widths. The two loop forms
+alternate within every repeat, and BLAS runs on one thread. --small keeps
+the shapes with H < 256, the last of them past the default bound; CI runs
+them with --repeats 1 so that the script keeps working.
 
 --step instead prints the median microseconds of one batch-size-1
 training step, bilstm_mlp.loss_and_grads plus the momentum update
@@ -35,6 +38,7 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
+import functools  # noqa: E402
 import itertools  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
@@ -61,10 +65,8 @@ STEP_DIM = 16
 TARGET_S = 0.02  # each timed batch of calls runs for about this long
 
 
-def direction(out, e):
-    """Direction e of the forward kernel's (hs, gates, cells): the direction
-    axis comes right before the H axis in each."""
-    return [a[..., e:e + 1, :] for a in out]
+# kernels.PAIR_BYTES for each loop form
+FORMS = {"paired": 1 << 62, "apart": 0}
 
 
 class Case:
@@ -75,35 +77,28 @@ class Case:
         dims = (1, dim, hidden, 1, 1)
         self.m = bilstm_mlp.Weights.over(bilstm_mlp.draw(dims, rng), dims).bilstm
         self.grad = bilstm_mlp.Weights.over(np.zeros(bilstm_mlp.n_values(dims)), dims).bilstm
-        self.params = (self.m.forward, self.m.backward)
-        self.grads = (self.grad.forward, self.grad.backward)
         self.lengths = [steps] * batch
-        self.zx = rng.uniform(-1, 1, size=(steps, 4, batch, 2, hidden))
-        # each direction's own input, as bilstm_run packs it for a D = 1 call
-        self.zx_apart = [self.zx[..., e:e + 1, :].copy() for e in (0, 1)]
+        # each forward call starts from these pre-activations: the paired
+        # loop turns its input into the gates in place, the loop per
+        # direction a copy
+        self.pre = rng.uniform(-1, 1, size=(steps, 4, batch, 2, hidden))
+        self.zx = np.empty_like(self.pre)
         self.xs = rng.normal(size=(2, steps, dim))
         self.d_h_out = rng.normal(size=(steps, 2, hidden))
-        # the forward outputs the backward reads, gates and cells, for sequence 0
-        out = kernels.lstm_forward_seq(self.zx.copy(), self.m.w_h, self.lengths)[1:]
-        self.run = [a[..., 0, :, :].copy() for a in out]
-        self.runs = [[a.copy() for a in direction(self.run, e)] for e in (0, 1)]
+        # per loop form, the gates and cells of sequence 0 that its backward
+        # reads, laid out as its forward leaves them
+        self.runs = {form: [np.copy(a[..., 0, :, :]) for a in self.forward(form)[1:]]
+                     for form in FORMS}
 
-    def forward_paired(self):
-        kernels.lstm_forward_seq(self.zx, self.m.w_h, self.lengths)
+    def forward(self, form):
+        kernels.PAIR_BYTES = FORMS[form]
+        np.copyto(self.zx, self.pre)
+        return kernels.lstm_forward_seq(self.zx, self.m.w_h, self.lengths)
 
-    def forward_apart(self):
-        for e, p in enumerate(self.params):
-            kernels.lstm_forward_seq(self.zx_apart[e], p.w_h[None], self.lengths)
-
-    def backward_paired(self):
-        kernels.lstm_backward_seq(self.m.w_h, self.xs, *self.run, self.d_h_out,
+    def backward(self, form):
+        kernels.PAIR_BYTES = FORMS[form]
+        kernels.lstm_backward_seq(self.m.w_h, self.xs, *self.runs[form], self.d_h_out,
                                   self.grad.w_x, self.grad.w_h, self.grad.bias, (1.0,))
-
-    def backward_apart(self):
-        for e, (p, g) in enumerate(zip(self.params, self.grads)):
-            kernels.lstm_backward_seq(p.w_h[None], self.xs[e:e + 1], *self.runs[e],
-                                      self.d_h_out[:, e:e + 1], g.w_x[None], g.w_h[None],
-                                      g.bias[None], (1.0,))
 
 
 def training_step(cls, steps: int, hidden: int, block, rng: np.random.Generator):
@@ -143,23 +138,23 @@ def per_call_us(fn, calls: int) -> float:
 
 
 def measure(case: Case, repeats: int, backward: bool) -> dict:
-    """Median us per call of each way, the two ways alternating."""
-    fns = {"fwd2": case.forward_paired, "fwd1": case.forward_apart}
+    """Median us per call of each kernel with each loop form, keyed
+    (kernel, form), the ways alternating."""
+    fns = {("fwd", form): functools.partial(case.forward, form) for form in FORMS}
     if backward:
-        fns.update(bwd2=case.backward_paired, bwd1=case.backward_apart)
-    calls = {key: calls_per_batch(fn) for key, fn in fns.items()}
-    samples = {key: [] for key in fns}
+        fns.update({("bwd", form): functools.partial(case.backward, form) for form in FORMS})
+    calls = {way: calls_per_batch(fn) for way, fn in fns.items()}
+    samples = {way: [] for way in fns}
     for r in range(repeats):
-        keys = list(fns) if r % 2 == 0 else list(fns)[::-1]
-        for key in keys:
-            samples[key].append(per_call_us(fns[key], calls[key]))
-    return {key: statistics.median(values) for key, values in samples.items()}
+        for way in (list(fns) if r % 2 == 0 else list(fns)[::-1]):
+            samples[way].append(per_call_us(fns[way], calls[way]))
+    return {way: statistics.median(values) for way, values in samples.items()}
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=15, help="timed batches per way")
-    parser.add_argument("--small", action="store_true", help="only the shapes with H <= 128")
+    parser.add_argument("--small", action="store_true", help="only the shapes with H < 256")
     parser.add_argument("--step", action="store_true",
                         help="time whole training steps instead of the kernels")
     args = parser.parse_args(argv)
@@ -173,19 +168,23 @@ def main(argv=None) -> int:
             us = statistics.median(per_call_us(step, calls) for _ in range(args.repeats))
             print(f"{name:<9} {steps:3d} {hidden:4d} | {us:9.1f}")
         return 0
-    print(f"one BLAS thread, numpy {np.__version__}, core.PAIR_BYTES = {core.PAIR_BYTES}")
-    print(f"{'T':>3} {'H':>5} {'B':>3} {'paired':>6} | {'fwd D=2':>9} {'fwd 2xD=1':>9} | "
-          f"{'bwd D=2':>9} {'bwd 2xD=1':>9} | {'pair D=2':>9} {'pair 2xD=1':>10} {'ratio':>6}")
+    default = kernels.PAIR_BYTES
+    print(f"one BLAS thread, numpy {np.__version__}, kernels.PAIR_BYTES = {default}")
+    print(f"{'T':>3} {'H':>5} {'B':>3} {'paired':>6} | {'fwd pair':>9} {'fwd apart':>9} | "
+          f"{'bwd pair':>9} {'bwd apart':>9} | {'both pair':>9} {'both apart':>10} {'ratio':>6}")
     for steps, hidden, batch in SHAPES:
-        if args.small and hidden > 128:
+        if args.small and hidden >= 256:
             continue
-        t = measure(Case(steps, hidden, batch, rng), args.repeats, backward=batch == 1)
-        both2 = t["fwd2"] + t.get("bwd2", 0.0)
-        both1 = t["fwd1"] + t.get("bwd1", 0.0)
-        bwd = (f"{t['bwd2']:9.1f} {t['bwd1']:9.1f}" if batch == 1 else f"{'-':>9} {'-':>9}")
-        print(f"{steps:3d} {hidden:5d} {batch:3d} {str(core.paired(hidden)):>6} | "
-              f"{t['fwd2']:9.1f} {t['fwd1']:9.1f} | {bwd} | {both2:9.1f} {both1:10.1f} "
-              f"{both1 / both2:6.2f}")
+        case = Case(steps, hidden, batch, rng)
+        t = measure(case, args.repeats, backward=batch == 1)
+        both = {form: sum(us for (_, f), us in t.items() if f == form) for form in FORMS}
+        bwd = (f"{t['bwd', 'paired']:9.1f} {t['bwd', 'apart']:9.1f}" if batch == 1
+               else f"{'-':>9} {'-':>9}")
+        print(f"{steps:3d} {hidden:5d} {batch:3d} "
+              f"{str(case.m.w_h.nbytes <= default):>6} | "
+              f"{t['fwd', 'paired']:9.1f} {t['fwd', 'apart']:9.1f} | {bwd} | "
+              f"{both['paired']:9.1f} {both['apart']:10.1f} {both['apart'] / both['paired']:6.2f}")
+    kernels.PAIR_BYTES = default
     return 0
 
 
