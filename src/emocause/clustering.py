@@ -65,7 +65,10 @@ def distance_matrix(vectors) -> np.ndarray:
     distinct, inverse = np.unique(data, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)  # its shape varies across numpy versions
     unit = distinct / np.linalg.norm(distinct, axis=1, keepdims=True)
-    dist = np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
+    # in place, so the product and the gather below are the only n x n arrays
+    dist = unit @ unit.T
+    np.subtract(1.0, dist, out=dist)
+    np.clip(dist, 0.0, 2.0, out=dist)
     np.fill_diagonal(dist, 0.0)
     return dist[np.ix_(inverse, inverse)]
 

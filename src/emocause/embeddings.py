@@ -15,7 +15,6 @@ import os
 import struct
 from array import array
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -259,10 +258,163 @@ def load_word_embeddings(path) -> EmbeddingTable:
     return EmbeddingTable(words, vectors)
 
 
+# save_word_embeddings formats whole rows, about this many values at a time
+# (at least one row): nn.kernels.BLOCK, not imported, since build-embeddings
+# loads no kernel module.
+_SAVE_VALUES = 1 << 14
+
+# The shortest-digits formatter below works on little-endian 64-bit words,
+# each holding eight bytes of text.
+_WORD = np.dtype("<u8")
+# 10^k for k = 0..21, each exactly a double, and Veltkamp's split of each
+# into two halves of at most 26 bits, for Dekker's exact product.
+_POW10 = np.array([float(10 ** k) for k in range(22)])
+_SPLITTER = float((1 << 27) + 1)
+_POW10_HI = _POW10 * _SPLITTER - (_POW10 * _SPLITTER - _POW10)
+_POW10_LO = _POW10 - _POW10_HI
+# For each n = 1000a + 100b + 10c + d in 0..9999: its four digits as ASCII,
+# a in the lowest byte; and its count of trailing zero digits (4 for 0).
+_A, _B, _C, _D = np.ix_(*[np.arange(10, dtype=np.uint64)] * 4)
+_DIGITS4 = ((_A + 48) | (_B + 48) << 8 | (_C + 48) << 16 | (_D + 48) << 24).astype(_WORD).ravel()
+_ZEROS4 = ((_D == 0) * (1 + (_C == 0) * (1 + (_B == 0) * (1 + (_A == 0))))).ravel()
+del _A, _B, _C, _D
+# A decision of the digit rule closer than this to a tie is left to repr.
+_TIE = 1e-9
+
+
+def _low_bytes(counts) -> tuple:
+    """Three word columns whose low count bytes (of 24) are 0xff, per count."""
+    bits = np.clip(np.asarray(counts)[:, None] * 8 - np.array([0, 64, 128]), 0, 64)
+    words = np.array([(1 << int(b)) - 1 for b in bits.ravel()], dtype=_WORD)
+    return tuple(np.ascontiguousarray(c) for c in words.reshape(bits.shape).T)
+
+
+# A value's text is built from 18 bytes: its sign ("-" or 0) and its 17
+# digits. _KEEP[c] keeps the sign and the first c digits. The decimal point
+# position D = -3..16 (D digits before the point) indexes, at D + 3: the low
+# bytes that stay in place (the sign and, for D > 0, the D integer digits),
+# the bytes put after them ("." or "0.", "0" * -D) and the shift, in bits,
+# that makes room for those.
+_KEEP = _low_bytes(np.arange(19) + 1)
+_POINTS = np.arange(-3, 17)
+_STAY = _low_bytes(np.where(_POINTS > 0, _POINTS + 1, 1))
+_INSERT = tuple(np.ascontiguousarray(c) for c in np.array(
+    [np.frombuffer((b"\0" + (b"\0" * d + b"." if d > 0 else b"0." + b"0" * -d)).ljust(24, b"\0"),
+                   _WORD) for d in _POINTS]).T)
+_SHIFT = np.where(_POINTS > 0, 8, 8 * (2 - _POINTS)).astype(_WORD)
+
+
+def _format_values(x: np.ndarray, ends: np.ndarray) -> bytes:
+    """The bytes of " ".join(map(repr, x)), with ends (one 64-bit word
+    per value, holding " " or "\n" in its top byte) after each value in
+    place of the spaces. Each value is formatted into a 32-byte slot whose
+    unused bytes are 0; the slots are compacted in one step.
+
+    Values whose repr is positional (1e-4 <= |x| < 1e16) and that are not
+    powers of two: y = |x| * 10^k, with k the one that puts y in [1e16,
+    1e17), is exact as Dekker's product p + lo, and the values that round
+    to x scale to [y - h, y + h], h = 2^(e-54) * 10^k (x in [2^(e-1),
+    2^e)). repr's digits are the integer of that interval with the most
+    trailing zeros, and of those the nearest to y. The interval is under
+    23 wide, so it holds at most one multiple of 100; with none, the
+    nearest multiple of 10 that it holds; with none, round(y). Every other
+    value, and any whose decision falls within _TIE of a tie, is written
+    by repr itself."""
+    a = np.abs(x)
+    ok = (a >= 1e-4) & (a < 1e16)
+    a = np.where(ok, a, 1.5)  # every step below stays finite
+    mantissa, e = np.frexp(a)
+    ok &= mantissa != 0.5
+    k = 16 - (((e - 1) * 78913) >> 18)  # 16 - floor((e - 1) * log10(2))
+    k -= a * _POW10[k] >= 1e17
+    p = a * _POW10[k]
+    c = a * _SPLITTER
+    a_hi = c - (c - a)
+    a_lo = a - a_hi
+    t_hi, t_lo = _POW10_HI[k], _POW10_LO[k]
+    lo = ((a_hi * t_hi - p) + a_hi * t_lo + a_lo * t_hi) + a_lo * t_lo
+    ok &= ((p > 1e16) | ((p == 1e16) & (lo >= 0.0))) & (p < 1e17)
+    h = np.ldexp(_POW10[k], e - 54)
+    whole = np.floor(lo)
+    f = lo - whole
+    q = p.astype(np.int64) + whole.astype(np.int64)  # y = q + f
+    tens = q // 10
+    d10 = (q - 10 * tens) + f  # y minus the multiple of 10 below it
+    hundreds = tens // 10
+    d100 = 10 * (tens - 10 * hundreds) + d10
+    upper = 100.0 - d100 <= h
+    up = d10 > 5.0
+    near10 = np.where(up, 10.0 - d10, d10)
+    ok &= ~((np.abs(d100 - h) < _TIE) | (np.abs(100.0 - d100 - h) < _TIE)
+            | (np.abs(d10 - 5.0) < _TIE) | (np.abs(near10 - h) < _TIE) | (np.abs(f - 0.5) < _TIE))
+    n = np.where((d100 <= h) | upper, 100 * (hundreds + upper),
+                 np.where(near10 <= h, 10 * (tens + up), q + (f > 0.5)))
+    ok &= n < 10 ** 17  # x rounds up to a power of ten: not in [1e-4, 1e16)
+    point = 17 - k  # digits before the decimal point
+    # n's 17 digits: one, then four groups of four
+    first = n // 10 ** 16
+    rest = n - first * 10 ** 16
+    high = rest // 10 ** 8
+    low = rest - high * 10 ** 8
+    g1 = high // 10000
+    g2 = high - g1 * 10000
+    g3 = low // 10000
+    g4 = low - g3 * 10000
+    zeros = _ZEROS4[g4]
+    round4 = np.flatnonzero(g4 == 0)
+    if round4.size:  # four or more trailing zeros
+        more = _ZEROS4[g3[round4]]
+        more += (more == 4) * _ZEROS4[g2[round4]]
+        more += (more == 8) * _ZEROS4[g1[round4]]
+        zeros[round4] += more
+    kept = 17 - zeros
+    kept = np.where(point > 0, np.maximum(kept, point + 1), kept)
+    high8 = _DIGITS4[g1] | (_DIGITS4[g2] << 32)
+    low8 = _DIGITS4[g3] | (_DIGITS4[g4] << 32)
+    w0 = (x < 0) * np.uint64(45) | ((first.astype(_WORD) + 48) << 8) | (high8 << 16)
+    w1 = (high8 >> 48) | (low8 << 16)
+    w2 = low8 >> 48
+    w0 &= _KEEP[0][kept]
+    w1 &= _KEEP[1][kept]
+    w2 &= _KEEP[2][kept]
+    at = point + 3
+    s0, s1, s2 = w0 & _STAY[0][at], w1 & _STAY[1][at], w2 & _STAY[2][at]
+    w0 ^= s0
+    w1 ^= s1
+    w2 ^= s2
+    shift = _SHIFT[at]
+    back = 64 - shift
+    slots = np.empty((x.size, 4), _WORD)
+    slots[:, 0] = (w0 << shift) | s0 | _INSERT[0][at]
+    slots[:, 1] = (w1 << shift) | (w0 >> back) | s1 | _INSERT[1][at]
+    slots[:, 2] = (w2 << shift) | (w1 >> back) | s2 | _INSERT[2][at]
+    slots[:, 3] = ends
+    text = slots.view(np.uint8)
+    others = np.flatnonzero(~ok)
+    if others.size:
+        text[others, :31] = np.frombuffer(
+            b"".join(repr(v).encode("ascii").ljust(31, b"\0") for v in x[others].tolist()),
+            np.uint8).reshape(-1, 31)
+    return text[text != 0].tobytes()
+
+
+def _format_rows(words, rows: np.ndarray, ends: np.ndarray) -> bytes:
+    """The text lines of rows (a (n, d) block of the table) and their
+    words; ends holds the separator words of at least n full rows."""
+    lines = _format_values(rows.ravel(), ends[:rows.size]).splitlines(keepends=True)
+    parts = [b""] * (2 * len(lines))
+    parts[::2] = [(word + " ").encode("utf-8") for word in words]
+    parts[1::2] = lines
+    return b"".join(parts)
+
+
 def save_word_embeddings(table: EmbeddingTable, path) -> None:
-    """Write the same text format load_word_embeddings reads. Floats are
-    written with repr, so a save/load round trip is bit-exact; each row is
-    formatted from its Python floats (tolist), not from numpy scalars. The
+    """Write the same text format load_word_embeddings reads. Each float is
+    written as its repr, so a save/load round trip is bit-exact. The text
+    is formatted and written a block of whole rows (about _SAVE_VALUES
+    values) at a time, so memory does not grow with the vocabulary; each
+    block's floats are formatted in whole-array steps (_format_values) and
+    only the values that rule does not cover go through repr itself. The
     text goes to a temporary file that replaces path once it is complete,
     so a failed write leaves any earlier table intact.
 
@@ -275,11 +427,17 @@ def save_word_embeddings(table: EmbeddingTable, path) -> None:
     ignored, so a failure between the two writes, or a damaged sidecar,
     leaves a table that still loads from its text."""
     digest = hashlib.sha256()
-    rows = ((word + " " + " ".join(map(repr, row)) + "\n")
-            for word, row in zip(table.words, table.vectors.tolist()))
+    block = max(1, _SAVE_VALUES // table.dim)
+    ends = np.full((block, table.dim), ord(" ") << 56, dtype=_WORD)
+    ends[:, -1] = ord("\n") << 56
+    ends = ends.ravel()
     with atomic_open(path, "wb") as fh:
-        for line in chain([f"{len(table)} {table.dim}\n"], rows):
-            data = line.encode("utf-8")
+        header = f"{len(table)} {table.dim}\n".encode("utf-8")
+        digest.update(header)
+        fh.write(header)
+        for start in range(0, len(table), block):
+            data = _format_rows(table.words[start:start + block],
+                                table.vectors[start:start + block], ends)
             digest.update(data)
             fh.write(data)
     values = np.ascontiguousarray(table.vectors, dtype="<f8")

@@ -565,3 +565,28 @@ def test_build_embeddings_exits_zero_or_two_on_any_table_bytes(mutated_dir, data
     assert main(["build-embeddings", "--embeddings", str(table),
                  "--lexicon", str(mutated_dir / "lexicon.tsv"),
                  "--output", str(mutated_dir / "aware.txt")]) in (0, 2)
+
+
+@settings(max_examples=100, deadline=1000)
+@given(data=st.data())
+def test_train_emotion_exits_zero_or_two_on_any_corpus_bytes(chain, mutated_dir, data):
+    _, cfg = chain
+    corpus = mutated_dir / "corpus.jsonl"
+    corpus.write_bytes(data.draw(mutated_lines(Path(cfg.corpus_path).read_bytes())))
+    assert main(["train-emotion", "--corpus", str(corpus), "--parses", cfg.parses_path,
+                 "--embeddings", cfg.aware_path, "--output", str(mutated_dir / "emotion.bin"),
+                 "--epochs", "1", "--hidden", "4"]) in (0, 2)
+
+
+@settings(max_examples=100, deadline=1000)
+@given(data=st.data(), which=st.sampled_from(["emotion", "cause"]))
+def test_score_clauses_exits_zero_or_two_on_any_model_bytes(chain, mutated_dir, data, which):
+    _, cfg = chain
+    models = {"emotion": cfg.emotion_model_path, "cause": cfg.cause_model_path}
+    mutated = mutated_dir / f"{which}.bin"
+    mutated.write_bytes(data.draw(mutated_lines(Path(models[which]).read_bytes())))
+    models[which] = str(mutated)
+    assert main(["score-clauses", "--corpus", cfg.corpus_path, "--parses", cfg.parses_path,
+                 "--embeddings", cfg.aware_path, "--emotion-model", models["emotion"],
+                 "--cause-model", models["cause"],
+                 "--output", str(mutated_dir / "scores.jsonl")]) in (0, 2)

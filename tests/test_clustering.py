@@ -83,6 +83,24 @@ class TestVectorizeClause:
             vectorize_clause(self.make_clause(["zz", "yy"]), raw, aware)
 
 
+class TestDistanceMatrix:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_same_bits_as_the_clipped_copy(self, seed):
+        rng = np.random.default_rng(seed)
+        distinct = rng.normal(size=(12, 5))
+        distinct[1] = -distinct[0]  # a distance of 2, clipped from above
+        data = distinct[rng.integers(0, len(distinct), 40)]  # duplicate vectors
+        unique, inverse = np.unique(data, axis=0, return_inverse=True)
+        unit = unique / np.linalg.norm(unique, axis=1, keepdims=True)
+        expected = np.clip(1.0 - unit @ unit.T, 0.0, 2.0)
+        np.fill_diagonal(expected, 0.0)
+        inverse = inverse.reshape(-1)
+        expected = expected[np.ix_(inverse, inverse)]
+        got = clustering.distance_matrix([vec(row) for row in data])
+        assert got.dtype == expected.dtype
+        assert np.array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
 class TestAgglomerative:
     def test_identical_pair_merges(self):
         clusters = agglomerative_complete_link([vec([1, 2]), vec([1, 2])], 0.13)

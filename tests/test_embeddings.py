@@ -2,12 +2,14 @@ import hashlib
 import math
 import os
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from emocause import embeddings
 from emocause.embeddings import (DEFAULT_TOP_K, EMOTIONS, EmbeddingTable,
@@ -99,20 +101,22 @@ class TestLoadWordEmbeddings:
         save_word_embeddings(random_table(rng, 3, 4), p)
         before = p.read_bytes()
         sidecar_before = (tmp_path / "v.txt.ecpe").read_bytes()
-        written = 0
+        blocks = 0
+        format_rows = embeddings._format_rows
 
-        def failing_repr(value):  # fails after the first 8 KiB buffer is flushed
-            nonlocal written
-            written += 1
-            if written > 3000:
+        def failing_format_rows(*args):  # fails on the second block, after the first is written
+            nonlocal blocks
+            blocks += 1
+            if blocks == 2:
                 assert (tmp_path / "v.txt").read_bytes() == before
                 assert len(list(tmp_path.glob("v.txt.*.tmp"))) == 1
                 raise RuntimeError("formatting failed")
-            return repr(value)
+            return format_rows(*args)
 
-        monkeypatch.setattr(embeddings, "repr", failing_repr, raising=False)
+        monkeypatch.setattr(embeddings, "_format_rows", failing_format_rows)
         with pytest.raises(RuntimeError, match="formatting failed"):
-            save_word_embeddings(random_table(rng, 1000, 4), p)
+            save_word_embeddings(random_table(rng, 5000, 4), p)
+        assert blocks == 2
         assert p.read_bytes() == before
         assert (tmp_path / "v.txt.ecpe").read_bytes() == sidecar_before
         assert sorted(f.name for f in tmp_path.iterdir()) == ["v.txt", "v.txt.ecpe"]
@@ -123,6 +127,81 @@ class TestLoadWordEmbeddings:
         save_word_embeddings(table, p)
         assert p.read_text(encoding="utf-8") == (
             "2 3\nup 0.1 -2.5e-07 1e+16\ndown 3.0 -0.0 5e-324\n")
+
+def repr_lines(words, rows) -> bytes:
+    """The text rows as save_word_embeddings wrote them with repr."""
+    return "".join(word + " " + " ".join(map(repr, row)) + "\n"
+                   for word, row in zip(words, np.asarray(rows).tolist())).encode("utf-8")
+
+
+def formatted(rows) -> bytes:
+    rows = np.asarray(rows, dtype=np.float64)
+    ends = np.full(rows.shape, ord(" ") << 56, dtype=embeddings._WORD)
+    ends[:, -1] = ord("\n") << 56
+    return embeddings._format_rows([f"w{i}" for i in range(len(rows))], rows, ends.ravel())
+
+
+def float_families(rng, n):
+    """Seeded families of values, each a flat array of about n floats."""
+    decimals = np.array([round(v, int(places)) for v, places in
+                         zip(rng.normal(size=n) * 10.0 ** rng.integers(-3, 9, n),
+                             rng.integers(1, 16, n))])
+    powers10 = 10.0 ** rng.integers(-6, 18, n)
+    return {
+        "normal": rng.normal(size=n),
+        "exponents": rng.normal(size=n) * 10.0 ** rng.uniform(-6, 17, n),
+        "decimals": decimals,
+        "decimals-up": np.nextafter(decimals, np.inf),
+        "decimals-down": np.nextafter(decimals, -np.inf),
+        "powers-of-ten": powers10,
+        "powers-of-ten-up": np.nextafter(powers10, np.inf),
+        "powers-of-ten-down": np.nextafter(powers10, -np.inf),
+        "integers": rng.integers(-10 ** 6, 10 ** 6, n).astype(np.float64),
+        "big-integers": rng.integers(-10 ** 16, 10 ** 16, n).astype(np.float64),
+        "powers-of-two": np.ldexp(rng.choice([-1.0, 1.0], n), rng.integers(-1074, 1024, n)),
+        "bit-patterns": rng.integers(0, 2 ** 64, n, dtype=np.uint64).view(np.float64),
+    }
+
+
+class TestBlockFormatter:
+    """The writer's block formatter gives the bytes of repr, value by value."""
+
+    @pytest.mark.parametrize("family", sorted(float_families(np.random.default_rng(0), 1)))
+    def test_seeded_family_matches_repr(self, family):
+        rows = float_families(np.random.default_rng(2024), 3000)[family].reshape(-1, 6)
+        assert formatted(rows) == repr_lines([f"w{i}" for i in range(len(rows))], rows)
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(np.float64, st.tuples(st.integers(1, 4), st.integers(1, 9)),
+                  elements=st.floats(width=64)))
+    def test_any_float64_matches_repr(self, rows):
+        assert formatted(rows) == repr_lines([f"w{i}" for i in range(len(rows))], rows)
+
+    def test_edge_values_raise_no_numpy_warning(self):
+        rows = np.array([[0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -2.2250738585072014e-308],
+                         [1e-4, 9.999999999999999e-05, 1e16, 9999999999999998.0, 0.5, 1.0, -1e308]])
+        with np.errstate(all="raise"):
+            text = formatted(rows)
+        assert text == repr_lines(["w0", "w1"], rows)
+
+    def test_a_table_of_several_blocks_matches_repr(self, tmp_path, rng):
+        table = random_table(rng, 2 * embeddings._SAVE_VALUES // 7 + 3, 7)
+        p = tmp_path / "v.txt"
+        save_word_embeddings(table, p)
+        assert p.read_bytes() == b"%d 7\n" % len(table) + repr_lines(table.words, table.vectors)
+
+    def test_memory_does_not_grow_with_the_vocabulary(self, tmp_path, rng):
+        peaks = []
+        for words in (1000, 4000):
+            table = random_table(rng, words, 300)
+            tracemalloc.start()
+            try:
+                save_word_embeddings(table, tmp_path / "v.txt")
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0], peaks
+
 
 BLOCK = embeddings.BLOCK_LINES
 

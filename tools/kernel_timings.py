@@ -1,8 +1,8 @@
 """Per-kernel timings: the LSTM kernels' time loop run once over both
 directions (paired) against once per direction (apart); and, with --step,
-whole training steps.
+whole training steps; and, with --save, the embedding table writer.
 
-    python3 tools/kernel_timings.py [--repeats N] [--small] [--step]
+    python3 tools/kernel_timings.py [--repeats N] [--small] [--step | --save]
 
 For each (T, H, B) shape it prints the median microseconds of one
 both-directions call of the forward kernel over B sequences of T steps,
@@ -29,6 +29,12 @@ sequences held as train holds them. The "cause" row teacher-forces every
 sequence to one emotion, so no step catches an idle input block up; the
 "cause-mix" row draws each sequence's emotion at random, as gold labels
 mix them, so most steps catch their block up first.
+
+--save instead prints the median seconds of embeddings.save_word_embeddings
+on a seeded 3000 x 300 table (the reference-sizes table shape), text and
+sidecar, and of the writer it replaced as the reference: each row joined
+from the repr of its values, encoded, hashed and written. The two ways
+alternate within every repeat, and their texts must be the same bytes.
 """
 
 from __future__ import annotations
@@ -39,9 +45,11 @@ os.environ["OPENBLAS_NUM_THREADS"] = os.environ["OMP_NUM_THREADS"] = "1"
 
 import argparse  # noqa: E402
 import functools  # noqa: E402
+import hashlib  # noqa: E402
 import itertools  # noqa: E402
 import statistics  # noqa: E402
 import sys  # noqa: E402
+import tempfile  # noqa: E402
 import time  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -50,7 +58,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
                                 "src"))
 
 from emocause import bilstm_mlp, cause_model, emotion_model  # noqa: E402
-from emocause.embeddings import EmbeddingTable  # noqa: E402
+from emocause.embeddings import EmbeddingTable, save_word_embeddings  # noqa: E402
 from emocause.nn import core, kernels  # noqa: E402
 
 SHAPES = ((12, 32, 1), (6, 64, 1), (14, 32, 19), (12, 128, 1), (12, 192, 1), (20, 256, 1),
@@ -63,6 +71,7 @@ STEPS = (("emotion", emotion_model.EmotionClassifier, 10, 32, None),
          ("cause-mix", cause_model.CauseScorer, 4, 64, MIXED))
 STEP_DIM = 16
 TARGET_S = 0.02  # each timed batch of calls runs for about this long
+SAVE_SHAPE = (3000, 300)
 
 
 # kernels.PAIR_BYTES for each loop form
@@ -151,14 +160,53 @@ def measure(case: Case, repeats: int, backward: bool) -> dict:
     return {way: statistics.median(values) for way, values in samples.items()}
 
 
+def repr_save(table: EmbeddingTable, path) -> None:
+    """The text of save_word_embeddings as the per-value repr join wrote it."""
+    digest = hashlib.sha256()
+    with open(path, "wb") as fh:
+        for line in [f"{len(table)} {table.dim}\n"] + [
+                word + " " + " ".join(map(repr, row)) + "\n"
+                for word, row in zip(table.words, table.vectors.tolist())]:
+            data = line.encode("utf-8")
+            digest.update(data)
+            fh.write(data)
+
+
+def time_save(repeats: int, rng: np.random.Generator) -> None:
+    words, dim = SAVE_SHAPE
+    table = EmbeddingTable([f"w{i}" for i in range(words)], rng.normal(size=SAVE_SHAPE))
+    ways = {"save_word_embeddings": save_word_embeddings, "repr join": repr_save}
+    samples = {way: [] for way in ways}
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {way: os.path.join(tmp, f"{i}.txt") for i, way in enumerate(ways)}
+        for r in range(repeats):
+            for way in (list(ways) if r % 2 == 0 else list(ways)[::-1]):
+                start = time.perf_counter()
+                ways[way](table, paths[way])
+                samples[way].append(time.perf_counter() - start)
+        texts = [open(path, "rb").read() for path in paths.values()]
+    if texts[0] != texts[1]:
+        raise SystemExit("save_word_embeddings and the repr join wrote different bytes")
+    print(f"numpy {np.__version__}, {words} x {dim} table, {len(texts[0])} bytes of text")
+    print(f"{'writer':<20} | {'median s':>8} {'ns/value':>8}")
+    for way, values in samples.items():
+        s = statistics.median(values)
+        print(f"{way:<20} | {s:8.3f} {s / (words * dim) * 1e9:8.0f}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=15, help="timed batches per way")
     parser.add_argument("--small", action="store_true", help="only the shapes with H < 256")
     parser.add_argument("--step", action="store_true",
                         help="time whole training steps instead of the kernels")
+    parser.add_argument("--save", action="store_true",
+                        help="time the embedding table writer instead of the kernels")
     args = parser.parse_args(argv)
     rng = np.random.default_rng(0)
+    if args.save:
+        time_save(args.repeats, rng)
+        return 0
     if args.step:
         print(f"one BLAS thread, numpy {np.__version__}, d = {STEP_DIM}")
         print(f"{'step':<9} {'T':>3} {'H':>4} | {'median us':>9}")
