@@ -367,8 +367,7 @@ def _format_values(x: np.ndarray, ends: np.ndarray) -> bytes:
         more += (more == 4) * _ZEROS4[g2[round4]]
         more += (more == 8) * _ZEROS4[g1[round4]]
         zeros[round4] += more
-    kept = 17 - zeros
-    kept = np.where(point > 0, np.maximum(kept, point + 1), kept)
+    kept = np.maximum(17 - zeros, point + 1)  # a digit after the point, as in 1200.0
     high8 = _DIGITS4[g1] | (_DIGITS4[g2] << 32)
     low8 = _DIGITS4[g3] | (_DIGITS4[g4] << 32)
     w0 = (x < 0) * np.uint64(45) | ((first.astype(_WORD) + 48) << 8) | (high8 << 16)
