@@ -391,7 +391,9 @@ def save(m: BiLstmMlp, path) -> None:
 
 
 def load(cls, path, table: EmbeddingTable):
-    """The model's tensors are views of the file's payload, read in one array."""
+    """The model's tensors are views of the file's payload, read in one
+    array. Its finiteness is checked a block at a time (_all_finite), so
+    the check allocates no payload-sized temporary."""
     descriptor, payload = load_container(path)
     if len(descriptor) != 5 or descriptor[0] != cls.kind:
         raise DataError(f"{path}: not {cls.what} file")
@@ -407,6 +409,17 @@ def load(cls, path, table: EmbeddingTable):
     expected = n_values(dims)
     if payload.size != expected:
         raise DataError(f"{path}: payload holds {payload.size} values, expected {expected}")
-    if not np.all(np.isfinite(payload)):
+    if not _all_finite(payload):
         raise DataError(f"{path}: parameters contain non-finite values")
     return cls.over(payload, dims, table=table)
+
+
+def _all_finite(values: np.ndarray) -> bool:
+    """np.all(np.isfinite(values)), checked kernels.BLOCK values at a time
+    into one reused flag buffer, up to the first block that fails."""
+    flags = np.empty(min(values.size, kernels.BLOCK), dtype=bool)
+    for start in range(0, values.size, kernels.BLOCK):
+        block = values[start:start + kernels.BLOCK]
+        if not np.isfinite(block, out=flags[:block.size]).all():
+            return False
+    return True

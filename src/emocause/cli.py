@@ -102,9 +102,10 @@ def _write_or_print(text: str, path: str | None):
 
 
 def cmd_build_embeddings(args) -> int:
-    from .embeddings import (build_emotion_aware_table, load_emotion_lexicon,
+    from .embeddings import (build_emotion_aware_table, input_copy_path, load_emotion_lexicon,
                              load_word_embeddings, save_word_embeddings)
-    table = load_word_embeddings(args.embeddings)
+    # the copy of the raw table, for summarize (pipeline.load_tables)
+    table = load_word_embeddings(args.embeddings, copy_to=input_copy_path(args.output))
     lexicon = load_emotion_lexicon(args.lexicon)
     aware = build_emotion_aware_table(table, lexicon, k=args.top_k)
     save_word_embeddings(aware, args.output)

@@ -15,6 +15,7 @@ import os
 import struct
 from array import array
 from dataclasses import dataclass
+from io import TextIOWrapper
 
 import numpy as np
 
@@ -161,92 +162,154 @@ def sidecar_path(path) -> str:
     return os.fspath(path) + ".ecpe"
 
 
-def _sidecar_values(path, text) -> np.ndarray | None:
-    """The values of path's sidecar as a (V, d) array when the sidecar
-    loads, is of kind KIND_TABLE, holds V x d values, records the SHA-256
-    of text's bytes and the SHA-256 of the values it holds; None
-    otherwise, since a sidecar is a copy that may be missing, stale or
-    damaged. text is the table file, open in binary mode at its start; it
-    is hashed in one streaming pass, then rewound. The values are hashed
-    from the array already read."""
+def input_copy_path(output) -> str:
+    """Where build-embeddings puts the binary copy of the raw table it read:
+    next to its output table, which summarize reads with it."""
+    return os.fspath(output) + ".raw.ecpe"
+
+
+# A copy's descriptor: [KIND_TABLE, V, d, the text's SHA-256 as 8 u32 words,
+# the payload's SHA-256 as 8 u32 words, the byte length of the words].
+_COPY_DESCRIPTOR = 20
+_U32 = 1 << 32
+# The text is hashed this many bytes at a time.
+_HASH_BYTES = 1 << 20
+
+
+def _read_copy(path) -> tuple | None:
+    """(the text's SHA-256, the words, the (V, d) values) of the copy at
+    path when it loads, is of kind KIND_TABLE, its payload holds V x d
+    values and then the words' bytes, zero-padded to whole f64, the
+    payload's SHA-256 (taken from the array already read) is the stored
+    one, and those bytes are V UTF-8 words, each followed by "\\n"; None
+    otherwise, since a copy may be missing, stale or damaged."""
     try:
-        descriptor, payload = load_container(sidecar_path(path))
+        descriptor, payload = load_container(path)
     except (OSError, DataError):
         return None
-    if len(descriptor) != 19 or descriptor[0] != KIND_TABLE:
+    if len(descriptor) != _COPY_DESCRIPTOR or descriptor[0] != KIND_TABLE:
         return None
-    rows, dim = descriptor[1:3]
-    if payload.size != rows * dim:
+    rows, dim, size = descriptor[1], descriptor[2], descriptor[-1]
+    count = rows * dim
+    if payload.size != count + -(-size // 8):
         return None
-    if hashlib.sha256(payload).digest() != struct.pack("<8I", *descriptor[11:]):
+    if hashlib.sha256(payload).digest() != struct.pack("<8I", *descriptor[11:19]):
         return None
-    digest = hashlib.sha256()
-    for block in iter(lambda: text.read(1 << 20), b""):
+    try:
+        words = payload[count:].view(np.uint8)[:size].tobytes().decode("utf-8").split("\n")
+    except UnicodeDecodeError:
+        return None
+    if words.pop() != "" or len(words) != rows:
+        return None
+    return struct.pack("<8I", *descriptor[3:11]), words, payload[:count].reshape(rows, dim)
+
+
+def _hash_text(raw) -> tuple[bytes, bytes]:
+    """(the SHA-256 of raw's bytes, its first _HASH_BYTES bytes); raw is a
+    binary file at its start, hashed in one streaming pass, then rewound."""
+    first = raw.read(_HASH_BYTES)
+    digest = hashlib.sha256(first)
+    for block in iter(lambda: raw.read(_HASH_BYTES), b""):
         digest.update(block)
-    text.seek(0)
-    if digest.digest() != struct.pack("<8I", *descriptor[3:11]):
-        return None
-    return payload.reshape(rows, dim)
+    raw.seek(0)
+    return digest.digest(), first
 
 
-def load_word_embeddings(path) -> EmbeddingTable:
+def _parse_header(path, line: str) -> tuple[int, int]:
+    header = line.split()
+    if len(header) != 2:
+        raise DataError(f"{path}: header must be '<count> <dim>'")
+    try:
+        count, dim = int(header[0]), int(header[1])
+    except ValueError:
+        raise DataError(f"{path}: header must be '<count> <dim>'") from None
+    if count < 0 or not 0 < dim <= MAX_DIM:
+        raise DataError(f"{path}: bad header values {count} {dim}")
+    return count, dim
+
+
+def _header_is(path, first: bytes, shape: tuple) -> bool:
+    """Whether the header, the first line of first (ended by "\\n" or
+    "\\r", as text mode reads it), gives shape's V and d."""
+    ends = [i for i in (first.find(b"\n"), first.find(b"\r")) if i >= 0]
+    if not ends:
+        return False
+    try:
+        header = _parse_header(path, first[:min(ends)].decode("utf-8"))
+    except (UnicodeDecodeError, DataError):
+        return False
+    return header == shape
+
+
+def _read_text(path, fh) -> tuple[list, np.ndarray, list, int]:
+    """(words, (V, d) values, each row's line number, the header's count)
+    of the text table fh, read line by line after its header."""
+    count, dim = _parse_header(path, fh.readline())
+    words, linenos, rests = [], [], []  # rests: the pending block's value text
+    values = array("d")  # every converted row's floats, one after another
+    seen = set()
+    for lineno, line in enumerate(fh, start=2):
+        # the word2vec C tool ends every row with a space
+        line = line.rstrip()
+        if not line:
+            continue
+        word, _, rest = line.partition(" ")
+        width = line.count(" ")
+        if width != dim or word in seen:
+            _append_block(values, path, rests, words, linenos)
+            if width != dim:
+                raise DataError(
+                    f"{path}:{lineno}: {width} values for {word!r}, expected {dim}")
+            raise DataError(f"{path}:{lineno}: duplicate word {word!r}")
+        seen.add(word)
+        words.append(word)
+        linenos.append(lineno)
+        rests.append(rest)
+        if len(rests) == BLOCK_LINES:
+            _append_block(values, path, rests, words, linenos)
+    _append_block(values, path, rests, words, linenos)
+    return words, np.frombuffer(values, dtype=np.float64).reshape(len(words), dim), linenos, count
+
+
+def load_word_embeddings(path, copy_path=None, copy_to=None) -> EmbeddingTable:
     """Read a text-format embedding file: header "<count> <dim>", then one
-    "<word> <floats...>" row per line. Each line's word, width and
-    duplicate checks run as it is read; its value text is converted in
-    blocks of BLOCK_LINES rows (_block_values), appended to one growing
-    array('d'). The array is viewed as the (V, d) table at the end, where
-    the finiteness and all-zero checks run once. An error names the file
-    line of the first bad row: a block is converted before a later row's
-    width or duplicate error is raised. The header's count is checked,
-    never trusted to size anything.
+    "<word> <floats...>" row per line.
 
-    When the table has a sidecar (sidecar_path) that save_word_embeddings
-    wrote for these exact bytes, with the header's count and dim, its
-    values are taken instead and no text is converted; every other check
-    runs as above."""
-    with open(path, encoding="utf-8") as fh:
-        saved = _sidecar_values(path, fh.buffer)
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise DataError(f"{path}: header must be '<count> <dim>'")
-        try:
-            count, dim = int(header[0]), int(header[1])
-        except ValueError:
-            raise DataError(f"{path}: header must be '<count> <dim>'") from None
-        if count < 0 or not 0 < dim <= MAX_DIM:
-            raise DataError(f"{path}: bad header values {count} {dim}")
-        if saved is not None and saved.shape != (count, dim):
-            saved = None
-        words, linenos, rests = [], [], []  # rests: the pending block's value text
-        values = array("d")  # every converted row's floats, one after another
-        seen = set()
-        for lineno, line in enumerate(fh, start=2):
-            # the word2vec C tool ends every row with a space
-            line = line.rstrip()
-            if not line:
-                continue
-            word, _, rest = line.partition(" ")
-            width = line.count(" ")
-            if width != dim or word in seen:
-                _append_block(values, path, rests, words, linenos)
-                if width != dim:
-                    raise DataError(
-                        f"{path}:{lineno}: {width} values for {word!r}, expected {dim}")
-                raise DataError(f"{path}:{lineno}: duplicate word {word!r}")
-            seen.add(word)
-            words.append(word)
-            linenos.append(lineno)
-            if saved is None:
-                rests.append(rest)
-                if len(rests) == BLOCK_LINES:
-                    _append_block(values, path, rests, words, linenos)
-        _append_block(values, path, rests, words, linenos)
-    if saved is None:
-        vectors = np.frombuffer(values, dtype=np.float64).reshape(len(words), dim)
-    elif len(words) == count:
-        vectors = saved
-    else:  # save_word_embeddings writes as many rows as the header says
-        raise DataError(f"{path}: header promises {count} rows, found {len(words)}")
+    When the binary copy at copy_path (default sidecar_path(path)) fits (see
+    _read_copy), records the SHA-256 of the text's bytes, hashed in one
+    streaming pass, and its V and d are the header's, the words and values
+    are taken from the copy and the text is read only by that pass. A
+    duplicate word in such a copy is a DataError.
+
+    Otherwise the text is read line by line from the same open file. Each
+    line's word, width and duplicate checks run as it is read; its value
+    text is converted in blocks of BLOCK_LINES rows (_block_values),
+    appended to one growing array('d'), viewed as the (V, d) table at the
+    end. An error names the file line of the first bad row: a block is
+    converted before a later row's width or duplicate error is raised. The
+    header's count is checked, never trusted to size anything.
+
+    Either way the finiteness and all-zero checks run once on the values;
+    on a copy, row i is named by line i + 2, where save_word_embeddings
+    writes it. With copy_to, the table's copy is then written there,
+    recording the SHA-256 of the bytes this load read (save_word_embeddings
+    describes the copy)."""
+    copy_path = sidecar_path(path) if copy_path is None else copy_path
+    copy = _read_copy(copy_path)
+    with open(path, "rb") as raw:
+        digest, first = (_hash_text(raw) if copy is not None or copy_to is not None
+                         else (None, b""))
+        if copy is not None and copy[0] == digest and _header_is(path, first, copy[2].shape):
+            _, words, vectors = copy
+            count, linenos = len(words), range(2, len(words) + 2)
+            seen = set()
+            for word in words:
+                if word in seen:
+                    raise DataError(f"{path}: duplicate word {word!r} in its copy {copy_path}")
+                seen.add(word)
+        else:
+            with TextIOWrapper(raw, encoding="utf-8") as fh:
+                words, vectors, linenos, count = _read_text(path, fh)
     finite = np.all(np.isfinite(vectors), axis=1)
     bad = ~(finite & np.any(vectors, axis=1))
     if bad.any():
@@ -255,7 +318,10 @@ def load_word_embeddings(path) -> EmbeddingTable:
         raise DataError(f"{path}:{linenos[row]}: {what} for {words[row]!r}")
     if len(words) != count:
         raise DataError(f"{path}: header promises {count} rows, found {len(words)}")
-    return EmbeddingTable(words, vectors)
+    table = EmbeddingTable(words, vectors)
+    if copy_to is not None:
+        _save_copy(copy_to, table, _words_bytes(table), digest)
+    return table
 
 
 # save_word_embeddings formats whole rows, about this many values at a time
@@ -407,6 +473,31 @@ def _format_rows(words, rows: np.ndarray, ends: np.ndarray) -> bytes:
     return b"".join(parts)
 
 
+def _words_bytes(table: EmbeddingTable) -> bytes:
+    """The table's words as UTF-8, each followed by "\\n": its copy's
+    second part, before the padding. ValueError when V, d or this length
+    cannot go in the copy's u32 descriptor."""
+    data = "".join(word + "\n" for word in table.words).encode("utf-8")
+    for n, what in ((len(table), "rows"), (table.dim, "values per row"),
+                    (len(data), "bytes of words")):
+        if n >= _U32:
+            raise ValueError(f"{n} {what} do not fit in a table copy's u32 descriptor")
+    return data
+
+
+def _save_copy(path, table: EmbeddingTable, words: bytes, text_digest: bytes) -> None:
+    """Write the table's copy to path: its values, then words (from
+    _words_bytes) zero-padded to whole f64, each part hashed and written in
+    turn, with text_digest, the SHA-256 of the text it copies."""
+    parts = (np.ascontiguousarray(table.vectors, dtype="<f8"),
+             np.frombuffer(words + bytes(-len(words) % 8), dtype="<f8"))
+    payload = hashlib.sha256()
+    for part in parts:
+        payload.update(part)
+    save_container(path, [KIND_TABLE, len(table), table.dim, *struct.unpack("<8I", text_digest),
+                          *struct.unpack("<8I", payload.digest()), len(words)], *parts)
+
+
 def save_word_embeddings(table: EmbeddingTable, path) -> None:
     """Write the same text format load_word_embeddings reads. Each float is
     written as its repr, so a save/load round trip is bit-exact. The text
@@ -417,17 +508,29 @@ def save_word_embeddings(table: EmbeddingTable, path) -> None:
     text goes to a temporary file that replaces path once it is complete,
     so a failed write leaves any earlier table intact.
 
-    Then the sidecar (sidecar_path) is written the same way: an ECPE1
+    A word holding " ", "\\n" or "\\r" is a ValueError, raised before
+    anything is written: the reader splits a row at its spaces, and text
+    mode ends a line at "\\r". So the text of every table this writes
+    loads back to the table, with or without its copy. So is a V, d or
+    length of the words too large for the copy's u32 descriptor.
+
+    Then the copy (sidecar_path) is written the same way: an ECPE1
     container of kind KIND_TABLE whose descriptor is [KIND_TABLE, V, d,
     the SHA-256 of the text's bytes as 8 u32 words, the SHA-256 of the
-    payload's bytes as 8 u32 words] and whose payload is the (V, d)
-    values. The text's hash is taken from the bytes as they are written.
-    A sidecar whose hashes do not match its text and its own values is
-    ignored, so a failure between the two writes, or a damaged sidecar,
-    leaves a table that still loads from its text."""
+    payload's bytes as 8 u32 words, the byte length of the words] and whose
+    payload is the (V, d) values, then the words as UTF-8, each followed by
+    "\\n", zero-padded to whole f64. The text's hash is taken from the
+    bytes as they are written. A copy whose hashes do not match its text
+    and its own payload is ignored, so a failure between the two writes,
+    or a damaged copy, leaves a table that still loads from its text."""
+    words = _words_bytes(table)
+    if b" " in words or b"\r" in words or words.count(b"\n") != len(table):
+        word = next(w for w in table.words if " " in w or "\n" in w or "\r" in w)
+        raise ValueError(f"word {word!r} holds a space or a line end, "
+                         "which the text format cannot carry")
     digest = hashlib.sha256()
     block = max(1, _SAVE_VALUES // table.dim)
-    ends = np.full((block, table.dim), ord(" ") << 56, dtype=_WORD)
+    ends = np.full((min(block, len(table)), table.dim), ord(" ") << 56, dtype=_WORD)
     ends[:, -1] = ord("\n") << 56
     ends = ends.ravel()
     with atomic_open(path, "wb") as fh:
@@ -439,11 +542,7 @@ def save_word_embeddings(table: EmbeddingTable, path) -> None:
                                 table.vectors[start:start + block], ends)
             digest.update(data)
             fh.write(data)
-    values = np.ascontiguousarray(table.vectors, dtype="<f8")
-    save_container(sidecar_path(path),
-                   [KIND_TABLE, len(table), table.dim, *struct.unpack("<8I", digest.digest()),
-                    *struct.unpack("<8I", hashlib.sha256(values).digest())],
-                   values)
+    _save_copy(sidecar_path(path), table, words, digest.digest())
 
 
 def load_emotion_lexicon(path) -> EmotionLexicon:

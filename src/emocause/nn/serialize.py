@@ -10,11 +10,13 @@ Layout (all integers little-endian u32, all floats little-endian f64):
 The descriptor alone determines every tensor shape, through the model's
 layout table (bilstm_mlp.layout), so the payload carries no per-tensor
 headers. Kind codes: 1 = emotion classifier, 2 = cause scorer,
-4 = embedding-table sidecar (descriptor [4, V, d, the SHA-256 of the text
-table as 8 u32 words, the SHA-256 of the payload as 8 u32 words], payload
-the (V, d) values row by row; see embeddings.save_word_embeddings). Kind
-3, the sidecar before it carried its payload's digest, is no longer read:
-such a sidecar is ignored and the table loads from its text. A cause file
+5 = embedding-table copy (descriptor [5, V, d, the SHA-256 of the text
+table as 8 u32 words, the SHA-256 of the payload as 8 u32 words, the byte
+length of the words], payload the (V, d) values row by row, then the
+words as UTF-8, each followed by "\\n", zero-padded to whole f64; see
+embeddings.save_word_embeddings). Kinds 3 and 4, the copies before the
+payload carried its digest and then the words, are no longer read: such a
+copy is ignored and the table loads from its text. A cause file
 written while the input weights were stored row-interleaved has the same
 header but another payload order; it must be retrained.
 
@@ -37,7 +39,7 @@ MAGIC = b"ECPE1"
 
 KIND_EMOTION = 1
 KIND_CAUSE = 2
-KIND_TABLE = 4
+KIND_TABLE = 5
 
 
 @contextlib.contextmanager
@@ -56,18 +58,24 @@ def atomic_open(path, mode: str, **kwargs):
         raise
 
 
-def save_container(path, descriptor: list[int], payload: np.ndarray) -> None:
+def save_container(path, descriptor: list[int], *parts: np.ndarray) -> None:
+    """The payload is the parts' values one after another, each part
+    written in turn, so they are never joined in memory."""
     with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(descriptor)))
         for value in descriptor:
             fh.write(struct.pack("<I", value))
-        np.asarray(payload, dtype="<f8").tofile(fh)
+        for part in parts:
+            np.asarray(part, dtype="<f8").tofile(fh)
 
 
 def load_container(path) -> tuple[tuple[int, ...], np.ndarray]:
     """Returns (descriptor, flat float64 payload). The payload is read
-    straight into one array, so the file's bytes are held once."""
+    straight into one array, so the file's bytes are held once. It is read,
+    not mapped: a model's payload starts at byte 29, so a mapped f64 array
+    would be misaligned, and numpy copies such an array for every matrix
+    product instead of handing it to BLAS."""
     with open(path, "rb") as fh:
         if fh.read(len(MAGIC)) != MAGIC:
             raise DataError(f"{path}: not a model file (bad magic)")

@@ -4,6 +4,10 @@
 A review is skipped, and counted under its reason, only for bad data: a
 missing parse, every token out of vocabulary, or no scorable clause. Any
 other error propagates.
+
+Each training command imports this module, so the model and clustering
+modules are imported where they are used: train-emotion loads neither
+cause_model nor clustering, and train-cause not emotion_model.
 """
 
 from __future__ import annotations
@@ -13,16 +17,25 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bilstm_mlp, cause_model, clustering, emotion_model
 from .clauses import extract_clauses, parse_conllu
 from .corpus import load_corpus
-from .embeddings import load_word_embeddings
+from .embeddings import input_copy_path, load_word_embeddings
 from .errors import DataError
 from .nn import core
 
-DEFAULT_THRESHOLD = clustering.DEFAULT_THRESHOLD
-
 SKIP_REASONS = ("missing_parse", "all_oov", "no_clause")
+
+
+def __getattr__(name: str):
+    # DEFAULT_THRESHOLD is clustering's, looked up only when asked for
+    if name == "DEFAULT_THRESHOLD":
+        return _default_threshold()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def _default_threshold() -> float:
+    from .clustering import DEFAULT_THRESHOLD
+    return DEFAULT_THRESHOLD
 
 
 @dataclass
@@ -36,7 +49,7 @@ class PipelineConfig:
     parses_path: str = ""
     emotion_model_path: str = ""
     cause_model_path: str = ""
-    threshold: float = DEFAULT_THRESHOLD
+    threshold: float = field(default_factory=_default_threshold)
 
 
 def format_skips(counts: dict) -> str:
@@ -95,7 +108,10 @@ def load_reviews(corpus_path, parses_path):
 
 
 def load_tables(cfg: PipelineConfig):
-    raw = load_word_embeddings(cfg.embeddings_path)
+    """The raw table, read through the copy build-embeddings left next to
+    the aware table (input_copy_path) while that copy matches its text,
+    and the aware table."""
+    raw = load_word_embeddings(cfg.embeddings_path, input_copy_path(cfg.aware_path))
     aware = load_word_embeddings(cfg.aware_path)
     if raw.dim != aware.dim or set(raw.words) != set(aware.words):
         raise DataError("raw and emotion-aware tables must share vocabulary and dim")
@@ -113,6 +129,7 @@ def _gold_reviews(records, sentences: dict):
 def build_emotion_examples(records, sentences: dict):
     """Training examples for the emotion model: whole-review tokens plus the
     gold label. Records without gold labels or parses are dropped."""
+    from . import emotion_model
     return [emotion_model.EmotionTrainExample(tuple(t for s in parsed for t in s.texts()),
                                               record.gold_emotion)
             for record, parsed in _gold_reviews(records, sentences)]
@@ -122,6 +139,7 @@ def build_cause_examples(records, sentences: dict):
     """Training examples for the cause scorer: one per extracted clause,
     labeled 1 iff it is the review's gold cause span. The emotion signal is
     teacher-forced to a one-hot of the gold label."""
+    from . import cause_model
     examples = []
     for record, parsed in _gold_reviews(records, sentences):
         probs = cause_model.one_hot_probs(record.gold_emotion)
@@ -225,6 +243,7 @@ def _chunk_bytes(sizes: tuple, emo, causes) -> int:
 
 
 def _infer_chunk(chunk, emo, causes) -> list:
+    from . import cause_model, emotion_model
     log_probs = emotion_model.classify(emo, [r.tokens for r in chunk])
     probs = np.exp(log_probs)
     clauses = [c for r in chunk for c in r.distinct]
@@ -268,6 +287,7 @@ def infer_corpus(records, sentences: dict, emo, causes):
 
 def run_pipeline(cfg: PipelineConfig) -> SummaryReport:
     """Inference over a corpus with already-trained models and tables."""
+    from . import bilstm_mlp, cause_model, clustering, emotion_model
     raw, aware = load_tables(cfg)
     emo = bilstm_mlp.load(emotion_model.EmotionClassifier, cfg.emotion_model_path, aware)
     causes = bilstm_mlp.load(cause_model.CauseScorer, cfg.cause_model_path, aware)
@@ -282,6 +302,7 @@ def run_pipeline(cfg: PipelineConfig) -> SummaryReport:
 
 def dump_projection(report: SummaryReport) -> list[dict]:
     """Per (product, emotion) group, members projected to 2-D for plotting."""
+    from . import clustering
     out = []
     for cs in report.cluster_sets:
         points = clustering.project_2d(cs.vectors)

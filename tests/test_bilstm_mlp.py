@@ -163,6 +163,25 @@ class TestModelFile:
         with pytest.raises(ValueError, match="non-finite"):
             bilstm_mlp.load(model_cls, tmp_path / "m.bin", table)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("where", ["first", "block-end", "block-start", "last"])
+    def test_non_finite_value_anywhere_rejected(self, model_cls, rng, tmp_path, value, where):
+        # the payload is checked kernels.BLOCK values at a time
+        table = random_table(rng, 5, 3)
+        dims = (model_cls.input_blocks, 3, 64, 5, model_cls.out_width)
+        payload = np.ones(bilstm_mlp.n_values(dims))
+        assert payload.size > 2 * kernels.BLOCK
+        at = {"first": 0, "block-end": kernels.BLOCK - 1, "block-start": kernels.BLOCK,
+              "last": payload.size - 1}[where]
+        payload[at] = value
+        path = tmp_path / "m.bin"
+        serialize.save_container(path, [model_cls.kind, *dims[1:]], payload)
+        with pytest.raises(DataError, match=r"m\.bin: parameters contain non-finite values$"):
+            bilstm_mlp.load(model_cls, path, table)
+        payload[at] = 1.0
+        serialize.save_container(path, [model_cls.kind, *dims[1:]], payload)
+        assert bilstm_mlp.load(model_cls, path, table).flat.tobytes() == payload.tobytes()
+
     @pytest.mark.parametrize("width", ["hidden", "mid"])
     def test_zero_width_rejected(self, model_cls, width, rng, tmp_path):
         # the payload has the size those widths give, so only a width is wrong

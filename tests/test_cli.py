@@ -1,5 +1,7 @@
+import io
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from emocause import bilstm_mlp, cause_model, cli, emotion_model, pipeline
+from emocause import bilstm_mlp, cause_model, cli, embeddings, emotion_model, pipeline
 from emocause.cli import main
 from emocause.corpus import load_corpus, save_corpus
 from emocause.embeddings import load_word_embeddings
@@ -384,6 +386,49 @@ class TestSummarize:
             for point in group["points"]:
                 assert set(point) == {"review_id", "clause_text", "x", "y"}
 
+    def test_report_is_the_same_through_the_input_copy_and_follows_an_edit(
+            self, chain, tmp_path, monkeypatch):
+        # build-embeddings left a copy of the raw table next to aware.txt;
+        # the raw text is read as text only when that copy is missing or
+        # stale, and the report never depends on which
+        workdir, _cfg = chain
+        shutil.copytree(workdir, tmp_path, dirs_exist_ok=True)
+        raw, copy = tmp_path / "embeddings.txt", tmp_path / "aware.txt.raw.ecpe"
+        argv = ["summarize", "--corpus", str(tmp_path / "corpus.jsonl"),
+                "--parses", str(tmp_path / "parses.conllu"), "--embeddings", str(raw),
+                "--aware", str(tmp_path / "aware.txt"),
+                "--emotion-model", str(tmp_path / "emotion.bin"),
+                "--cause-model", str(tmp_path / "cause.bin")]
+        text_reads = []
+
+        def counted(*args, **kwargs):
+            text_reads.append(args[0].name)
+            return io.TextIOWrapper(*args, **kwargs)
+
+        monkeypatch.setattr(embeddings, "TextIOWrapper", counted)
+
+        def report(name):
+            text_reads.clear()
+            assert main(argv + ["--output", str(tmp_path / name)]) == 0
+            return (tmp_path / name).read_bytes(), text_reads[:]
+
+        copied = copy.read_bytes()
+        present, reads = report("present.json")
+        assert reads == []
+        copy.unlink()
+        assert report("deleted.json") == (present, [str(raw)])
+        # a raw vector edited after the build: the copy is stale
+        copy.write_bytes(copied)
+        lines = raw.read_text(encoding="utf-8").splitlines(keepends=True)
+        row = next(i for i, line in enumerate(lines) if line.startswith("cracked "))
+        lines[row] = "cracked " + " ".join(["1000", "-1000"] * 6) + "\n"
+        raw.write_text("".join(lines), encoding="utf-8")
+        stale = report("stale.json")
+        assert stale[1] == [str(raw)]
+        copy.unlink()
+        assert report("edited.json") == stale
+        assert stale[0] != present
+
     def test_lone_surrogate_in_corpus_exits_two(self, chain, tmp_path, capsys):
         # the escape decodes to a lone surrogate, which the UTF-8 text
         # report could not encode
@@ -503,6 +548,14 @@ class TestCommandImports:
 
     def test_extract_clauses_loads_no_model_module(self, command_modules):
         assert command_modules["extract-clauses"] == self.BASE | {"clauses"}
+
+    TRAINING = BASE | {"bilstm_mlp", "clauses", "corpus", "embeddings", "nn.core", "nn.kernels",
+                       "pipeline"}
+
+    @pytest.mark.parametrize("command,model", [("train-emotion", "emotion_model"),
+                                               ("train-cause", "cause_model")])
+    def test_training_loads_its_own_model_only(self, command_modules, command, model):
+        assert command_modules[command] == self.TRAINING | {model}
 
     @pytest.mark.parametrize("module,command", [("checks", "gradient-check"),
                                                 ("synthetic", "gen-synthetic")])

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import math
 import os
 import struct
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -371,10 +372,21 @@ def sidecar_words(path):
     return list(struct.unpack("<8I", hashlib.sha256(path.read_bytes()).digest()))
 
 
-def payload_words(values):
-    """The SHA-256 of values' float64 bytes as the 8 u32 words a sidecar
-    stores."""
-    return list(struct.unpack("<8I", hashlib.sha256(np.asarray(values).tobytes()).digest()))
+def payload_words(*parts):
+    """The SHA-256 of the parts' bytes, one after another, as the 8 u32
+    words a sidecar stores."""
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(np.ascontiguousarray(part))
+    return list(struct.unpack("<8I", digest.digest()))
+
+
+def words_part(words, data=None):
+    """(the words' byte length, the f64 part that holds them): each word as
+    UTF-8 followed by "\\n", or data as given, zero-padded to whole f64."""
+    if data is None:
+        data = "".join(w + "\n" for w in words).encode("utf-8")
+    return len(data), np.frombuffer(data + bytes(-len(data) % 8), dtype="<f8")
 
 
 def spy_on_block_values(monkeypatch):
@@ -389,20 +401,42 @@ def spy_on_block_values(monkeypatch):
     return calls
 
 
+def spy_on_text_reads(monkeypatch):
+    """The mode of each file embeddings opens, and "text" for each file it
+    then reads as text."""
+    reads = []
+
+    def opened(path, mode="r", *args, **kwargs):
+        reads.append(mode)
+        return open(path, mode, *args, **kwargs)
+
+    def wrapped(*args, **kwargs):
+        reads.append("text")
+        return io.TextIOWrapper(*args, **kwargs)
+
+    monkeypatch.setattr(embeddings, "open", opened, raising=False)
+    monkeypatch.setattr(embeddings, "TextIOWrapper", wrapped)
+    return reads
+
+
 class TestSidecar:
     """save_word_embeddings writes an exact binary copy next to the text,
     which load_word_embeddings uses only while it matches the text."""
 
     def test_layout_is_the_documented_one(self, tmp_path, rng):
-        table = random_table(rng, 6, 4)
+        table = EmbeddingTable(["w0", "", "\u00e9t\u00e9", "w3", "w4", "w5"],
+                               rng.normal(size=(6, 4)))
         p = tmp_path / "v.txt"
         save_word_embeddings(table, p)
         assert sidecar_path(p) == str(tmp_path / "v.txt.ecpe")
         descriptor, payload = load_container(sidecar_path(p))
-        assert KIND_TABLE == 4
+        assert KIND_TABLE == 5
+        size, words = words_part(table.words)
+        assert size == 19 and words.nbytes == 24
         assert list(descriptor) == ([KIND_TABLE, 6, 4] + sidecar_words(p)
-                                    + payload_words(table.vectors))
-        assert payload.tobytes() == table.vectors.tobytes()
+                                    + payload_words(table.vectors, words) + [size])
+        assert payload.tobytes() == (table.vectors.tobytes()
+                                     + b"w0\n\n\xc3\xa9t\xc3\xa9\nw3\nw4\nw5\n\0\0\0\0\0")
 
     def test_load_with_sidecar_equals_load_without(self, tmp_path, rng):
         table = awkward_table(rng, 2 * BLOCK + 3)
@@ -424,6 +458,19 @@ class TestSidecar:
         load_word_embeddings(p)
         assert calls == [BLOCK, BLOCK, 1]
 
+    def test_a_hit_reads_the_text_only_to_hash_it(self, tmp_path, rng, monkeypatch):
+        # the words come from the copy: no line of the text is read as text
+        p = tmp_path / "v.txt"
+        table = random_table(rng, 2 * BLOCK + 1, 3)
+        save_word_embeddings(table, p)
+        reads = spy_on_text_reads(monkeypatch)
+        loaded = load_word_embeddings(p)
+        assert reads == ["rb"]
+        assert loaded.words == table.words
+        os.unlink(sidecar_path(p))
+        assert load_word_embeddings(p).words == table.words
+        assert reads == ["rb", "rb", "text"]
+
     def test_a_stale_sidecar_is_ignored(self, tmp_path, rng):
         p = tmp_path / "v.txt"
         save_word_embeddings(random_table(rng, 4, 3), p)
@@ -432,28 +479,52 @@ class TestSidecar:
         p.write_text("".join(lines), encoding="utf-8")
         assert load_word_embeddings(p)["w2"].tolist() == [7.5, 0.25, 1.0]
 
+    def test_a_stale_sidecar_with_the_same_values_is_ignored(self, tmp_path, rng, monkeypatch):
+        # a word renamed in the text: the copy's words are not used either
+        p = tmp_path / "v.txt"
+        save_word_embeddings(random_table(rng, 4, 3), p)
+        p.write_bytes(p.read_bytes().replace(b"\nw2 ", b"\nz2 "))
+        calls = spy_on_block_values(monkeypatch)
+        assert load_word_embeddings(p).words == ("w0", "w1", "z2", "w3")
+        assert calls == [4]
+
     @pytest.mark.parametrize("fault", ["truncated", "magic", "kind", "rows", "dim", "size",
-                                       "kind-3", "digest"])
+                                       "kind-3", "digest", "kind-4", "word-count", "utf-8",
+                                       "length", "text-digest"])
     def test_a_sidecar_that_does_not_fit_is_ignored(self, tmp_path, rng, monkeypatch, fault):
-        # each bad sidecar holds the text's hash but other values, with
-        # their own digest unless the digest is the fault, so using it
-        # would show
+        # each bad sidecar holds the text's hash but other values and
+        # words, with their own digest unless the digest is the fault, so
+        # using it would show
         table = random_table(rng, 4, 6)
         p = tmp_path / "v.txt"
         save_word_embeddings(table, p)
         kind, rows, dim, values = KIND_TABLE, 4, 6, 2.0 * table.vectors
+        words, text = ["x0", "x1", "x2", "x3"], sidecar_words(p)
+        data = None
         if fault == "kind":
             kind = 1
         elif fault == "rows":
-            rows, values = 3, values[:3]
+            rows, values, words = 3, values[:3], words[:3]
         elif fault == "dim":
             dim, values = 5, values.ravel()[:20]
         elif fault == "size":
             values = np.append(values, 1.0)
-        digest = payload_words(table.vectors if fault == "digest" else values)
+        elif fault == "word-count":
+            words = words[:3]
+        elif fault == "utf-8":
+            data = b"\xffx0\nx1\nx2\nx3\n"
+        elif fault == "text-digest":
+            text = [text[0] ^ 1] + text[1:]
+        size, part = words_part(words, data)
+        digest = payload_words(table.vectors if fault == "digest" else values, part)
+        if fault == "length":  # the words' length reaches past the payload
+            size += 8
+        descriptor = [kind, rows, dim] + text + digest + [size]
         if fault == "kind-3":  # the sidecar before it carried its payload's digest
-            kind, digest = 3, []
-        save_container(sidecar_path(p), [kind, rows, dim] + sidecar_words(p) + digest, values)
+            descriptor, part = [3, rows, dim] + text, part[:0]
+        elif fault == "kind-4":  # the sidecar before it carried the words
+            descriptor, part = [4, rows, dim] + text + payload_words(values), part[:0]
+        save_container(sidecar_path(p), descriptor, values, part)
         sidecar = tmp_path / "v.txt.ecpe"
         if fault == "truncated":
             sidecar.write_bytes(sidecar.read_bytes()[:-12])
@@ -462,7 +533,18 @@ class TestSidecar:
         calls = spy_on_block_values(monkeypatch)
         loaded = load_word_embeddings(p)
         assert calls == [4]
+        assert loaded.words == table.words
         assert loaded.vectors.tobytes() == table.vectors.tobytes()
+
+    def test_a_duplicate_word_in_a_fitting_sidecar_is_a_data_error(self, tmp_path, rng):
+        table = random_table(rng, 3, 2)
+        p = tmp_path / "v.txt"
+        save_word_embeddings(table, p)
+        size, part = words_part(["w0", "w1", "w0"])
+        save_container(sidecar_path(p), [KIND_TABLE, 3, 2] + sidecar_words(p)
+                       + payload_words(table.vectors, part) + [size], table.vectors, part)
+        with pytest.raises(DataError, match=r"v\.txt: duplicate word 'w0' in its copy .*v\.txt\.ecpe$"):
+            load_word_embeddings(p)
 
     def test_a_saved_nan_still_names_its_line(self, tmp_path, monkeypatch):
         p = tmp_path / "v.txt"
@@ -472,18 +554,88 @@ class TestSidecar:
             load_word_embeddings(p)
         assert calls == []
 
-    def test_line_checks_run_on_a_hit(self, tmp_path):
-        # a word holding a space is saved as written and read as one value too many
+    @pytest.mark.parametrize("word", ["b c", "b\nc", "b\rc", "\r", " "],
+                             ids=["space", "newline", "return", "lone-return", "lone-space"])
+    def test_the_writer_refuses_a_word_the_text_cannot_carry(self, tmp_path, word):
+        # the reader would split the row at the space or the line end, so
+        # the text would not load back to the table its copy holds
         p = tmp_path / "v.txt"
-        save_word_embeddings(EmbeddingTable(["a", "b c"], [[1.0, 2.0], [3.0, 4.0]]), p)
-        with pytest.raises(DataError, match=r"v\.txt:3: 3 values for 'b', expected 2$"):
-            load_word_embeddings(p)
+        with pytest.raises(ValueError, match="holds a space or a line end"):
+            save_word_embeddings(EmbeddingTable(["a", word], [[1.0, 2.0], [3.0, 4.0]]), p)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("dim", [5, 2 ** 32 - 1])
+    def test_an_empty_table_saves_and_loads_through_both_paths(self, tmp_path, dim):
+        p = tmp_path / "v.txt"
+        save_word_embeddings(EmbeddingTable([], np.zeros((0, dim))), p)
+        assert p.read_bytes() == f"0 {dim}\n".encode("ascii")
+        for table in (load_word_embeddings(p), load_word_embeddings(p, tmp_path / "none")):
+            assert table.words == () and table.vectors.shape == (0, dim)
+
+    @pytest.mark.parametrize("rows,dim", [(0, 10 ** 12), (0, 2 ** 32)])
+    def test_a_shape_the_copy_cannot_hold_is_refused_before_any_write(self, tmp_path, rows, dim):
+        # the text path reads "0 1000000000000"; saving it once sized a
+        # 7.28-TiB separator array
+        table = load_word_embeddings(write(tmp_path / "in.txt", f"{rows} {dim}\n"))
+        with pytest.raises(ValueError, match=f"{dim} values per row do not fit"):
+            save_word_embeddings(table, tmp_path / "v.txt")
+        assert [f.name for f in tmp_path.iterdir()] == ["in.txt"]
 
 
-def load_outcome(path):
+class TestInputCopy:
+    """build-embeddings asks the loader to write a copy of the raw table it
+    read (copy_to), for summarize, which reads the raw text through it."""
+
+    def test_a_raw_text_loads_the_same_through_its_copy(self, tmp_path, rng, monkeypatch):
+        # CRLF and LF rows, word2vec's trailing spaces, a blank line and
+        # six-decimal values: the copy holds what the text path read
+        rows = [(f"w{i}", [f"{v:.6f}" for v in rng.uniform(-1, 1, 4)]) for i in range(9)]
+        p = write_rows(tmp_path / "raw.txt", rows, 4, header="9 4\r\n\n")
+        copy = tmp_path / "aware.txt.raw.ecpe"
+        assert embeddings.input_copy_path(tmp_path / "aware.txt") == str(copy)
+        slow = load_word_embeddings(p, copy_to=copy)
+        assert not os.path.exists(sidecar_path(p))
+        reads = spy_on_text_reads(monkeypatch)
+        fast = load_word_embeddings(p, copy)
+        assert reads == ["rb"]
+        assert fast.words == slow.words and fast.vectors.tobytes() == slow.vectors.tobytes()
+
+    def test_the_copy_holds_the_digest_of_the_bytes_it_was_read_from(self, tmp_path, rng,
+                                                                     monkeypatch):
+        # the text is replaced between its hash and its parse: the copy
+        # pairs the old text's digest with the old text's values, so it
+        # does not fit the new text
+        p, new = tmp_path / "raw.txt", tmp_path / "new.txt"
+        old_table, new_table = random_table(rng, 3, 2), random_table(rng, 3, 2)
+        save_word_embeddings(old_table, p)
+        save_word_embeddings(new_table, new)
+        hash_text = embeddings._hash_text
+
+        def replaced_after_hashing(raw):
+            out = hash_text(raw)
+            os.replace(new, p)
+            return out
+
+        monkeypatch.setattr(embeddings, "_hash_text", replaced_after_hashing)
+        copy = tmp_path / "copy.ecpe"
+        loaded = load_word_embeddings(p, tmp_path / "none", copy_to=copy)
+        assert loaded.vectors.tobytes() == old_table.vectors.tobytes()
+        monkeypatch.undo()
+        calls = spy_on_block_values(monkeypatch)
+        assert load_word_embeddings(p, copy).vectors.tobytes() == new_table.vectors.tobytes()
+        assert calls == [3]
+
+    def test_a_failed_load_writes_no_copy(self, tmp_path):
+        p = write(tmp_path / "raw.txt", "2 2\na 1 0\na 0 1\n")
+        with pytest.raises(DataError, match="duplicate"):
+            load_word_embeddings(p, copy_to=tmp_path / "copy.ecpe")
+        assert [f.name for f in tmp_path.iterdir()] == ["raw.txt"]
+
+
+def load_outcome(path, copy_path=None):
     """("table", words, value bytes) or ("error", message) of one load."""
     try:
-        table = load_word_embeddings(path)
+        table = load_word_embeddings(path, copy_path)
     except DataError as err:
         return "error", str(err)
     return "table", table.words, table.vectors.tobytes()
@@ -528,6 +680,42 @@ def test_a_sidecar_with_a_changed_value_is_not_read(sidecar_cases):
     bad[-1] ^= 1
     Path(sidecar_path(p)).write_bytes(bad)
     assert load_outcome(p) == text_outcome
+
+
+# any word the text format carries: no space, no line end, no lone surrogate
+CARRIED_WORD = st.text(alphabet=st.characters(blacklist_categories=("Cs",),
+                                              blacklist_characters=" \n\r"), max_size=6)
+
+
+@st.composite
+def carried_tables(draw):
+    """(words, values) of a table the writer accepts: "" and non-ASCII
+    words, V = 0 and d = 1 among them, any float64 but all-zero rows."""
+    words = draw(st.lists(CARRIED_WORD, max_size=6, unique=True))
+    values = draw(arrays(np.float64, (len(words), draw(st.integers(1, 4))),
+                         elements=st.floats(allow_subnormal=True, width=64)))
+    assume(np.all(np.any(values, axis=1)))
+    return words, values
+
+
+@pytest.fixture(scope="module")
+def carried_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("carried") / "v.txt"
+
+
+@settings(max_examples=100, deadline=1000)
+@given(carried_tables())
+@example(([], np.zeros((0, 1))))
+@example(([""], np.ones((1, 1))))
+@example((["\u00e9t\u00e9", "\u2028", "\x85", "\t", "\x00", "\ufeff"], np.ones((6, 2))))
+def test_a_table_loads_the_same_with_and_without_its_copy(carried_path, table):
+    words, values = table
+    save_word_embeddings(EmbeddingTable(words, values), carried_path)
+    with_copy = load_outcome(carried_path)
+    without = load_outcome(carried_path, Path(str(carried_path) + ".none"))
+    assert with_copy == without
+    if with_copy[0] == "table":  # non-finite values are refused by both
+        assert with_copy == ("table", tuple(words), values.tobytes())
 
 
 class TestLoadEmotionLexicon:

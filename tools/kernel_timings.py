@@ -1,8 +1,9 @@
 """Per-kernel timings: the LSTM kernels' time loop run once over both
 directions (paired) against once per direction (apart); and, with --step,
-whole training steps; and, with --save, the embedding table writer.
+whole training steps; with --save, the embedding table writer; and, with
+--load, the embedding table reader.
 
-    python3 tools/kernel_timings.py [--repeats N] [--small] [--step | --save]
+    python3 tools/kernel_timings.py [--repeats N] [--small] [--step | --save | --load]
 
 For each (T, H, B) shape it prints the median microseconds of one
 both-directions call of the forward kernel over B sequences of T steps,
@@ -35,6 +36,14 @@ on a seeded 3000 x 300 table (the reference-sizes table shape), text and
 sidecar, and of the writer it replaced as the reference: each row joined
 from the repr of its values, encoded, hashed and written. The two ways
 alternate within every repeat, and their texts must be the same bytes.
+
+--load instead prints the median seconds of embeddings.load_word_embeddings
+on seeded 3000 x 300 tables: a table save_word_embeddings wrote, read
+through its copy (a hit) and from its text, and a raw word2vec-style text
+(six decimals, a trailing space on each row), read through the input copy
+build-embeddings writes for it and from its text. The ways alternate
+within every repeat, and each table must load to the same words and bits
+both ways.
 """
 
 from __future__ import annotations
@@ -58,7 +67,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(
                                 "src"))
 
 from emocause import bilstm_mlp, cause_model, emotion_model  # noqa: E402
-from emocause.embeddings import EmbeddingTable, save_word_embeddings  # noqa: E402
+from emocause.embeddings import (EmbeddingTable, load_word_embeddings,  # noqa: E402
+                                 save_word_embeddings)
 from emocause.nn import core, kernels  # noqa: E402
 
 SHAPES = ((12, 32, 1), (6, 64, 1), (14, 32, 19), (12, 128, 1), (12, 192, 1), (20, 256, 1),
@@ -194,6 +204,38 @@ def time_save(repeats: int, rng: np.random.Generator) -> None:
         print(f"{way:<20} | {s:8.3f} {s / (words * dim) * 1e9:8.0f}")
 
 
+def time_load(repeats: int, rng: np.random.Generator) -> None:
+    words, dim = SAVE_SHAPE
+    names = [f"w{i}" for i in range(words)]
+    with tempfile.TemporaryDirectory() as tmp:
+        saved, raw = os.path.join(tmp, "saved.txt"), os.path.join(tmp, "raw.txt")
+        none, copy = os.path.join(tmp, "none.ecpe"), os.path.join(tmp, "raw.ecpe")
+        save_word_embeddings(EmbeddingTable(names, rng.normal(size=SAVE_SHAPE)), saved)
+        with open(raw, "w", encoding="utf-8") as fh:
+            fh.write(f"{words} {dim}\n")
+            for name, row in zip(names, rng.uniform(-1, 1, size=SAVE_SHAPE)):
+                fh.write(name + " " + " ".join(f"{v:.6f}" for v in row) + " \n")
+        load_word_embeddings(raw, none, copy_to=copy)
+        ways = {"saved, copy": (saved, None), "saved, text": (saved, none),
+                "raw, input copy": (raw, copy), "raw, text": (raw, none)}
+        samples = {way: [] for way in ways}
+        tables = {}
+        for r in range(repeats):
+            for way in (list(ways) if r % 2 == 0 else list(ways)[::-1]):
+                start = time.perf_counter()
+                tables[way] = load_word_embeddings(*ways[way])
+                samples[way].append(time.perf_counter() - start)
+        sizes = {way: os.path.getsize(path) for way, (path, _) in ways.items()}
+    for a, b in (("saved, copy", "saved, text"), ("raw, input copy", "raw, text")):
+        if (tables[a].words != tables[b].words
+                or tables[a].vectors.tobytes() != tables[b].vectors.tobytes()):
+            raise SystemExit(f"the table read as {a!r} and as {b!r} differ")
+    print(f"numpy {np.__version__}, {words} x {dim} tables")
+    print(f"{'table, read':<16} | {'text bytes':>10} {'median s':>8}")
+    for way, values in samples.items():
+        print(f"{way:<16} | {sizes[way]:10d} {statistics.median(values):8.3f}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeats", type=int, default=15, help="timed batches per way")
@@ -202,8 +244,13 @@ def main(argv=None) -> int:
                         help="time whole training steps instead of the kernels")
     parser.add_argument("--save", action="store_true",
                         help="time the embedding table writer instead of the kernels")
+    parser.add_argument("--load", action="store_true",
+                        help="time the embedding table reader instead of the kernels")
     args = parser.parse_args(argv)
     rng = np.random.default_rng(0)
+    if args.load:
+        time_load(args.repeats, rng)
+        return 0
     if args.save:
         time_save(args.repeats, rng)
         return 0
